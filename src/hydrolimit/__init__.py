@@ -8,7 +8,6 @@ from .spectral import (
     anisotropic_poisson_solve,
     dealias,
     forward_transform,
-    implicit_diffusion_step,
     inverse_transform,
     load_snapshot,
     partial_derivative,
@@ -34,17 +33,17 @@ from .diagnostics import (
     energy_ledger,
     gamma_of_alpha,
     norm_h1,
-    norm_l2,
     trilinear_check,
 )
-from .shmhd import BlowUpError, ElsasserState, ShmhdParams, elsasser_from_primitive
+from .integrator import BlowUpError
+from .shmhd import ElsasserState, ShmhdParams, elsasser_from_primitive
 from .pehm import PehmState, diagnose_vertical, surface_pressure_solve
 from .sweep import RateFit, SweepConfig, load_config, run_pair, run_sweep, emit_report
 
 __all__ = [
     "GridSpec", "RealField", "SpectralField", "VectorState",
     "forward_transform", "inverse_transform", "partial_derivative", "dealias",
-    "anisotropic_poisson_solve", "implicit_diffusion_step",
+    "anisotropic_poisson_solve",
     "save_snapshot", "load_snapshot",
     "EVEN_IN_Z", "ODD_IN_Z", "parity_project", "parity_defect",
     "anisotropic_leray_project", "hydrostatic_reconstruct", "barotropic_project",
@@ -52,7 +51,7 @@ __all__ = [
     "ShmhdParams", "ElsasserState", "BlowUpError", "elsasser_from_primitive",
     "PehmState", "diagnose_vertical", "surface_pressure_solve",
     "DiagnosticsRecord", "DiffRecord", "TrilinearReport",
-    "norm_l2", "norm_h1", "energy_ledger", "difference_metrics",
+    "norm_h1", "energy_ledger", "difference_metrics",
     "trilinear_check", "gamma_of_alpha",
     "SweepConfig", "RateFit", "load_config", "run_pair", "run_sweep", "emit_report",
 ]

@@ -17,7 +17,6 @@ from .sweep import (
     emit_report,
     initial_states,
     load_config,
-    run_pair,
     run_sweep,
     runs_csv_text,
 )

@@ -3,7 +3,7 @@ reconstruction of vertical components, and the barotropic compatibility
 condition on horizontal fields.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,6 @@ def divergence_defect(g: VectorState) -> float:
 def anisotropic_leray_project(g: VectorState, eps: float) -> VectorState:
     """Remove the gradient part (grad_H phi, eps^-2 dz phi) of the weighted
     elliptic operator Delta_H + eps^-2 dzz, leaving zero discrete divergence."""
-    grid = g.grid
     div = divergence(g)
     phi = anisotropic_poisson_solve(div, eps)
     return VectorState(

@@ -18,10 +18,6 @@ from .constraints import (
 from .spectral import SpectralField, l2_norm, partial_derivative, to_physical
 
 
-def norm_l2(f: SpectralField) -> float:
-    return l2_norm(f)
-
-
 def grad_h_norm_sq(f: SpectralField) -> float:
     return l2_norm(partial_derivative(f, "x")) ** 2 + l2_norm(partial_derivative(f, "y")) ** 2
 
@@ -40,7 +36,7 @@ def norm_h1(f: SpectralField) -> float:
 
 def gamma_of_alpha(alpha: float) -> float:
     """Convergence-rate exponent min{2, alpha - 2} for alpha > 2."""
-    if alpha <= 2:
+    if not alpha > 2:
         raise ValueError(f"alpha must exceed 2, got {alpha}")
     return min(2.0, alpha - 2.0)
 

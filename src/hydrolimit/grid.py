@@ -100,9 +100,9 @@ class GridSpec:
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         return (
-            (3 * np.abs(self.modes1) <= self.n1)
-            & (3 * np.abs(self.modes2) <= self.n2)
-            & (3 * np.abs(self.modes3) <= self.n3)
+            (3 * np.abs(self.modes1) < self.n1)
+            & (3 * np.abs(self.modes2) < self.n2)
+            & (3 * np.abs(self.modes3) < self.n3)
         )
 
     @cached_property

@@ -1,34 +1,28 @@
 """Time integration of the hydrostatic limit system: prognostic horizontal
 Elsaesser fields with z-independent pressure, horizontal-only diffusion, and
 vertical components diagnosed from the incompressibility constraints.
+
+Scheme: the shared IMEX-Heun step of ``integrator``.  The surface pressure
+gradient is a kz = 0 horizontal gradient, which the barotropic projection of
+the predictor and the new state removes exactly, so the step never solves for
+the pressure; ``surface_pressure_solve`` recovers it as a diagnostic.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import integrator
 from .constraints import (
     EVEN_IN_Z,
-    VectorState,
     barotropic_defect,
     barotropic_project,
+    horizontal_divergence,
     hydrostatic_reconstruct,
+    parity_defect,
     parity_project,
 )
-from .diagnostics import (
-    DiagnosticsRecord,
-    norm_h1,
-    pehm_dissipation_rate,
-    pehm_energy,
-)
-from .shmhd import BlowUpError, _advect, _imex_update
-from .spectral import (
-    SpectralField,
-    diffusion_symbol,
-    l2_norm,
-    partial_derivative,
-    to_physical,
-)
+from .diagnostics import DiagnosticsRecord, norm_h1, pehm_dissipation_rate, pehm_energy
+from .integrator import elsasser_advection, imex_heun
+from .spectral import SpectralField, anisotropic_poisson_solve, diffusion_symbol, l2_norm
 
 PRESSURE_CONSISTENCY_TOL = 1e-6
 
@@ -39,16 +33,21 @@ class PehmState:
     b_h: tuple[SpectralField, SpectralField]
     t: float = 0.0
 
+    FIELD_NAMES = ("a_h1", "a_h2", "b_h1", "b_h2")
+
     @property
     def grid(self):
         return self.a_h[0].grid
 
+    def fields(self):
+        return [*self.a_h, *self.b_h]
+
+    @classmethod
+    def from_fields(cls, fields, t: float) -> "PehmState":
+        return cls(tuple(fields[:2]), tuple(fields[2:]), t)
+
     def copy(self) -> "PehmState":
-        return PehmState(
-            (self.a_h[0].copy(), self.a_h[1].copy()),
-            (self.b_h[0].copy(), self.b_h[1].copy()),
-            self.t,
-        )
+        return self.from_fields([f.copy() for f in self.fields()], self.t)
 
 
 def diagnose_vertical(s: PehmState) -> tuple[SpectralField, SpectralField]:
@@ -56,151 +55,82 @@ def diagnose_vertical(s: PehmState) -> tuple[SpectralField, SpectralField]:
     return hydrostatic_reconstruct(s.a_h), hydrostatic_reconstruct(s.b_h)
 
 
-def _advection_tendency(s: PehmState, dealias_on: bool = True):
+def _tendency(s: PehmState):
     """Negated 3D advection of the horizontal pairs, with diagnosed verticals
     inside the advecting fields."""
     a3, b3 = diagnose_vertical(s)
-    a_phys = [to_physical(s.a_h[0]), to_physical(s.a_h[1]), to_physical(a3)]
-    b_phys = [to_physical(s.b_h[0]), to_physical(s.b_h[1]), to_physical(b3)]
-    na = tuple(_advect(b_phys, f, dealias_on) for f in s.a_h)
-    nb = tuple(_advect(a_phys, f, dealias_on) for f in s.b_h)
-    max_speed = max(float(np.max(np.abs(c))) for c in (*a_phys, *b_phys))
-    return na, nb, max_speed
+    return elsasser_advection((*s.a_h, a3), (*s.b_h, b3), 2)
 
 
-def _surface_poisson(grid, source_pair) -> SpectralField:
-    """Solve Delta_H p = div_H <source>_z on the kz = 0 slice, zero-mean gauge."""
-    div = partial_derivative(source_pair[0], "x") + partial_derivative(source_pair[1], "y")
-    src = div.coeffs[:, :, 0]
-    k2 = (grid.kx_deriv**2 + grid.ky_deriv**2)[:, :, 0]
-    k2safe = np.where(k2 == 0.0, 1.0, k2)
-    p_slice = np.where(k2 == 0.0, 0.0, -src / k2safe)
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    coeffs[:, :, 0] = p_slice
-    return SpectralField(grid, coeffs)
+def _surface_poisson(source_pair) -> SpectralField:
+    """Solve Delta_H p = div_H <source>_z (the kz = 0 slice), zero-mean gauge."""
+    div = horizontal_divergence(source_pair)
+    div.coeffs[:, :, 1:] = 0.0
+    return anisotropic_poisson_solve(div, 1.0)
 
 
-def surface_pressure_solve(s: PehmState, dealias_on: bool = True) -> SpectralField:
+def _surface_pressure(s: PehmState) -> tuple[SpectralField, float]:
+    """Surface pressure sourced from the A equation, and its relative
+    discrepancy from the one sourced from the B equation."""
+    t, _ = _tendency(s)
+    p_a = _surface_poisson(t[:2])
+    scale = l2_norm(p_a)
+    discrepancy = l2_norm(p_a - _surface_poisson(t[2:]))
+    return p_a, discrepancy / scale if scale > 0 else 0.0
+
+
+def surface_pressure_solve(s: PehmState) -> SpectralField:
     """z-independent pressure from the vertically averaged horizontal momentum
     equation.  The same solve sourced from the other Elsaesser equation must
     agree; a large discrepancy signals broken incompressibility."""
-    na, nb, _ = _advection_tendency(s, dealias_on)
-    p_a = _surface_poisson(s.grid, na)
-    p_b = _surface_poisson(s.grid, nb)
-    scale = l2_norm(p_a)
-    discrepancy = l2_norm(p_a - p_b)
-    if scale > 0 and discrepancy > PRESSURE_CONSISTENCY_TOL * scale:
+    p_a, rel = _surface_pressure(s)
+    if rel > PRESSURE_CONSISTENCY_TOL:
         raise RuntimeError(
             f"surface-pressure consistency broken: relative discrepancy "
-            f"{discrepancy / scale:.3e} exceeds {PRESSURE_CONSISTENCY_TOL:.0e}"
+            f"{rel:.3e} exceeds {PRESSURE_CONSISTENCY_TOL:.0e}"
         )
     return p_a
 
 
-def pressure_discrepancy(s: PehmState, dealias_on: bool = True) -> float:
+def pressure_discrepancy(s: PehmState) -> float:
     """Relative discrepancy between the two admissible pressure sources."""
-    na, nb, _ = _advection_tendency(s, dealias_on)
-    p_a = _surface_poisson(s.grid, na)
-    p_b = _surface_poisson(s.grid, nb)
-    scale = l2_norm(p_a)
-    return l2_norm(p_a - p_b) / scale if scale > 0 else 0.0
-
-
-def _tendencies(s: PehmState, dealias_on: bool):
-    """Projected tendencies: advection minus the surface pressure gradient."""
-    na, nb, max_speed = _advection_tendency(s, dealias_on)
-    p = _surface_poisson(s.grid, na)
-    gpx = partial_derivative(p, "x")
-    gpy = partial_derivative(p, "y")
-    ta = (na[0] - gpx, na[1] - gpy)
-    tb = (nb[0] - gpx, nb[1] - gpy)
-    return ta, tb, max_speed
+    return _surface_pressure(s)[1]
 
 
 def _enforce(s: PehmState) -> PehmState:
-    a_h = barotropic_project(s.a_h)
-    b_h = barotropic_project(s.b_h)
-    a_h = (parity_project(a_h[0], EVEN_IN_Z), parity_project(a_h[1], EVEN_IN_Z))
-    b_h = (parity_project(b_h[0], EVEN_IN_Z), parity_project(b_h[1], EVEN_IN_Z))
-    return PehmState(a_h, b_h, s.t)
+    """Constraint enforcement: barotropic projection, then even parity."""
+    fields = [*barotropic_project(s.a_h), *barotropic_project(s.b_h)]
+    return PehmState.from_fields([parity_project(f, EVEN_IN_Z) for f in fields], s.t)
 
 
-def _check_finite(s: PehmState) -> None:
-    for name, f in (
-        ("a_h1", s.a_h[0]), ("a_h2", s.a_h[1]), ("b_h1", s.b_h[0]), ("b_h2", s.b_h[1])
-    ):
-        if not np.all(np.isfinite(f.coeffs)):
-            raise BlowUpError(f"non-finite coefficients in field {name} at t={s.t:.6g}")
+def _scheme(grid, dt: float, advect: bool) -> dict:
+    return dict(
+        tendency=_tendency if advect else None,
+        enforce=_enforce,
+        lam=diffusion_symbol(grid, 1.0, 2.0, "none"),
+        dt=dt,
+    )
 
 
-def _advance(s: PehmState, dt: float, dealias_on: bool = True, advect: bool = True):
-    grid = s.grid
-    lam = diffusion_symbol(grid, 1.0, 2.0, "none")
-    fields = [s.a_h[0], s.a_h[1], s.b_h[0], s.b_h[1]]
-    if advect:
-        ta1, tb1, _ = _tendencies(s, dealias_on)
-        t1 = [*ta1, *tb1]
-        pred = [
-            SpectralField(grid, _imex_update(f.coeffs, g.coeffs, g.coeffs, lam, dt))
-            for f, g in zip(fields, t1)
-        ]
-        s_star = _enforce(PehmState((pred[0], pred[1]), (pred[2], pred[3]), s.t + dt))
-        ta2, tb2, _ = _tendencies(s_star, dealias_on)
-        t2 = [*ta2, *tb2]
-    else:
-        zeros = SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
-        t1 = t2 = [zeros] * 4
-
-    new = [
-        SpectralField(grid, _imex_update(f.coeffs, g1.coeffs, g2.coeffs, lam, dt))
-        for f, g1, g2 in zip(fields, t1, t2)
-    ]
-    s_new = _enforce(PehmState((new[0], new[1]), (new[2], new[3]), s.t + dt))
-    _check_finite(s_new)
-
-    mid_a = (0.5 * (s.a_h[0] + s_new.a_h[0]), 0.5 * (s.a_h[1] + s_new.a_h[1]))
-    mid_b = (0.5 * (s.b_h[0] + s_new.b_h[0]), 0.5 * (s.b_h[1] + s_new.b_h[1]))
-    diss_increment = dt * pehm_dissipation_rate(mid_a, mid_b)
-    return s_new, diss_increment
-
-
-def step(s: PehmState, dt: float, dealias_on: bool = True, advect: bool = True) -> PehmState:
+def step(s: PehmState, dt: float, advect: bool = True) -> PehmState:
     """Advance one time step dt."""
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return _advance(s, dt, dealias_on, advect)[0]
-
-
-@dataclass
-class PehmSample:
-    state: PehmState
-    record: DiagnosticsRecord
+    return imex_heun(s, **_scheme(s.grid, dt, advect))
 
 
 def _record(s: PehmState, diss_accum: float) -> DiagnosticsRecord:
     a3, b3 = diagnose_vertical(s)
-    par = max(
-        *(
-            l2_norm(f - parity_project(f, EVEN_IN_Z))
-            for f in (*s.a_h, *s.b_h)
-        )
-    )
-    div = max(barotropic_defect(s.a_h), barotropic_defect(s.b_h))
-    h1 = {
-        name: norm_h1(f)
-        for name, f in (
-            ("a_h1", s.a_h[0]), ("a_h2", s.a_h[1]),
-            ("b_h1", s.b_h[0]), ("b_h2", s.b_h[1]),
-            ("a_v", a3), ("b_v", b3),
-        )
-    }
+    fields = s.fields()
+    h1 = {name: norm_h1(f) for name, f in zip(s.FIELD_NAMES, fields)}
+    h1.update(a_v=norm_h1(a3), b_v=norm_h1(b3))
     return DiagnosticsRecord(
         t=s.t,
         e_l2=pehm_energy(s.a_h, s.b_h),
         dissipation_accum=diss_accum,
         h1_norms=h1,
-        parity_defect=par,
-        div_defect=div,
+        parity_defect=max(parity_defect(f, EVEN_IN_Z) for f in fields),
+        div_defect=max(barotropic_defect(s.a_h), barotropic_defect(s.b_h)),
     )
 
 
@@ -209,23 +139,11 @@ def run(
     dt: float,
     t_end: float,
     sample_every: int = 1,
-    dealias_on: bool = True,
     advect: bool = True,
-) -> list[PehmSample]:
+) -> list[integrator.Sample]:
     """Repeated stepping with diagnostics every sample_every steps."""
-    if t_end < s0.t:
-        raise ValueError(f"t_end={t_end} precedes initial time {s0.t}")
-    n_steps = int(round((t_end - s0.t) / dt))
-    samples = [PehmSample(s0.copy(), _record(s0, 0.0))]
-    s = s0
-    diss = 0.0
-    for i in range(n_steps):
-        try:
-            s, inc = _advance(s, dt, dealias_on, advect)
-        except BlowUpError as e:
-            e.step_index = i
-            raise
-        diss += inc
-        if (i + 1) % sample_every == 0 or i + 1 == n_steps:
-            samples.append(PehmSample(s.copy(), _record(s, diss)))
-    return samples
+    return integrator.run(
+        s0, t_end, sample_every, **_scheme(s0.grid, dt, advect),
+        dissipation_rate=lambda s: pehm_dissipation_rate(s.a_h, s.b_h),
+        record=_record,
+    )

@@ -2,47 +2,19 @@
 the fixed periodic box, with anisotropic diffusion and weighted pressure
 projection.
 
-Scheme: explicit trapezoidal (Heun) predictor-corrector on the advection with
-an implicit trapezoidal treatment of the stiff diffusion; the pressure is
-enforced exactly by the weighted Leray projection applied to the tendencies.
+Scheme: the shared IMEX-Heun step of ``integrator``; the pressure is enforced
+exactly by the weighted Leray projection of the predictor and the new state.
 """
 
-from dataclasses import dataclass, replace
-import warnings
+from dataclasses import dataclass
 
-import numpy as np
+from . import integrator
+from .constraints import EVEN_IN_Z, ODD_IN_Z, VectorState, anisotropic_leray_project, parity_project
+from .diagnostics import DiagnosticsRecord, norm_h1, shmhd_defects, shmhd_dissipation_rate, shmhd_energy
+from .integrator import BlowUpError, elsasser_advection, imex_heun  # noqa: F401  (BlowUpError re-exported)
+from .spectral import diffusion_symbol
 
-from .constraints import (
-    EVEN_IN_Z,
-    ODD_IN_Z,
-    VectorState,
-    anisotropic_leray_project,
-    parity_project,
-)
-from .diagnostics import (
-    DiagnosticsRecord,
-    norm_h1,
-    shmhd_defects,
-    shmhd_dissipation_rate,
-    shmhd_energy,
-)
-from .spectral import (
-    SpectralField,
-    anisotropic_poisson_solve,
-    dealias,
-    diffusion_symbol,
-    from_physical,
-    partial_derivative,
-    to_physical,
-)
-
-
-class BlowUpError(RuntimeError):
-    """Non-finite field detected during time stepping."""
-
-    def __init__(self, message: str, step_index: int | None = None):
-        super().__init__(message)
-        self.step_index = step_index
+PARITY = (EVEN_IN_Z, EVEN_IN_Z, ODD_IN_Z) * 2
 
 
 @dataclass
@@ -51,15 +23,14 @@ class ShmhdParams:
     alpha: float
     dt: float
     t_end: float
-    dealias_on: bool = True
     advect: bool = True
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.alpha < 2:
+        if not self.alpha >= 2:
             raise ValueError(f"alpha must be >= 2, got {self.alpha}")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
 
@@ -69,12 +40,21 @@ class ElsasserState:
     b: VectorState
     t: float = 0.0
 
+    FIELD_NAMES = ("a_h1", "a_h2", "a_v", "b_h1", "b_h2", "b_v")
+
     @property
     def grid(self):
         return self.a.grid
 
+    def fields(self):
+        return [*self.a.components(), *self.b.components()]
+
+    @classmethod
+    def from_fields(cls, fields, t: float) -> "ElsasserState":
+        return cls(VectorState(*fields[:3]), VectorState(*fields[3:]), t)
+
     def copy(self) -> "ElsasserState":
-        return ElsasserState(self.a.copy(), self.b.copy(), self.t)
+        return self.from_fields([f.copy() for f in self.fields()], self.t)
 
 
 def elsasser_from_primitive(u: VectorState, b: VectorState) -> tuple[VectorState, VectorState]:
@@ -92,182 +72,54 @@ def primitive_from_elsasser(a: VectorState, b_els: VectorState) -> tuple[VectorS
     return u, b
 
 
-def _advect(adv_phys, f: SpectralField, dealias_on: bool) -> SpectralField:
-    """-(w . grad) f evaluated pseudo-spectrally for physical advecting field w."""
-    grid = f.grid
-    prod = -(
-        adv_phys[0] * to_physical(partial_derivative(f, "x"))
-        + adv_phys[1] * to_physical(partial_derivative(f, "y"))
-        + adv_phys[2] * to_physical(partial_derivative(f, "z"))
-    )
-    out = from_physical(grid, prod)
-    return dealias(out) if dealias_on else out
+def _tendency(s: ElsasserState):
+    return elsasser_advection(s.a.components(), s.b.components(), 3)
 
 
-def _tendency_pair(s: ElsasserState, dealias_on: bool) -> tuple[VectorState, VectorState, float]:
-    a_phys = [to_physical(f) for f in s.a.components()]
-    b_phys = [to_physical(f) for f in s.b.components()]
-    ta = VectorState(*(_advect(b_phys, f, dealias_on) for f in s.a.components()))
-    tb = VectorState(*(_advect(a_phys, f, dealias_on) for f in s.b.components()))
-    max_speed = max(float(np.max(np.abs(c))) for c in (*a_phys, *b_phys))
-    return ta, tb, max_speed
-
-
-def nonlinear_tendency(s: ElsasserState, dealias_on: bool = True) -> tuple[VectorState, VectorState]:
+def nonlinear_tendency(s: ElsasserState) -> tuple[VectorState, VectorState]:
     """Negated advection terms: the A-family is advected by B and vice versa."""
-    ta, tb, _ = _tendency_pair(s, dealias_on)
-    return ta, tb
-
-
-def pressure_diagnose(s: ElsasserState, p: ShmhdParams) -> SpectralField:
-    """Zero-mean potential of the weighted projection applied to the current
-    tendencies; even in z for symmetric states."""
-    if p.advect:
-        ta, _ = nonlinear_tendency(s, p.dealias_on)
-    else:
-        from .spectral import zero_field
-
-        ta = VectorState(zero_field(s.grid), zero_field(s.grid), zero_field(s.grid))
-    div = (
-        partial_derivative(ta.h1, "x")
-        + partial_derivative(ta.h2, "y")
-        + partial_derivative(ta.v, "z")
-    )
-    return anisotropic_poisson_solve(div, p.eps)
-
-
-def _projected_tendencies(s: ElsasserState, p: ShmhdParams):
-    ta, tb, max_speed = _tendency_pair(s, p.dealias_on)
-    ta = anisotropic_leray_project(ta, p.eps)
-    tb = anisotropic_leray_project(tb, p.eps)
-    return ta, tb, max_speed
-
-
-def _imex_update(c, t1, t2, lam, dt) -> np.ndarray:
-    """Implicit-trapezoidal diffusion with trapezoidal advection increments."""
-    rhs = c + 0.5 * dt * (t1 + t2) - 0.5 * dt * lam * c
-    return rhs / (1.0 + 0.5 * dt * lam)
-
-
-def _check_finite(s: ElsasserState) -> None:
-    for name, f in (
-        ("a_h1", s.a.h1), ("a_h2", s.a.h2), ("a_v", s.a.v),
-        ("b_h1", s.b.h1), ("b_h2", s.b.h2), ("b_v", s.b.v),
-    ):
-        if not np.all(np.isfinite(f.coeffs)):
-            raise BlowUpError(f"non-finite coefficients in field {name} at t={s.t:.6g}")
+    t, _ = _tendency(s)
+    return VectorState(*t[:3]), VectorState(*t[3:])
 
 
 def _enforce(s: ElsasserState, eps: float) -> ElsasserState:
-    """Post-step constraint enforcement: divergence first, then parity."""
+    """Constraint enforcement: divergence first, then parity."""
     a = anisotropic_leray_project(s.a, eps)
     b = anisotropic_leray_project(s.b, eps)
-    a = VectorState(
-        parity_project(a.h1, EVEN_IN_Z), parity_project(a.h2, EVEN_IN_Z), parity_project(a.v, ODD_IN_Z)
-    )
-    b = VectorState(
-        parity_project(b.h1, EVEN_IN_Z), parity_project(b.h2, EVEN_IN_Z), parity_project(b.v, ODD_IN_Z)
-    )
-    return ElsasserState(a, b, s.t)
+    fields = [*a.components(), *b.components()]
+    return ElsasserState.from_fields([parity_project(f, c) for f, c in zip(fields, PARITY)], s.t)
 
 
-def _advance(s: ElsasserState, p: ShmhdParams) -> tuple[ElsasserState, float]:
-    """One step; returns the new state and the dissipation-integral increment
-    evaluated at the midpoint state (scheme-consistent accounting)."""
-    grid = s.grid
-    dt = p.dt
-    lam = diffusion_symbol(grid, p.eps, p.alpha, "full")
-    fields = [s.a.h1, s.a.h2, s.a.v, s.b.h1, s.b.h2, s.b.v]
-
-    if p.advect:
-        ta1, tb1, max_speed = _projected_tendencies(s, p)
-        t1 = [ta1.h1, ta1.h2, ta1.v, tb1.h1, tb1.h2, tb1.v]
-        cfl = dt * max_speed / min(grid.dx, grid.dy, grid.dz)
-        if cfl >= 0.5:
-            warnings.warn(f"CFL guard exceeded: dt*max|u|/min(dx) = {cfl:.3f} >= 0.5", stacklevel=2)
-        # predictor: full advection step with implicit-trapezoidal diffusion
-        pred = [
-            SpectralField(grid, _imex_update(f.coeffs, g.coeffs, g.coeffs, lam, dt))
-            for f, g in zip(fields, t1)
-        ]
-        s_star = ElsasserState(
-            VectorState(pred[0], pred[1], pred[2]), VectorState(pred[3], pred[4], pred[5]), s.t + dt
-        )
-        ta2, tb2, _ = _projected_tendencies(s_star, p)
-        t2 = [ta2.h1, ta2.h2, ta2.v, tb2.h1, tb2.h2, tb2.v]
-    else:
-        zeros = np.zeros(grid.shape, dtype=np.complex128)
-        t1 = t2 = [SpectralField(grid, zeros)] * 6
-
-    new = [
-        SpectralField(grid, _imex_update(f.coeffs, g1.coeffs, g2.coeffs, lam, dt))
-        for f, g1, g2 in zip(fields, t1, t2)
-    ]
-    s_new = ElsasserState(
-        VectorState(new[0], new[1], new[2]), VectorState(new[3], new[4], new[5]), s.t + dt
+def _scheme(grid, p: ShmhdParams) -> dict:
+    return dict(
+        tendency=_tendency if p.advect else None,
+        enforce=lambda s: _enforce(s, p.eps),
+        lam=diffusion_symbol(grid, p.eps, p.alpha, "full"),
+        dt=p.dt,
     )
-    s_new = _enforce(s_new, p.eps)
-    _check_finite(s_new)
-
-    mid_a = VectorState(
-        0.5 * (s.a.h1 + s_new.a.h1), 0.5 * (s.a.h2 + s_new.a.h2), 0.5 * (s.a.v + s_new.a.v)
-    )
-    mid_b = VectorState(
-        0.5 * (s.b.h1 + s_new.b.h1), 0.5 * (s.b.h2 + s_new.b.h2), 0.5 * (s.b.v + s_new.b.v)
-    )
-    diss_increment = dt * shmhd_dissipation_rate(mid_a, mid_b, p.eps, p.alpha)
-    return s_new, diss_increment
 
 
 def step(s: ElsasserState, p: ShmhdParams) -> ElsasserState:
     """Advance one time step dt."""
-    return _advance(s, p)[0]
-
-
-@dataclass
-class TrajectorySample:
-    state: ElsasserState
-    record: DiagnosticsRecord
+    return imex_heun(s, **_scheme(s.grid, p))
 
 
 def _record(s: ElsasserState, p: ShmhdParams, diss_accum: float) -> DiagnosticsRecord:
     par, div = shmhd_defects(s.a, s.b)
-    h1 = {
-        name: norm_h1(f)
-        for name, f in (
-            ("a_h1", s.a.h1), ("a_h2", s.a.h2), ("a_v", s.a.v),
-            ("b_h1", s.b.h1), ("b_h2", s.b.h2), ("b_v", s.b.v),
-        )
-    }
     return DiagnosticsRecord(
         t=s.t,
         e_l2=shmhd_energy(s.a, s.b, p.eps),
         dissipation_accum=diss_accum,
-        h1_norms=h1,
+        h1_norms={name: norm_h1(f) for name, f in zip(s.FIELD_NAMES, s.fields())},
         parity_defect=par,
         div_defect=div,
     )
 
 
-def run(s0: ElsasserState, p: ShmhdParams, sample_every: int = 1) -> list[TrajectorySample]:
-    """Repeated stepping with diagnostics every sample_every steps.
-
-    The dissipation integral is accumulated per step so the linear (advection
-    off) energy balance closes to rounding.
-    """
-    if p.t_end < s0.t:
-        raise ValueError(f"t_end={p.t_end} precedes initial time {s0.t}")
-    n_steps = int(round((p.t_end - s0.t) / p.dt))
-    samples = [TrajectorySample(s0.copy(), _record(s0, p, 0.0))]
-    s = s0
-    diss = 0.0
-    for i in range(n_steps):
-        try:
-            s, inc = _advance(s, p)
-        except BlowUpError as e:
-            e.step_index = i
-            raise
-        diss += inc
-        if (i + 1) % sample_every == 0 or i + 1 == n_steps:
-            samples.append(TrajectorySample(s.copy(), _record(s, p, diss)))
-    return samples
+def run(s0: ElsasserState, p: ShmhdParams, sample_every: int = 1) -> list[integrator.Sample]:
+    """Repeated stepping with diagnostics every sample_every steps."""
+    return integrator.run(
+        s0, p.t_end, sample_every, **_scheme(s0.grid, p),
+        dissipation_rate=lambda s: shmhd_dissipation_rate(s.a, s.b, p.eps, p.alpha),
+        record=lambda s, diss: _record(s, p, diss),
+    )

@@ -85,7 +85,8 @@ def partial_derivative(f: SpectralField, axis: str) -> SpectralField:
 
 
 def dealias(f: SpectralField) -> SpectralField:
-    """2/3-rule truncation: zero all coefficients with any |m_i| > n_i/3."""
+    """2/3-rule truncation: keep only modes with 3*|m_i| < n_i on every axis, so a
+    product of two kept fields aliases only onto removed modes."""
     return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask)
 
 
@@ -116,20 +117,6 @@ def anisotropic_poisson_solve(rhs: SpectralField, eps: float) -> SpectralField:
     phi = rhs.coeffs / np.where(kernel, 1.0, denom)
     phi[kernel] = 0.0
     return SpectralField(g, phi)
-
-
-def implicit_diffusion_step(
-    f: SpectralField, dt: float, eps: float, alpha: float, vertical_weight: str = "full"
-) -> SpectralField:
-    """Backward-Euler factor for the anisotropic diffusion operator.
-
-    Divides each coefficient by 1 + dt*(kh^2 + eps^(alpha-2)*kz^2); with
-    vertical_weight='none' the kz^2 term is omitted (horizontal-only diffusion).
-    """
-    if dt < 0:
-        raise ValueError(f"dt must be non-negative, got {dt}")
-    lam = diffusion_symbol(f.grid, eps, alpha, vertical_weight)
-    return SpectralField(f.grid, f.coeffs / (1.0 + dt * lam))
 
 
 def diffusion_symbol(grid: GridSpec, eps: float, alpha: float, vertical_weight: str = "full") -> np.ndarray:

@@ -6,15 +6,16 @@ Config grammar: flat ``key = value`` lines, ``#`` comments, and repeated
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import math
 import os
 
 import numpy as np
 
 from .constraints import SpectrumParams, VectorState, generate_initial_data
-from .diagnostics import DiffRecord, difference_metrics, energy_ledger, gamma_of_alpha
+from .diagnostics import DiffRecord, difference_metrics, energy_ledger, gamma_of_alpha, trapezoid_accumulate
 from .grid import GridSpec
+from .integrator import step_count
 from .pehm import PehmState
 from .pehm import run as pehm_run
 from .shmhd import BlowUpError, ElsasserState, ShmhdParams
@@ -43,6 +44,12 @@ class SweepConfig:
     mode: str = "l2"
 
     def validate(self) -> None:
+        for key in sorted(_FLOAT_KEYS):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ConfigError(f"{key}: must be finite, got {value}")
+        if not all(math.isfinite(e) for e in self.eps_ladder):
+            raise ConfigError(f"eps: all ladder values must be finite, got {self.eps_ladder}")
         if not self.eps_ladder:
             raise ConfigError("eps: ladder must be nonempty")
         if any(e <= 0 for e in self.eps_ladder):
@@ -59,6 +66,10 @@ class SweepConfig:
             raise ConfigError(f"dt: must be positive, got {self.dt}")
         if self.t_end <= 0:
             raise ConfigError(f"t_end: must be positive, got {self.t_end}")
+        try:
+            step_count(0.0, self.t_end, self.dt)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         if self.sample_every < 1:
             raise ConfigError(f"sample_every: must be >= 1, got {self.sample_every}")
         GridSpec(self.n1, self.n2, self.n3, self.l1, self.l2)
@@ -179,16 +190,10 @@ def run_pair(cfg: SweepConfig, eps: float) -> PairResult:
         summary = PairSummary(eps, math.nan, math.nan, math.nan, False, f"blowup:{e}")
         return PairResult(eps, [], [], summary)
 
-    diffs: list[DiffRecord] = []
-    accum = 0.0
-    prev = None
-    for se, sl in zip(traj_eps, traj_lim):
-        rec = difference_metrics(se.state, sl.state, eps, cfg.alpha)
-        if prev is not None:
-            accum += 0.5 * (rec.t - prev.t) * (rec.d_diss_rate + prev.d_diss_rate)
+    diffs = [difference_metrics(se.state, sl.state, eps, cfg.alpha) for se, sl in zip(traj_eps, traj_lim)]
+    accums = trapezoid_accumulate([d.t for d in diffs], [d.d_diss_rate for d in diffs])
+    for rec, accum in zip(diffs, accums):
         rec.d_diss_accum = accum
-        diffs.append(rec)
-        prev = rec
 
     rows: list[RunRow] = []
     for se, rec in zip(traj_eps, diffs):

@@ -10,22 +10,18 @@ from .constraints import (
     SpectrumParams,
     VectorState,
     anisotropic_leray_project,
-    barotropic_defect,
     divergence_defect,
     generate_initial_data,
-    hydrostatic_reconstruct,
     horizontal_divergence,
     parity_defect,
 )
 from .grid import GridSpec
 from .spectral import (
     RealField,
-    SpectralField,
     forward_transform,
     inverse_transform,
     l2_norm,
     partial_derivative,
-    to_physical,
 )
 
 ROUND_TRIP_TOL = 1e-12

@@ -88,6 +88,23 @@ class TestValidationFailures:
         code = main(["verify", "--config", str(path)])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("t_end = 0.02", "t_end = inf"),
+            ("alpha = 3.0", "alpha = nan"),
+            ("eps = 0.1", "eps = nan"),
+            ("t_end = 0.02", "t_end = 0.0105"),  # not a whole number of dt = 0.002 steps
+        ],
+    )
+    def test_simulate_rejects_bad_number(self, tmp_path, capsys, old, new):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_CFG.replace(old, new))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_sweep_rejects_alpha_two(self, tmp_path):
         path = tmp_path / "a2.cfg"
         path.write_text(TINY_CFG.replace("alpha = 3.0", "alpha = 2.0"))

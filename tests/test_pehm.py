@@ -128,6 +128,11 @@ class TestStepping:
         with pytest.raises(ValueError, match="t_end"):
             run(s, 1e-3, 0.5)
 
+    @pytest.mark.parametrize("dt, t_end", [(0.002, math.inf), (0.002, 0.0105), (math.nan, 0.01)])
+    def test_run_rejects_non_finite_or_non_integral_times(self, grid8_2pi, dt, t_end):
+        with pytest.raises(ValueError, match="t_end|dt"):
+            run(seeded_state(grid8_2pi, 166), dt, t_end)
+
     def test_run_is_deterministic(self, grid8_2pi):
         t1 = run(seeded_state(grid8_2pi, 165), 1e-3, 5e-3)
         t2 = run(seeded_state(grid8_2pi, 165), 1e-3, 5e-3)

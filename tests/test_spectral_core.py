@@ -1,5 +1,5 @@
 """Transforms, spectral derivatives, dealiasing, the anisotropic elliptic
-solve, the implicit diffusion factor, and the snapshot format."""
+solve, and the snapshot format."""
 
 import math
 
@@ -16,7 +16,6 @@ from hydrolimit.spectral import (
     dealias,
     forward_transform,
     from_physical,
-    implicit_diffusion_step,
     inverse_transform,
     l2_norm,
     load_snapshot,
@@ -123,11 +122,11 @@ class TestDealias:
     def test_keeps_low_modes_kills_high_modes(self):
         g = GridSpec(12, 12, 12, 1.0, 1.0)
         f = zero_field(g)
-        f.coeffs[4, 0, 0] = 1.0  # |m| = 4 = 12/3, kept
-        f.coeffs[5, 0, 0] = 1.0  # |m| = 5 > 12/3, removed
+        f.coeffs[3, 0, 0] = 1.0  # 3*|m| = 9 < 12, kept
+        f.coeffs[4, 0, 0] = 1.0  # 3*|m| = 12, removed: it would alias
         out = dealias(f)
-        assert out.coeffs[4, 0, 0] == 1.0
-        assert out.coeffs[5, 0, 0] == 0.0
+        assert out.coeffs[3, 0, 0] == 1.0
+        assert out.coeffs[4, 0, 0] == 0.0
 
     def test_idempotent(self, grid8):
         f = random_spectral_field(grid8, 4)
@@ -135,12 +134,14 @@ class TestDealias:
         twice = dealias(once)
         assert np.array_equal(once.coeffs, twice.coeffs)
 
-    def test_product_of_band_limited_fields_alias_free(self):
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_product_of_band_limited_fields_alias_free(self, n):
         """Truncated pseudo-spectral product of dealias-band fields matches the
-        alias-free product computed on a doubled grid (n = 16: band |m| <= 5
-        satisfies 3*5 < 16, so wrapped product modes land outside the band)."""
-        n, band = 16, 5
+        alias-free product computed on a doubled grid: with kept band |m| <= M
+        and 3*M < n, wrapped product modes land outside the band (n = 24 has
+        n divisible by 3, where |m| = n/3 must be removed)."""
         g = GridSpec(n, n, n, 1.0, 1.0)
+        band = int(np.max(np.abs(g.modes1.ravel()[g.dealias_mask[:, 0, 0]])))
         fine = GridSpec(2 * n, 2 * n, 2 * n, 1.0, 1.0)
         f = dealias(random_spectral_field(g, 5))
         h = dealias(random_spectral_field(g, 6))
@@ -204,38 +205,6 @@ class TestAnisotropicPoisson:
     def test_nonpositive_eps_raises(self, grid8):
         with pytest.raises(ValueError, match="eps"):
             anisotropic_poisson_solve(zero_field(grid8), 0.0)
-
-
-class TestImplicitDiffusion:
-    def test_backward_euler_factor_single_mode(self):
-        g = GridSpec(8, 8, 8, 1.0, 1.0)
-        f = zero_field(g)
-        f.coeffs[1, 0, 1] = 1.0  # kh^2 = 4 pi^2, kz^2 = pi^2
-        eps, alpha, dt = 0.5, 3.0, 0.1
-        out = implicit_diffusion_step(f, dt, eps, alpha)
-        lam = 4 * np.pi**2 + eps ** (alpha - 2) * np.pi**2
-        assert out.coeffs[1, 0, 1] == pytest.approx(1.0 / (1.0 + dt * lam), rel=1e-14)
-
-    def test_horizontal_only_weight(self):
-        g = GridSpec(8, 8, 8, 1.0, 1.0)
-        f = zero_field(g)
-        f.coeffs[0, 0, 1] = 1.0  # purely vertical mode
-        out = implicit_diffusion_step(f, 0.1, 0.5, 3.0, vertical_weight="none")
-        assert out.coeffs[0, 0, 1] == 1.0  # untouched: no horizontal wavenumber
-
-    def test_zero_dt_is_identity(self, grid8):
-        f = random_spectral_field(grid8, 10)
-        out = implicit_diffusion_step(f, 0.0, 0.1, 3.0)
-        assert np.array_equal(out.coeffs, f.coeffs)
-
-    def test_negative_dt_raises(self, grid8):
-        with pytest.raises(ValueError, match="dt"):
-            implicit_diffusion_step(zero_field(grid8), -0.1, 0.1, 3.0)
-
-    def test_contractive(self, grid8):
-        f = random_spectral_field(grid8, 11)
-        out = implicit_diffusion_step(f, 0.3, 0.2, 4.0)
-        assert l2_norm(out) <= l2_norm(f)
 
 
 class TestSnapshot:

@@ -2,6 +2,7 @@
 reporting, and cross-parallelism determinism."""
 
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -92,6 +93,20 @@ class TestConfigGrammar:
     def test_alpha_two_valid_outside_h1(self):
         SweepConfig(alpha=2.0).validate()
 
+    @pytest.mark.parametrize(
+        "key", ["l1", "l2", "alpha", "dt", "t_end", "amplitude", "m0", "eps"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_rejected(self, tmp_path, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    def test_t_end_not_multiple_of_dt_rejected(self):
+        with pytest.raises(ConfigError, match="t_end"):
+            SweepConfig(dt=0.002, t_end=0.0105).validate()
+
 
 class TestRateFit:
     def test_exact_power_law_recovered(self):
@@ -173,6 +188,26 @@ class TestRunSweep:
         parallel = run_sweep(cfg, jobs=2)
         assert sweep_csv_text(serial) == sweep_csv_text(parallel)
         assert runs_csv_text(serial.cells) == runs_csv_text(parallel.cells)
+
+
+class TestPinnedOracle:
+    """The quick-smoke sweep against values from the two-copy implementation
+    that preceded the shared integrator: a refactor of the solvers must not
+    move them beyond rounding."""
+
+    SUP_ERR_L2 = (1.6714225004581515, 1.0439873236438089, 0.6003024648745318)
+    SUP_ERR_H1 = (12.275665608836727, 8.273269179862732, 5.0051433963354945)
+    SLOPE = 0.7386574827958219
+
+    def test_quick_smoke_matches_pinned_values(self):
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "quick_smoke.cfg")
+        result = run_sweep(cfg)
+        assert [c.summary.status for c in result.cells] == ["ok"] * 3
+        got_l2 = [math.sqrt(c.summary.sup_d_l2) for c in result.cells]
+        got_h1 = [math.sqrt(c.summary.sup_d_h1) for c in result.cells]
+        assert got_l2 == pytest.approx(self.SUP_ERR_L2, rel=1e-8)
+        assert got_h1 == pytest.approx(self.SUP_ERR_H1, rel=1e-8)
+        assert result.fit.slope == pytest.approx(self.SLOPE, rel=1e-6)
 
 
 class TestReporting:
