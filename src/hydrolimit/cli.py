@@ -14,11 +14,13 @@ from .sweep import (
     PairResult,
     PairSummary,
     RunRow,
+    check_out_dir,
     emit_report,
     initial_states,
     load_config,
     run_sweep,
     runs_csv_text,
+    write_text_atomic,
 )
 from .verify import run_battery
 
@@ -46,7 +48,7 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     eps = args.eps if args.eps is not None else cfg.eps_ladder[0]
     s_eps0, s_lim0 = initial_states(cfg)
-    os.makedirs(args.out, exist_ok=True)
+    check_out_dir(args.out)
     run_id = f"seed{cfg.seed}-eps{eps:g}-alpha{cfg.alpha:g}"
     try:
         if args.system == "shmhd":
@@ -64,14 +66,14 @@ def cmd_simulate(args) -> int:
         for s in traj
     ]
     cell = PairResult(eps, [], rows, PairSummary(eps, 0.0, 0.0, 0.0, True, "ok"))
-    with open(os.path.join(args.out, "runs.csv"), "w", newline="\n") as fh:
-        fh.write(runs_csv_text([cell]))
+    write_text_atomic(os.path.join(args.out, "runs.csv"), runs_csv_text([cell]))
     print(f"{args.system} run complete: {len(traj)} samples, final t={traj[-1].record.t:g}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
+    check_out_dir(args.out)
     result = run_sweep(cfg, jobs=args.jobs)
     emit_report(result, args.out)
     if result.fit is not None:
@@ -120,7 +122,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as e:
+    except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -3,7 +3,7 @@
 All spectral norms are Parseval-exact over Omega = (0,l1) x (0,l2) x (-1,1).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class DiagnosticsRecord:
     t: float
     e_l2: float
     dissipation_accum: float
-    h1_norms: dict = field(default_factory=dict)
     parity_defect: float = 0.0
     div_defect: float = 0.0
 

@@ -20,7 +20,7 @@ from .constraints import (
     parity_defect,
     parity_project,
 )
-from .diagnostics import DiagnosticsRecord, norm_h1, pehm_dissipation_rate, pehm_energy
+from .diagnostics import DiagnosticsRecord, pehm_dissipation_rate, pehm_energy
 from .integrator import elsasser_advection, imex_heun
 from .spectral import SpectralField, anisotropic_poisson_solve, diffusion_symbol, l2_norm
 
@@ -120,16 +120,11 @@ def step(s: PehmState, dt: float, advect: bool = True) -> PehmState:
 
 
 def _record(s: PehmState, diss_accum: float) -> DiagnosticsRecord:
-    a3, b3 = diagnose_vertical(s)
-    fields = s.fields()
-    h1 = {name: norm_h1(f) for name, f in zip(s.FIELD_NAMES, fields)}
-    h1.update(a_v=norm_h1(a3), b_v=norm_h1(b3))
     return DiagnosticsRecord(
         t=s.t,
         e_l2=pehm_energy(s.a_h, s.b_h),
         dissipation_accum=diss_accum,
-        h1_norms=h1,
-        parity_defect=max(parity_defect(f, EVEN_IN_Z) for f in fields),
+        parity_defect=max(parity_defect(f, EVEN_IN_Z) for f in s.fields()),
         div_defect=max(barotropic_defect(s.a_h), barotropic_defect(s.b_h)),
     )
 

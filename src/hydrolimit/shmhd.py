@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import integrator
 from .constraints import EVEN_IN_Z, ODD_IN_Z, VectorState, anisotropic_leray_project, parity_project
-from .diagnostics import DiagnosticsRecord, norm_h1, shmhd_defects, shmhd_dissipation_rate, shmhd_energy
+from .diagnostics import DiagnosticsRecord, shmhd_defects, shmhd_dissipation_rate, shmhd_energy
 from .integrator import BlowUpError, elsasser_advection, imex_heun  # noqa: F401  (BlowUpError re-exported)
 from .spectral import diffusion_symbol
 
@@ -110,16 +110,18 @@ def _record(s: ElsasserState, p: ShmhdParams, diss_accum: float) -> DiagnosticsR
         t=s.t,
         e_l2=shmhd_energy(s.a, s.b, p.eps),
         dissipation_accum=diss_accum,
-        h1_norms={name: norm_h1(f) for name, f in zip(s.FIELD_NAMES, s.fields())},
         parity_defect=par,
         div_defect=div,
     )
 
 
-def run(s0: ElsasserState, p: ShmhdParams, sample_every: int = 1) -> list[integrator.Sample]:
-    """Repeated stepping with diagnostics every sample_every steps."""
+def run(s0: ElsasserState, p: ShmhdParams, sample_every: int = 1,
+        sample=integrator.keep_state) -> list:
+    """Repeated stepping with diagnostics every sample_every steps; each
+    sample is ``sample(state, record)``, by default an ``integrator.Sample``."""
     return integrator.run(
         s0, p.t_end, sample_every, **_scheme(s0.grid, p),
         dissipation_rate=lambda s: shmhd_dissipation_rate(s.a, s.b, p.eps, p.alpha),
         record=lambda s, diss: _record(s, p, diss),
+        sample=sample,
     )

@@ -6,6 +6,7 @@ integral |f|^2 dOmega = volume * sum |coeff|^2.
 """
 
 from dataclasses import dataclass
+import os
 import struct
 
 import numpy as np
@@ -138,12 +139,25 @@ def save_snapshot(f: SpectralField, path) -> None:
 
 
 def load_snapshot(path) -> SpectralField:
+    """Read a snapshot; raises ValueError unless the file holds exactly the
+    header and the coefficients it declares."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r} in {path}")
-        n1, n2, n3 = struct.unpack("<III", fh.read(12))
-        l1, l2 = struct.unpack("<dd", fh.read(16))
-        raw = fh.read(16 * n1 * n2 * n3)
+        header = fh.read(28)
+        if len(header) != 28:
+            raise ValueError(f"truncated snapshot header in {path}: {len(header)} of 28 bytes")
+        n1, n2, n3 = struct.unpack("<III", header[:12])
+        l1, l2 = struct.unpack("<dd", header[12:])
+        grid = GridSpec(n1, n2, n3, l1, l2)
+        expected = 16 * grid.npoints
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != expected:
+            raise ValueError(
+                f"snapshot {path} holds {payload} payload bytes, but its "
+                f"{n1}x{n2}x{n3} header declares {expected}"
+            )
+        raw = fh.read(expected)
     coeffs = np.frombuffer(raw, dtype="<c16").reshape(n1, n2, n3).astype(np.complex128)
-    return SpectralField(GridSpec(n1, n2, n3, l1, l2), coeffs)
+    return SpectralField(grid, coeffs)

@@ -7,6 +7,7 @@ Config grammar: flat ``key = value`` lines, ``#`` comments, and repeated
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 import math
 import os
 
@@ -178,38 +179,59 @@ def initial_states(cfg: SweepConfig) -> tuple[ElsasserState, PehmState]:
     return s_eps, s_lim
 
 
-def run_pair(cfg: SweepConfig, eps: float) -> PairResult:
-    """Run SHMHD and PEHM from identical data; emit difference records."""
-    s_eps0, s_lim0 = initial_states(cfg)
+def limit_trajectory(cfg: SweepConfig) -> list:
+    """The PEHM trajectory every ladder cell compares against: the limit
+    system contains neither eps nor alpha."""
+    _, s_lim0 = initial_states(cfg)
+    return pehm_run(s_lim0, cfg.dt, cfg.t_end, cfg.sample_every)
+
+
+def _failed_cell(eps: float, status: str) -> PairResult:
+    return PairResult(eps, [], [], PairSummary(eps, math.nan, math.nan, math.nan, False, status))
+
+
+def _failure_status(e: Exception) -> str:
+    return f"blowup:{e}" if isinstance(e, BlowUpError) else f"error:{type(e).__name__}"
+
+
+def run_pair(cfg: SweepConfig, eps: float, limit: list | None = None) -> PairResult:
+    """Run SHMHD from the seeded data and difference it, sample by sample,
+    against the PEHM trajectory ``limit`` (computed here when not given)."""
+    s_eps0, _ = initial_states(cfg)
     params = ShmhdParams(eps=eps, alpha=cfg.alpha, dt=cfg.dt, t_end=cfg.t_end)
     run_id = f"seed{cfg.seed}-eps{eps:g}-alpha{cfg.alpha:g}"
     try:
-        traj_eps = shmhd_run(s_eps0, params, cfg.sample_every)
-        traj_lim = pehm_run(s_lim0, cfg.dt, cfg.t_end, cfg.sample_every)
-    except BlowUpError as e:
-        summary = PairSummary(eps, math.nan, math.nan, math.nan, False, f"blowup:{e}")
-        return PairResult(eps, [], [], summary)
+        if limit is None:
+            limit = limit_trajectory(cfg)
+        lim = iter(limit)
 
-    diffs = [difference_metrics(se.state, sl.state, eps, cfg.alpha) for se, sl in zip(traj_eps, traj_lim)]
+        def compare(state, record):
+            return difference_metrics(state, next(lim).state, eps, cfg.alpha), record
+
+        traj_eps = shmhd_run(s_eps0, params, cfg.sample_every, sample=compare)
+    except BlowUpError as e:
+        return _failed_cell(eps, _failure_status(e))
+
+    diffs = [d for d, _ in traj_eps]
+    records = [r for _, r in traj_eps]
     accums = trapezoid_accumulate([d.t for d in diffs], [d.d_diss_rate for d in diffs])
     for rec, accum in zip(diffs, accums):
         rec.d_diss_accum = accum
 
     rows: list[RunRow] = []
-    for se, rec in zip(traj_eps, diffs):
-        r = se.record
+    for r, rec in zip(records, diffs):
         rows.append(
             RunRow(run_id, "shmhd", eps, cfg.alpha, r.t, r.e_l2, r.dissipation_accum,
                    rec.d_l2, rec.d_diss_accum, rec.d_h1, r.parity_defect, r.div_defect)
         )
-    for sl in traj_lim:
+    for sl in limit:
         r = sl.record
         rows.append(
             RunRow(run_id, "pehm", eps, cfg.alpha, r.t, r.e_l2, r.dissipation_accum,
                    None, None, None, r.parity_defect, r.div_defect)
         )
 
-    ledger = energy_ledger([s.record for s in traj_eps])
+    ledger = energy_ledger(records)
     summary = PairSummary(
         eps=eps,
         sup_d_l2=max(d.d_l2 for d in diffs),
@@ -252,9 +274,23 @@ class SweepResult:
     errors: list[tuple[float, float]] = field(default_factory=list)
 
 
-def _run_cell(args) -> PairResult:
-    cfg, eps = args
-    return run_pair(cfg, eps)
+# The PEHM trajectory shared with the pool workers, set by their initializer:
+# under the fork start method they inherit it without pickling.
+_pool_limit: list | None = None
+
+
+def _share_limit(limit: list) -> None:
+    global _pool_limit
+    _pool_limit = limit
+
+
+def _run_cell(cfg: SweepConfig, eps: float, limit: list | None = None) -> PairResult:
+    """One ladder cell; a ValueError or RuntimeError fails this cell only,
+    with the status ``error:<type>`` (``blowup:<message>`` for a blow-up)."""
+    try:
+        return run_pair(cfg, eps, _pool_limit if limit is None else limit)
+    except (ValueError, RuntimeError) as e:
+        return _failed_cell(eps, _failure_status(e))
 
 
 def sweep_errors(result_cells, mode: str) -> list[tuple[float, float]]:
@@ -274,12 +310,17 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
         raise ConfigError(f"alpha: must exceed 2 for the convergence study, got {cfg.alpha}")
     if len(cfg.eps_ladder) < 3:
         raise ConfigError("eps: at least 3 ladder points are required for a sweep")
-    tasks = [(cfg, eps) for eps in cfg.eps_ladder]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_run_cell, tasks))
+    try:
+        limit = limit_trajectory(cfg)
+    except (ValueError, RuntimeError) as e:
+        cells = [_failed_cell(eps, _failure_status(e)) for eps in cfg.eps_ladder]
     else:
-        cells = [_run_cell(t) for t in tasks]
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs, initializer=_share_limit,
+                                     initargs=(limit,)) as pool:
+                cells = list(pool.map(partial(_run_cell, cfg), cfg.eps_ladder))
+        else:
+            cells = [_run_cell(cfg, eps, limit) for eps in cfg.eps_ladder]
     cells.sort(key=lambda c: -c.eps)
     errors = sweep_errors(cells, cfg.mode)
     gamma_half = gamma_of_alpha(cfg.alpha) / 2.0
@@ -402,9 +443,9 @@ def rate_svg_text(result: SweepResult) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_report(result: SweepResult, out_dir) -> None:
-    """Write runs.csv, sweep.csv, summary.txt, rate.svg; byte-stable for
-    identical results."""
+def check_out_dir(out_dir) -> None:
+    """Create out_dir if needed and check that files can be written in it;
+    raises OSError naming the directory otherwise."""
     try:
         os.makedirs(out_dir, exist_ok=True)
         probe = os.path.join(out_dir, ".write_probe")
@@ -413,11 +454,29 @@ def emit_report(result: SweepResult, out_dir) -> None:
         os.remove(probe)
     except OSError as e:
         raise OSError(f"output directory not writable: {out_dir} ({e})") from e
-    with open(os.path.join(out_dir, "runs.csv"), "w", newline="\n") as fh:
-        fh.write(runs_csv_text(result.cells))
-    with open(os.path.join(out_dir, "sweep.csv"), "w", newline="\n") as fh:
-        fh.write(sweep_csv_text(result))
-    with open(os.path.join(out_dir, "summary.txt"), "w", newline="\n") as fh:
-        fh.write(summary_text(result))
-    with open(os.path.join(out_dir, "rate.svg"), "w", newline="\n") as fh:
-        fh.write(rate_svg_text(result))
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write text to path through a temporary file beside it, so path holds
+    either its old content or all of the new."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def emit_report(result: SweepResult, out_dir) -> None:
+    """Write runs.csv, sweep.csv, summary.txt, rate.svg, each atomically;
+    byte-stable for identical results."""
+    check_out_dir(out_dir)
+    for name, text in (
+        ("runs.csv", runs_csv_text(result.cells)),
+        ("sweep.csv", sweep_csv_text(result)),
+        ("summary.txt", summary_text(result)),
+        ("rate.svg", rate_svg_text(result)),
+    ):
+        write_text_atomic(os.path.join(out_dir, name), text)

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from hydrolimit.grid import GridSpec
-from hydrolimit.spectral import RealField, SpectralField, forward_transform
+from hydrolimit.spectral import (
+    RealField,
+    SpectralField,
+    dealias,
+    forward_transform,
+    from_physical,
+    partial_derivative,
+    to_physical,
+)
 
 
 @pytest.fixture
@@ -30,3 +38,21 @@ def field_from_lattice(grid: GridSpec, func) -> SpectralField:
     """Spectral field from a callable on the (x, y, z) lattice."""
     x, y, z = np.meshgrid(grid.x, grid.y, grid.z, indexing="ij")
     return forward_transform(RealField(grid, func(x, y, z)))
+
+
+def convective_advection(adv, fields) -> list[SpectralField]:
+    """Reference tendencies -(w . grad) f in convective form, for each field f
+    advected by the three components adv of w, dealiased by the 2/3 rule."""
+    w = [to_physical(c) for c in adv]
+    out = []
+    for f in fields:
+        prod = -sum(wj * to_physical(partial_derivative(f, axis)) for wj, axis in zip(w, "xyz"))
+        out.append(dealias(from_physical(f.grid, prod)))
+    return out
+
+
+def assert_rel_close(got, want, rel: float) -> None:
+    """Max coefficient difference within rel of the largest reference coefficient."""
+    scale = max(np.max(np.abs(w.coeffs)) for w in want)
+    for g, w in zip(got, want, strict=True):
+        assert np.max(np.abs(g.coeffs - w.coeffs)) <= rel * scale

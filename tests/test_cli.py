@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hydrolimit.cli as cli_mod
 from hydrolimit.cli import EXIT_BLOWUP, EXIT_OK, EXIT_VALIDATION, main
 
 TINY_CFG = (
@@ -110,3 +111,18 @@ class TestValidationFailures:
         path.write_text(TINY_CFG.replace("alpha = 3.0", "alpha = 2.0"))
         code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("command, runner", [("sweep", "run_sweep"), ("simulate", "shmhd_run")])
+    def test_unwritable_out_fails_before_running(self, tiny_cfg, tmp_path, capsys, monkeypatch,
+                                                 command, runner):
+        blocked = tmp_path / "blocked"
+        blocked.write_text("a plain file occupies the output path")
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{runner} ran before --out was checked")
+
+        monkeypatch.setattr(cli_mod, runner, must_not_run)
+        code = main([command, "--config", tiny_cfg, "--out", str(blocked)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: output directory not writable")

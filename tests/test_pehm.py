@@ -19,6 +19,7 @@ from hydrolimit.diagnostics import energy_ledger
 from hydrolimit.grid import GridSpec
 from hydrolimit.pehm import (
     PehmState,
+    _tendency,
     diagnose_vertical,
     pressure_discrepancy,
     run,
@@ -26,7 +27,7 @@ from hydrolimit.pehm import (
     surface_pressure_solve,
 )
 from hydrolimit.spectral import l2_norm, partial_derivative, zero_field
-from conftest import field_from_lattice
+from conftest import assert_rel_close, convective_advection, field_from_lattice
 
 
 def seeded_state(grid, seed) -> PehmState:
@@ -52,6 +53,18 @@ class TestVerticalDiagnosis:
         scale = max(l2_norm(f) for f in s.a_h)
         assert parity_defect(a3, ODD_IN_Z) < 1e-13 * scale
         assert parity_defect(b3, ODD_IN_Z) < 1e-13 * scale
+
+
+class TestTendency:
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_matches_convective_form(self, n):
+        """The divergence-form products equal the convective advection of the
+        horizontal pairs, with the diagnosed verticals in the advecting fields."""
+        s = seeded_state(GridSpec(n, n, n), 142)
+        a3, b3 = diagnose_vertical(s)
+        got, _ = _tendency(s)
+        assert_rel_close(got[:2], convective_advection((*s.b_h, b3), s.a_h), 1e-13)
+        assert_rel_close(got[2:], convective_advection((*s.a_h, a3), s.b_h), 1e-13)
 
 
 class TestSurfacePressure:

@@ -39,7 +39,7 @@ from hydrolimit.spectral import (
     to_physical,
     zero_field,
 )
-from conftest import field_from_lattice, random_spectral_field
+from conftest import assert_rel_close, convective_advection, field_from_lattice, random_spectral_field
 
 
 def seeded_state(grid, seed) -> ElsasserState:
@@ -113,6 +113,15 @@ class TestNonlinearTendency:
         for got, f in zip(tb.components(), s.b.components()):
             want = oracle(s.a, f)
             assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_matches_convective_form(self, n):
+        """The divergence-form products equal -(B . grad) A and -(A . grad) B
+        on a divergence-free state (one step from the seeded data)."""
+        s = step(seeded_state(GridSpec(n, n, n), 111), ShmhdParams(eps=0.1, alpha=3.0, dt=1e-3, t_end=1e-3))
+        ta, tb = nonlinear_tendency(s)
+        assert_rel_close(ta.components(), convective_advection(s.b.components(), s.a.components()), 1e-13)
+        assert_rel_close(tb.components(), convective_advection(s.a.components(), s.b.components()), 1e-13)
 
     def test_constant_advecting_field_shifts(self):
         # advection of f by a constant field w is -w . grad f exactly

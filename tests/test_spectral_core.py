@@ -228,3 +228,14 @@ class TestSnapshot:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             load_snapshot(path)
+
+    @pytest.mark.parametrize("cut", [16, 5, -3])
+    def test_payload_length_must_match_header(self, tmp_path, grid8, cut):
+        """A file truncated by whole or partial coefficients, or one with
+        trailing bytes (negative cut), is rejected by name."""
+        path = tmp_path / "field.bin"
+        save_snapshot(random_spectral_field(grid8, 13), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-cut] if cut > 0 else raw + b"\x00" * -cut)
+        with pytest.raises(ValueError, match="header declares"):
+            load_snapshot(path)

@@ -2,8 +2,8 @@
 reporting, and cross-parallelism determinism."""
 
 import math
+import os
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +12,9 @@ import hydrolimit.sweep as sweep_mod
 from hydrolimit.constraints import VectorState
 from hydrolimit.pehm import diagnose_vertical
 from hydrolimit.pehm import run as pehm_run
+from hydrolimit.integrator import BlowUpError
 from hydrolimit.shmhd import ElsasserState
+from hydrolimit.shmhd import run as shmhd_run
 from hydrolimit.sweep import (
     ConfigError,
     SweepConfig,
@@ -130,7 +132,7 @@ class TestRunPair:
         trajectory, every difference metric is identically zero."""
         cfg = SweepConfig(alpha=3.0, **TINY)
 
-        def lifted_run(s0, params, sample_every):
+        def lifted_run(s0, params, sample_every, sample):
             _, s_lim0 = initial_states(cfg)
             out = []
             for smp in pehm_run(s_lim0, params.dt, params.t_end, sample_every):
@@ -140,7 +142,7 @@ class TestRunPair:
                     VectorState(smp.state.b_h[0], smp.state.b_h[1], b3),
                     smp.state.t,
                 )
-                out.append(SimpleNamespace(state=state, record=smp.record))
+                out.append(sample(state, smp.record))
             return out
 
         monkeypatch.setattr(sweep_mod, "shmhd_run", lifted_run)
@@ -188,6 +190,52 @@ class TestRunSweep:
         parallel = run_sweep(cfg, jobs=2)
         assert sweep_csv_text(serial) == sweep_csv_text(parallel)
         assert runs_csv_text(serial.cells) == runs_csv_text(parallel.cells)
+
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pehm_runs_once_per_sweep(self, monkeypatch, tmp_path, jobs):
+        """Every cell compares against one PEHM trajectory, computed in the
+        parent; calls are logged to a file so pool workers would show too."""
+        log = tmp_path / "pehm_calls"
+
+        def logged_run(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return pehm_run(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "pehm_run", logged_run)
+        cfg = SweepConfig(alpha=4.0, eps_ladder=(0.2, 0.1, 0.05), **TINY)
+        result = run_sweep(cfg, jobs=jobs)
+        assert [c.summary.status for c in result.cells] == ["ok"] * 3
+        assert log.read_text().split() == [str(os.getpid())]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("exc", [ValueError, RuntimeError])
+    def test_failing_cell_is_isolated(self, monkeypatch, tmp_path, jobs, exc):
+        def failing_run(s0, params, *args, **kwargs):
+            if params.eps == 0.1:
+                raise exc("injected failure")
+            return shmhd_run(s0, params, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "shmhd_run", failing_run)
+        cfg = SweepConfig(alpha=4.0, eps_ladder=(0.2, 0.1, 0.05), **TINY)
+        result = run_sweep(cfg, jobs=jobs)
+        status = f"error:{exc.__name__}"
+        assert [c.summary.status for c in result.cells] == ["ok", status, "ok"]
+        assert [e for e, _ in result.errors] == [0.2, 0.05]
+        emit_report(result, tmp_path / "report")
+        assert f"0.1,nan,nan,{status}" in (tmp_path / "report" / "sweep.csv").read_text()
+
+    def test_pehm_blow_up_fails_every_cell(self, monkeypatch):
+        def exploding_run(*args, **kwargs):
+            raise BlowUpError("non-finite coefficients in field a_h1 at t=0.01")
+
+        monkeypatch.setattr(sweep_mod, "pehm_run", exploding_run)
+        cfg = SweepConfig(alpha=4.0, eps_ladder=(0.2, 0.1, 0.05), **TINY)
+        result = run_sweep(cfg)
+        assert [c.summary.status for c in result.cells] == [
+            "blowup:non-finite coefficients in field a_h1 at t=0.01"] * 3
+        assert result.fit is None
 
 
 class TestPinnedOracle:
@@ -259,6 +307,21 @@ class TestReporting:
         assert svg.count("<circle") == len(result.errors)
         assert "<line" in svg
         assert "slope=" in svg
+
+    def test_report_files_are_replaced_atomically(self, monkeypatch, tmp_path):
+        result = self._result()
+        out = tmp_path / "report"
+        emit_report(result, out)
+        before = (out / "runs.csv").read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(sweep_mod.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            emit_report(result, out)
+        assert (out / "runs.csv").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["rate.svg", "runs.csv", "summary.txt", "sweep.csv"]
 
     def test_unwritable_directory_raises(self, tmp_path):
         result = self._result()
