@@ -36,7 +36,7 @@ from .diagnostics import (
     trilinear_check,
 )
 from .integrator import BlowUpError
-from .shmhd import ElsasserState, ShmhdParams, elsasser_from_primitive
+from .shmhd import ElsasserState, ShmhdParams
 from .pehm import PehmState, diagnose_vertical, surface_pressure_solve
 from .sweep import RateFit, SweepConfig, load_config, run_pair, run_sweep, emit_report
 
@@ -48,7 +48,7 @@ __all__ = [
     "EVEN_IN_Z", "ODD_IN_Z", "parity_project", "parity_defect",
     "anisotropic_leray_project", "hydrostatic_reconstruct", "barotropic_project",
     "SpectrumParams", "generate_initial_data",
-    "ShmhdParams", "ElsasserState", "BlowUpError", "elsasser_from_primitive",
+    "ShmhdParams", "ElsasserState", "BlowUpError",
     "PehmState", "diagnose_vertical", "surface_pressure_solve",
     "DiagnosticsRecord", "DiffRecord", "TrilinearReport",
     "norm_h1", "energy_ledger", "difference_metrics",

@@ -11,8 +11,6 @@ from .pehm import run as pehm_run
 from .sweep import (
     ConfigError,
     SweepConfig,
-    PairResult,
-    PairSummary,
     RunRow,
     check_out_dir,
     emit_report,
@@ -65,8 +63,7 @@ def cmd_simulate(args) -> int:
                s.record.parity_defect, s.record.div_defect)
         for s in traj
     ]
-    cell = PairResult(eps, [], rows, PairSummary(eps, 0.0, 0.0, 0.0, True, "ok"))
-    write_text_atomic(os.path.join(args.out, "runs.csv"), runs_csv_text([cell]))
+    write_text_atomic(os.path.join(args.out, "runs.csv"), runs_csv_text(rows))
     print(f"{args.system} run complete: {len(traj)} samples, final t={traj[-1].record.t:g}")
     return EXIT_OK
 
@@ -87,6 +84,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load(args)
+    if args.states < 1:
+        raise ValueError(f"--states: must be >= 1, got {args.states}")
     seeds = range(cfg.seed, cfg.seed + args.states)
     results = run_battery(cfg.grid, seeds, SpectrumParams(cfg.amplitude, cfg.m0))
     ok = True

@@ -33,9 +33,6 @@ class VectorState:
     def grid(self) -> GridSpec:
         return self.h1.grid
 
-    def copy(self) -> "VectorState":
-        return VectorState(self.h1.copy(), self.h2.copy(), self.v.copy())
-
     def components(self) -> tuple[SpectralField, SpectralField, SpectralField]:
         return (self.h1, self.h2, self.v)
 

@@ -15,23 +15,51 @@ from .constraints import (
     hydrostatic_reconstruct,
     parity_defect,
 )
-from .spectral import SpectralField, l2_norm, partial_derivative, to_physical
+from .spectral import SpectralField, l2_norm, to_physical
+
+
+def _weighted_sums(f: SpectralField) -> tuple[float, float, float]:
+    """||f||^2, ||grad_H f||^2 and ||dz f||^2 as Parseval sums
+    volume * sum_k w(k) |c_k|^2 with w = 1, kx^2 + ky^2 and kz^2, built from
+    the Nyquist-zeroed derivative wavenumbers.  The weights are separable, so
+    |c|^2 is reduced to its (x, y) and z marginals before it is weighted."""
+    g = f.grid
+    # hypot is 4x faster here than squaring the strided .real and .imag views
+    p = np.abs(f.coeffs) ** 2
+    # plain reductions, never BLAS (dot, vdot, @): OpenBLAS threads spin on the other core
+    p_xy = p.sum(axis=2)
+    p_z = p.sum(axis=(0, 1))
+    w_h = g.kx_deriv[:, :, 0] ** 2 + g.ky_deriv[:, :, 0] ** 2
+    return (
+        g.volume * float(p_xy.sum()),
+        g.volume * float(np.sum(w_h * p_xy)),
+        g.volume * float(np.sum(g.kz_deriv[0, 0] ** 2 * p_z)),
+    )
 
 
 def grad_h_norm_sq(f: SpectralField) -> float:
-    return l2_norm(partial_derivative(f, "x")) ** 2 + l2_norm(partial_derivative(f, "y")) ** 2
+    return _weighted_sums(f)[1]
 
 
 def dz_norm_sq(f: SpectralField) -> float:
-    return l2_norm(partial_derivative(f, "z")) ** 2
+    return _weighted_sums(f)[2]
 
 
 def norm_h1(f: SpectralField) -> float:
     """H1 norm: ||f||^2 + sum over axes of ||df||^2."""
-    s = l2_norm(f) ** 2
-    for axis in ("x", "y", "z"):
-        s += l2_norm(partial_derivative(f, axis)) ** 2
-    return float(np.sqrt(s))
+    return float(np.sqrt(sum(_weighted_sums(f))))
+
+
+def _weighted_totals(horizontal, vertical, eps: float, alpha: float) -> tuple[float, float, float]:
+    """Energy, anisotropic dissipation rate and squared H1 norm of horizontal
+    and vertical components.  A vertical component's energy and H1 terms carry
+    eps^2; the dissipation weighs dz by eps^(alpha-2) on horizontal components,
+    and grad_H by eps^2 and dz by eps^alpha on vertical ones."""
+    h = np.sum([_weighted_sums(f) for f in horizontal], axis=0)
+    v = np.sum([_weighted_sums(f) for f in vertical], axis=0)
+    energy = h[0] + eps**2 * v[0]
+    diss = h[1] + eps ** (alpha - 2.0) * h[2] + eps**2 * v[1] + eps**alpha * v[2]
+    return float(energy), float(diss), float(h.sum() + eps**2 * v.sum())
 
 
 def gamma_of_alpha(alpha: float) -> float:
@@ -66,13 +94,7 @@ def shmhd_energy(a: VectorState, b: VectorState, eps: float) -> float:
 
 def shmhd_dissipation_rate(a: VectorState, b: VectorState, eps: float, alpha: float) -> float:
     """Instantaneous integrand of the anisotropically weighted dissipation."""
-    w = eps ** (alpha - 2.0)
-    rate = 0.0
-    for f in (a.h1, a.h2, b.h1, b.h2):
-        rate += grad_h_norm_sq(f) + w * dz_norm_sq(f)
-    for f in (a.v, b.v):
-        rate += eps**2 * grad_h_norm_sq(f) + eps**alpha * dz_norm_sq(f)
-    return rate
+    return _weighted_totals((a.h1, a.h2, b.h1, b.h2), (a.v, b.v), eps, alpha)[1]
 
 
 def pehm_energy(a_h, b_h) -> float:
@@ -135,35 +157,11 @@ def difference_metrics(s_eps, s_lim, eps: float, alpha: float, d_diss_accum: flo
         raise ValueError("grid mismatch between states")
     if abs(s_eps.t - s_lim.t) > 1e-12 * max(1.0, abs(s_eps.t)):
         raise ValueError(f"time mismatch: {s_eps.t} vs {s_lim.t}")
-    a3 = hydrostatic_reconstruct(s_lim.a_h)
-    b3 = hydrostatic_reconstruct(s_lim.b_h)
-    u1 = s_eps.a.h1 - s_lim.a_h[0]
-    u2 = s_eps.a.h2 - s_lim.a_h[1]
-    u3 = s_eps.a.v - a3
-    v1 = s_eps.b.h1 - s_lim.b_h[0]
-    v2 = s_eps.b.h2 - s_lim.b_h[1]
-    v3 = s_eps.b.v - b3
-
-    d_l2 = (
-        l2_norm(u1) ** 2
-        + l2_norm(u2) ** 2
-        + l2_norm(v1) ** 2
-        + l2_norm(v2) ** 2
-        + eps**2 * (l2_norm(u3) ** 2 + l2_norm(v3) ** 2)
-    )
-    w = eps ** (alpha - 2.0)
-    d_diss_rate = 0.0
-    for f in (u1, u2, v1, v2):
-        d_diss_rate += grad_h_norm_sq(f) + w * dz_norm_sq(f)
-    for f in (u3, v3):
-        d_diss_rate += eps**2 * grad_h_norm_sq(f) + eps**alpha * dz_norm_sq(f)
-    d_h1 = (
-        norm_h1(u1) ** 2
-        + norm_h1(u2) ** 2
-        + norm_h1(v1) ** 2
-        + norm_h1(v2) ** 2
-        + eps**2 * (norm_h1(u3) ** 2 + norm_h1(v3) ** 2)
-    )
+    # generators: each difference field is formed once and freed after its sums
+    horizontal = (f - g for f, g in zip((s_eps.a.h1, s_eps.a.h2, s_eps.b.h1, s_eps.b.h2),
+                                        (*s_lim.a_h, *s_lim.b_h)))
+    vertical = (v - hydrostatic_reconstruct(h) for v, h in ((s_eps.a.v, s_lim.a_h), (s_eps.b.v, s_lim.b_h)))
+    d_l2, d_diss_rate, d_h1 = _weighted_totals(horizontal, vertical, eps, alpha)
     return DiffRecord(s_eps.t, d_l2, d_diss_rate, d_diss_accum, d_h1)
 
 

@@ -2,11 +2,12 @@
 
 Diffusion is implicit-trapezoidal; advection is a Heun (explicit trapezoidal)
 predictor-corrector.  A system supplies its tendency, its constraint
-enforcement, its diffusion symbol and its dissipation rate.  Constraints are
-enforced on the predictor and on the new state, not on the tendencies: every
-projection commutes with the diagonal diffusion factor (Leray and barotropic
-projections act mode by mode; parity pairs m3 with -m3, where the symbol is
-equal), so this equals projecting the tendencies, to rounding.
+enforcement, the IMEX factors of its diffusion symbol (built once per run) and
+its dissipation rate.  Constraints are enforced on the predictor and on the
+new state, not on the tendencies: every projection commutes with the diagonal
+diffusion factor (Leray and barotropic projections act mode by mode; parity
+pairs m3 with -m3, where the symbol is equal), so this equals projecting the
+tendencies, to rounding.
 
 A state exposes ``t``, ``grid``, ``FIELD_NAMES``, ``fields()`` (its spectral
 components in that order) and ``from_fields(fields, t)``.
@@ -66,10 +67,14 @@ def elsasser_advection(a, b, n_advected: int) -> tuple[list[SpectralField], floa
     return [SpectralField(grid, mask * t) for t in (*t_a, *t_b)], max_speed
 
 
-def _imex_update(c, t1, t2, lam, dt) -> np.ndarray:
-    """Implicit-trapezoidal diffusion with trapezoidal advection increments."""
-    rhs = c + 0.5 * dt * (t1 + t2) - 0.5 * dt * lam * c
-    return rhs / (1.0 + 0.5 * dt * lam)
+def imex_factors(lam, dt: float) -> dict:
+    """The per-mode factors of one IMEX step with diffusion symbol lam, as the
+    ``decay`` and ``gain`` keywords of ``imex_heun`` and ``run``: a field c
+    with advection tendencies t1, t2 becomes decay * c + gain * (t1 + t2),
+    where decay = (1 - h lam) / (1 + h lam), gain = h / (1 + h lam), h = dt/2."""
+    h = 0.5 * dt
+    denom = 1.0 + h * lam
+    return dict(decay=(1.0 - h * lam) / denom, gain=h / denom)
 
 
 def _rebuild(like, arrays, t):
@@ -82,18 +87,18 @@ def check_finite(s) -> None:
             raise BlowUpError(f"non-finite coefficients in field {name} at t={s.t:.6g}")
 
 
-def imex_heun(s, tendency, enforce, lam, dt: float):
+def imex_heun(s, tendency, enforce, decay, gain, dt: float):
     """Advance s by one step dt.
 
     ``tendency(state)`` returns the advection tendencies, one per field, and
     the largest velocity component; ``None`` steps the diffusion alone.
-    ``enforce(state)`` projects a state onto the constraints; ``lam`` is the
-    per-mode diffusion symbol.
+    ``enforce(state)`` projects a state onto the constraints; ``decay`` and
+    ``gain`` are the ``imex_factors`` of the diffusion symbol for this dt.
     """
     t_new = s.t + dt
     c = [f.coeffs for f in s.fields()]
     if tendency is None:
-        new = [_imex_update(x, 0.0, 0.0, lam, dt) for x in c]
+        new = [decay * x for x in c]
     else:
         t1, max_speed = tendency(s)
         grid = s.grid
@@ -103,9 +108,9 @@ def imex_heun(s, tendency, enforce, lam, dt: float):
                 f"CFL guard exceeded: dt*max|u|/min(dx) = {cfl:.3f} >= {CFL_LIMIT}", stacklevel=3
             )
         t1 = [g.coeffs for g in t1]
-        pred = enforce(_rebuild(s, [_imex_update(x, g, g, lam, dt) for x, g in zip(c, t1)], t_new))
+        pred = enforce(_rebuild(s, [decay * x + gain * (g + g) for x, g in zip(c, t1)], t_new))
         t2 = [g.coeffs for g in tendency(pred)[0]]
-        new = [_imex_update(x, g1, g2, lam, dt) for x, g1, g2 in zip(c, t1, t2)]
+        new = [decay * x + gain * (g1 + g2) for x, g1, g2 in zip(c, t1, t2)]
     s_new = enforce(_rebuild(s, new, t_new))
     check_finite(s_new)
     return s_new
@@ -140,7 +145,7 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
     return int(round(n))
 
 
-def run(s0, t_end: float, sample_every: int, *, tendency, enforce, lam, dt: float,
+def run(s0, t_end: float, sample_every: int, *, tendency, enforce, decay, gain, dt: float,
         dissipation_rate, record, sample=keep_state) -> list:
     """Step s0 to t_end and return ``sample(state, record(state, dissipation))``
     taken every sample_every steps and at the end.
@@ -154,7 +159,7 @@ def run(s0, t_end: float, sample_every: int, *, tendency, enforce, lam, dt: floa
     diss = 0.0
     for i in range(n_steps):
         try:
-            s_new = imex_heun(s, tendency, enforce, lam, dt)
+            s_new = imex_heun(s, tendency, enforce, decay, gain, dt)
         except BlowUpError as e:
             e.step_index = i
             raise

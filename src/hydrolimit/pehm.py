@@ -21,7 +21,7 @@ from .constraints import (
     parity_project,
 )
 from .diagnostics import DiagnosticsRecord, pehm_dissipation_rate, pehm_energy
-from .integrator import elsasser_advection, imex_heun
+from .integrator import elsasser_advection, imex_factors, imex_heun
 from .spectral import SpectralField, anisotropic_poisson_solve, diffusion_symbol, l2_norm
 
 PRESSURE_CONSISTENCY_TOL = 1e-6
@@ -107,8 +107,8 @@ def _scheme(grid, dt: float, advect: bool) -> dict:
     return dict(
         tendency=_tendency if advect else None,
         enforce=_enforce,
-        lam=diffusion_symbol(grid, 1.0, 2.0, "none"),
         dt=dt,
+        **imex_factors(diffusion_symbol(grid, 1.0, 2.0, "none"), dt),
     )
 
 

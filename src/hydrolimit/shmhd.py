@@ -7,14 +7,27 @@ exactly by the weighted Leray projection of the predictor and the new state.
 """
 
 from dataclasses import dataclass
+import math
+import sys
 
 from . import integrator
 from .constraints import EVEN_IN_Z, ODD_IN_Z, VectorState, anisotropic_leray_project, parity_project
 from .diagnostics import DiagnosticsRecord, shmhd_defects, shmhd_dissipation_rate, shmhd_energy
-from .integrator import BlowUpError, elsasser_advection, imex_heun  # noqa: F401  (BlowUpError re-exported)
+from .integrator import BlowUpError, elsasser_advection, imex_factors, imex_heun  # noqa: F401  (BlowUpError re-exported)
 from .spectral import diffusion_symbol
 
 PARITY = (EVEN_IN_Z, EVEN_IN_Z, ODD_IN_Z) * 2
+
+
+def check_eps(eps: float, alpha: float) -> None:
+    """Raise ValueError unless eps > 0 and eps**2 and eps**alpha are normal
+    floats, so that every eps weight and its inverse are finite and nonzero."""
+    try:
+        normal = eps > 0 and all(sys.float_info.min <= eps**q < math.inf for q in (2, alpha))
+    except OverflowError:
+        normal = False
+    if not normal:
+        raise ValueError(f"eps must be positive with eps**2 and eps**{alpha:g} normal floats, got {eps}")
 
 
 @dataclass
@@ -26,10 +39,9 @@ class ShmhdParams:
     advect: bool = True
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
         if not self.alpha >= 2:
             raise ValueError(f"alpha must be >= 2, got {self.alpha}")
+        check_eps(self.eps, self.alpha)
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
@@ -57,21 +69,6 @@ class ElsasserState:
         return self.from_fields([f.copy() for f in self.fields()], self.t)
 
 
-def elsasser_from_primitive(u: VectorState, b: VectorState) -> tuple[VectorState, VectorState]:
-    """A = u + b, B = u - b componentwise."""
-    if u.grid != b.grid:
-        raise ValueError("grid mismatch between velocity and magnetic states")
-    a_els = VectorState(u.h1 + b.h1, u.h2 + b.h2, u.v + b.v)
-    b_els = VectorState(u.h1 - b.h1, u.h2 - b.h2, u.v - b.v)
-    return a_els, b_els
-
-
-def primitive_from_elsasser(a: VectorState, b_els: VectorState) -> tuple[VectorState, VectorState]:
-    u = VectorState(0.5 * (a.h1 + b_els.h1), 0.5 * (a.h2 + b_els.h2), 0.5 * (a.v + b_els.v))
-    b = VectorState(0.5 * (a.h1 - b_els.h1), 0.5 * (a.h2 - b_els.h2), 0.5 * (a.v - b_els.v))
-    return u, b
-
-
 def _tendency(s: ElsasserState):
     return elsasser_advection(s.a.components(), s.b.components(), 3)
 
@@ -94,8 +91,8 @@ def _scheme(grid, p: ShmhdParams) -> dict:
     return dict(
         tendency=_tendency if p.advect else None,
         enforce=lambda s: _enforce(s, p.eps),
-        lam=diffusion_symbol(grid, p.eps, p.alpha, "full"),
         dt=p.dt,
+        **imex_factors(diffusion_symbol(grid, p.eps, p.alpha, "full"), p.dt),
     )
 
 

@@ -37,9 +37,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
-
 
 @dataclass
 class RealField:
@@ -121,11 +118,12 @@ def anisotropic_poisson_solve(rhs: SpectralField, eps: float) -> SpectralField:
 
 
 def diffusion_symbol(grid: GridSpec, eps: float, alpha: float, vertical_weight: str = "full") -> np.ndarray:
-    """Nonnegative multiplier of -L where L is the diffusion operator."""
+    """Nonnegative multiplier of -L where L is the diffusion operator; without
+    vertical diffusion it is the (n1, n2, 1) horizontal symbol, which broadcasts."""
     if vertical_weight == "full":
         return grid.k2h + eps ** (alpha - 2.0) * grid.kz**2
     if vertical_weight == "none":
-        return np.broadcast_to(grid.k2h, grid.shape)
+        return grid.k2h
     raise ValueError(f"vertical_weight must be 'full' or 'none', got {vertical_weight!r}")
 
 

@@ -19,7 +19,7 @@ from .grid import GridSpec
 from .integrator import step_count
 from .pehm import PehmState
 from .pehm import run as pehm_run
-from .shmhd import BlowUpError, ElsasserState, ShmhdParams
+from .shmhd import BlowUpError, ElsasserState, ShmhdParams, check_eps
 from .shmhd import run as shmhd_run
 
 
@@ -53,8 +53,6 @@ class SweepConfig:
             raise ConfigError(f"eps: all ladder values must be finite, got {self.eps_ladder}")
         if not self.eps_ladder:
             raise ConfigError("eps: ladder must be nonempty")
-        if any(e <= 0 for e in self.eps_ladder):
-            raise ConfigError("eps: all ladder values must be positive")
         if any(a <= b for a, b in zip(self.eps_ladder, self.eps_ladder[1:])):
             raise ConfigError("eps: ladder must be strictly decreasing")
         if self.mode not in ("l2", "h1"):
@@ -63,6 +61,11 @@ class SweepConfig:
             raise ConfigError(f"alpha: must be >= 2, got {self.alpha}")
         if self.mode == "h1" and self.alpha <= 2:
             raise ConfigError(f"alpha: must exceed 2 in h1 mode, got {self.alpha}")
+        for eps in self.eps_ladder:
+            try:
+                check_eps(eps, self.alpha)
+            except ValueError as e:
+                raise ConfigError(f"eps: {e}") from None
         if self.dt <= 0:
             raise ConfigError(f"dt: must be positive, got {self.dt}")
         if self.t_end <= 0:
@@ -179,11 +182,12 @@ def initial_states(cfg: SweepConfig) -> tuple[ElsasserState, PehmState]:
     return s_eps, s_lim
 
 
-def limit_trajectory(cfg: SweepConfig) -> list:
-    """The PEHM trajectory every ladder cell compares against: the limit
-    system contains neither eps nor alpha."""
-    _, s_lim0 = initial_states(cfg)
-    return pehm_run(s_lim0, cfg.dt, cfg.t_end, cfg.sample_every)
+def sweep_inputs(cfg: SweepConfig) -> tuple[list, ElsasserState]:
+    """What every ladder cell shares, as ``run_pair``'s ``(limit, s_eps0)``:
+    the PEHM trajectory (the limit system contains neither eps nor alpha) and
+    the seeded SHMHD state.  The seeded PEHM state is dropped after its run."""
+    s_eps0, s_lim0 = initial_states(cfg)
+    return pehm_run(s_lim0, cfg.dt, cfg.t_end, cfg.sample_every), s_eps0
 
 
 def _failed_cell(eps: float, status: str) -> PairResult:
@@ -194,15 +198,16 @@ def _failure_status(e: Exception) -> str:
     return f"blowup:{e}" if isinstance(e, BlowUpError) else f"error:{type(e).__name__}"
 
 
-def run_pair(cfg: SweepConfig, eps: float, limit: list | None = None) -> PairResult:
-    """Run SHMHD from the seeded data and difference it, sample by sample,
-    against the PEHM trajectory ``limit`` (computed here when not given)."""
-    s_eps0, _ = initial_states(cfg)
+def run_pair(cfg: SweepConfig, eps: float, limit: list | None = None,
+             s_eps0: ElsasserState | None = None) -> PairResult:
+    """Run SHMHD from the seeded state ``s_eps0`` and difference it, sample by
+    sample, against the PEHM trajectory ``limit``; both are only read, and
+    both are computed here (``sweep_inputs``) unless both are given."""
     params = ShmhdParams(eps=eps, alpha=cfg.alpha, dt=cfg.dt, t_end=cfg.t_end)
     run_id = f"seed{cfg.seed}-eps{eps:g}-alpha{cfg.alpha:g}"
     try:
-        if limit is None:
-            limit = limit_trajectory(cfg)
+        if limit is None or s_eps0 is None:
+            limit, s_eps0 = sweep_inputs(cfg)
         lim = iter(limit)
 
         def compare(state, record):
@@ -274,22 +279,22 @@ class SweepResult:
     errors: list[tuple[float, float]] = field(default_factory=list)
 
 
-# The PEHM trajectory shared with the pool workers, set by their initializer:
-# under the fork start method they inherit it without pickling.
-_pool_limit: list | None = None
+# The ``sweep_inputs`` every cell shares, set in pool workers by their
+# initializer: under the fork start method they inherit them without pickling.
+_pool_inputs: tuple = (None, None)
 
 
-def _share_limit(limit: list) -> None:
-    global _pool_limit
-    _pool_limit = limit
+def _share_inputs(limit: list, s_eps0: ElsasserState) -> None:
+    global _pool_inputs
+    _pool_inputs = (limit, s_eps0)
 
 
-def _run_cell(cfg: SweepConfig, eps: float, limit: list | None = None) -> PairResult:
-    """One ladder cell; a ValueError or RuntimeError fails this cell only,
-    with the status ``error:<type>`` (``blowup:<message>`` for a blow-up)."""
+def _run_cell(cfg: SweepConfig, eps: float, inputs: tuple | None = None) -> PairResult:
+    """One ladder cell; a ValueError, RuntimeError or ArithmeticError fails this
+    cell only, with the status ``error:<type>`` (``blowup:<message>``)."""
     try:
-        return run_pair(cfg, eps, _pool_limit if limit is None else limit)
-    except (ValueError, RuntimeError) as e:
+        return run_pair(cfg, eps, *(_pool_inputs if inputs is None else inputs))
+    except (ValueError, RuntimeError, ArithmeticError) as e:
         return _failed_cell(eps, _failure_status(e))
 
 
@@ -310,17 +315,19 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
         raise ConfigError(f"alpha: must exceed 2 for the convergence study, got {cfg.alpha}")
     if len(cfg.eps_ladder) < 3:
         raise ConfigError("eps: at least 3 ladder points are required for a sweep")
+    if jobs < 1:
+        raise ConfigError(f"jobs: must be >= 1, got {jobs}")
     try:
-        limit = limit_trajectory(cfg)
-    except (ValueError, RuntimeError) as e:
+        inputs = sweep_inputs(cfg)
+    except (ValueError, RuntimeError, ArithmeticError) as e:
         cells = [_failed_cell(eps, _failure_status(e)) for eps in cfg.eps_ladder]
     else:
         if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs, initializer=_share_limit,
-                                     initargs=(limit,)) as pool:
+            with ProcessPoolExecutor(max_workers=jobs, initializer=_share_inputs,
+                                     initargs=inputs) as pool:
                 cells = list(pool.map(partial(_run_cell, cfg), cfg.eps_ladder))
         else:
-            cells = [_run_cell(cfg, eps, limit) for eps in cfg.eps_ladder]
+            cells = [_run_cell(cfg, eps, inputs) for eps in cfg.eps_ladder]
     cells.sort(key=lambda c: -c.eps)
     errors = sweep_errors(cells, cfg.mode)
     gamma_half = gamma_of_alpha(cfg.alpha) / 2.0
@@ -349,11 +356,10 @@ RUNS_COLUMNS = [
 ]
 
 
-def runs_csv_text(cells: list[PairResult]) -> str:
+def runs_csv_text(rows: list[RunRow]) -> str:
     lines = [",".join(RUNS_COLUMNS)]
-    for cell in cells:
-        for r in cell.rows:
-            lines.append(",".join(_fmt(getattr(r, c)) for c in RUNS_COLUMNS))
+    for r in rows:
+        lines.append(",".join(_fmt(getattr(r, c)) for c in RUNS_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -474,7 +480,7 @@ def emit_report(result: SweepResult, out_dir) -> None:
     byte-stable for identical results."""
     check_out_dir(out_dir)
     for name, text in (
-        ("runs.csv", runs_csv_text(result.cells)),
+        ("runs.csv", runs_csv_text([r for cell in result.cells for r in cell.rows])),
         ("sweep.csv", sweep_csv_text(result)),
         ("summary.txt", summary_text(result)),
         ("rate.svg", rate_svg_text(result)),

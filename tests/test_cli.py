@@ -106,6 +106,34 @@ class TestValidationFailures:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize(
+        "command, flags, ladder",
+        [
+            ("sweep", [], "eps = 0.2\neps = 0.1\neps = 1e-200\n"),  # eps**2 underflows to zero
+            ("sweep", [], "eps = 1e160\neps = 0.1\neps = 0.05\n"),  # eps**2 overflows
+            ("simulate", ["--eps", "1e-200"], "eps = 0.2\neps = 0.1\neps = 0.05\n"),
+        ],
+        ids=["sweep-tiny", "sweep-huge", "simulate-tiny"],
+    )
+    def test_rejects_eps_without_normal_weights(self, tmp_path, capsys, command, flags, ladder):
+        path = tmp_path / "eps.cfg"
+        path.write_text(TINY_CFG.replace("eps = 0.2\neps = 0.1\neps = 0.05\n", ladder))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o"), *flags])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv", [["sweep", "--jobs", "0"], ["sweep", "--jobs", "-3"],
+                 ["verify", "--states", "0"], ["verify", "--states", "-1"]],
+        ids=["jobs0", "jobs-3", "states0", "states-1"],
+    )
+    def test_rejects_non_positive_count(self, tiny_cfg, tmp_path, capsys, argv):
+        code = main([*argv, "--config", tiny_cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_sweep_rejects_alpha_two(self, tmp_path):
         path = tmp_path / "a2.cfg"
         path.write_text(TINY_CFG.replace("alpha = 3.0", "alpha = 2.0"))

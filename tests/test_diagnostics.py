@@ -18,6 +18,7 @@ from hydrolimit.diagnostics import (
     grad_h_norm_sq,
     norm_h1,
     pehm_energy,
+    shmhd_dissipation_rate,
     shmhd_energy,
     trapezoid_accumulate,
     trilinear_check,
@@ -26,7 +27,13 @@ from hydrolimit.grid import GridSpec
 from hydrolimit.pehm import PehmState
 from hydrolimit.shmhd import ElsasserState
 from hydrolimit.spectral import l2_norm, to_physical, zero_field
-from conftest import field_from_lattice, random_spectral_field
+from conftest import (
+    derivative_difference_metrics,
+    derivative_dissipation_rate,
+    derivative_norms,
+    field_from_lattice,
+    random_spectral_field,
+)
 
 
 class TestNorms:
@@ -46,6 +53,36 @@ class TestNorms:
         vals = to_physical(f)
         quad = math.sqrt(np.sum(vals**2) * grid8_2pi.dx * grid8_2pi.dy * grid8_2pi.dz)
         assert l2_norm(f) == pytest.approx(quad, rel=1e-12)
+
+
+class TestWeightedSums:
+    """The Parseval-weighted sums against derivative-array references, on a
+    box with l1 != l2 and full-spectrum fields, Nyquist modes included."""
+
+    REL = 1e-13
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_norms_match_derivative_arrays(self, n):
+        g = GridSpec(n, n, n, 2.0, 3.0)
+        for seed in (90, 91):
+            f = random_spectral_field(g, seed)
+            n0, gh, dz = derivative_norms(f)
+            assert grad_h_norm_sq(f) == pytest.approx(gh, rel=self.REL)
+            assert dz_norm_sq(f) == pytest.approx(dz, rel=self.REL)
+            assert norm_h1(f) == pytest.approx(math.sqrt(n0 + gh + dz), rel=self.REL)
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_dissipation_and_difference_match_derivative_arrays(self, n):
+        g = GridSpec(n, n, n, 2.0, 3.0)
+        fields = [random_spectral_field(g, 92 + i) for i in range(6)]
+        s_eps = ElsasserState(VectorState(*fields[:3]), VectorState(*fields[3:]), 0.0)
+        _, s_lim = TestDifferenceMetrics._states(g, 98)
+        for eps, alpha in ((0.1, 3.0), (0.05, 4.5)):
+            want = derivative_dissipation_rate(s_eps.a, s_eps.b, eps, alpha)
+            assert shmhd_dissipation_rate(s_eps.a, s_eps.b, eps, alpha) == pytest.approx(want, rel=self.REL)
+            rec = difference_metrics(s_eps, s_lim, eps, alpha)
+            want = derivative_difference_metrics(s_eps, s_lim, eps, alpha)
+            assert (rec.d_l2, rec.d_diss_rate, rec.d_h1) == pytest.approx(want, rel=self.REL)
 
 
 class TestGamma:

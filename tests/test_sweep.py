@@ -105,6 +105,12 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError, match=key):
             load_config(path)
 
+    @pytest.mark.parametrize("ladder", [(0.2, 0.1, 1e-200), (0.2, 0.1, 1e-100), (1e160, 0.1, 0.05)])
+    def test_eps_without_normal_weights_rejected(self, ladder):
+        # eps**2 or eps**alpha underflows to a subnormal or zero, or overflows
+        with pytest.raises(ConfigError, match="eps"):
+            SweepConfig(alpha=4.0, eps_ladder=ladder, **TINY).validate()
+
     def test_t_end_not_multiple_of_dt_rejected(self):
         with pytest.raises(ConfigError, match="t_end"):
             SweepConfig(dt=0.002, t_end=0.0105).validate()
@@ -159,6 +165,20 @@ class TestRunPair:
         assert result.summary.sup_d_l2 > 0.0
         assert result.summary.energy_pass
 
+    def test_shared_inputs_match_self_seeded_cells(self):
+        """Cells run from one shared seeded state and PEHM trajectory give the
+        results of cells that seed for themselves, and leave both unchanged."""
+        cfg = SweepConfig(alpha=4.0, **TINY)
+        limit, s_eps0 = sweep_mod.sweep_inputs(cfg)
+        shared = [run_pair(cfg, eps, limit, s_eps0) for eps in (0.2, 0.1)]
+        assert shared == [run_pair(cfg, eps) for eps in (0.2, 0.1)]
+        lim_fresh, fresh = sweep_mod.sweep_inputs(cfg)
+        for got, want in zip(s_eps0.fields(), fresh.fields()):
+            assert np.array_equal(got.coeffs, want.coeffs)
+        for got, want in zip(limit, lim_fresh):
+            assert all(np.array_equal(f.coeffs, g.coeffs)
+                       for f, g in zip(got.state.fields(), want.state.fields()))
+
     def test_smaller_eps_gives_smaller_error(self):
         cfg = SweepConfig(alpha=4.0, **TINY)
         big = run_pair(cfg, eps=0.2).summary.sup_d_l2
@@ -189,7 +209,8 @@ class TestRunSweep:
         serial = run_sweep(cfg, jobs=1)
         parallel = run_sweep(cfg, jobs=2)
         assert sweep_csv_text(serial) == sweep_csv_text(parallel)
-        assert runs_csv_text(serial.cells) == runs_csv_text(parallel.cells)
+        assert runs_csv_text([r for c in serial.cells for r in c.rows]) == \
+            runs_csv_text([r for c in parallel.cells for r in c.rows])
 
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -210,7 +231,7 @@ class TestRunSweep:
         assert log.read_text().split() == [str(os.getpid())]
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("exc", [ValueError, RuntimeError])
+    @pytest.mark.parametrize("exc", [ValueError, RuntimeError, ZeroDivisionError])
     def test_failing_cell_is_isolated(self, monkeypatch, tmp_path, jobs, exc):
         def failing_run(s0, params, *args, **kwargs):
             if params.eps == 0.1:
@@ -225,6 +246,23 @@ class TestRunSweep:
         assert [e for e, _ in result.errors] == [0.2, 0.05]
         emit_report(result, tmp_path / "report")
         assert f"0.1,nan,nan,{status}" in (tmp_path / "report" / "sweep.csv").read_text()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_initial_states_once_per_sweep(self, monkeypatch, tmp_path, jobs):
+        """The seeded data is built once, in the parent, for the PEHM run and
+        every cell; calls are logged to a file so pool workers would show too."""
+        log = tmp_path / "seed_calls"
+
+        def logged_initial_states(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return initial_states(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "initial_states", logged_initial_states)
+        cfg = SweepConfig(alpha=4.0, eps_ladder=(0.2, 0.1, 0.05), **TINY)
+        result = run_sweep(cfg, jobs=jobs)
+        assert [c.summary.status for c in result.cells] == ["ok"] * 3
+        assert log.read_text().split() == [str(os.getpid())]
 
     def test_pehm_blow_up_fails_every_cell(self, monkeypatch):
         def exploding_run(*args, **kwargs):
@@ -283,7 +321,7 @@ class TestReporting:
 
     def test_runs_csv_schema(self):
         result = self._result()
-        lines = runs_csv_text(result.cells).strip().splitlines()
+        lines = runs_csv_text([r for c in result.cells for r in c.rows]).strip().splitlines()
         assert lines[0] == (
             "run_id,system,eps,alpha,t,e_l2,dissipation_accum,"
             "d_l2,d_diss_accum,d_h1,parity_defect,div_defect"
