@@ -20,7 +20,7 @@ from hydrolimit.pehm import PehmState
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.shmhd import ElsasserState, ShmhdParams, VectorState
 from hydrolimit.shmhd import run as shmhd_run
-from hydrolimit.spectral import RealField, forward_transform, l2_norm, zero_field
+from hydrolimit.spectral import from_physical, l2_norm, zero_field
 
 
 def main() -> int:
@@ -31,9 +31,7 @@ def main() -> int:
 
     grid = GridSpec(8, 8, 8, 1.0, 1.0)
     x = grid.x.reshape(-1, 1, 1)
-    f = forward_transform(
-        RealField(grid, np.sin(2 * np.pi * x) * np.ones(grid.shape))
-    )
+    f = from_physical(grid, np.sin(2 * np.pi * x) * np.ones(grid.shape))
     exact = math.exp(-4 * np.pi**2 * args.t_end)
 
     def shmhd_error(dt):

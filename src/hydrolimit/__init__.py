@@ -3,15 +3,14 @@ hydrostatic limit, with an aspect-ratio convergence-rate harness."""
 
 from .grid import GridSpec
 from .spectral import (
-    RealField,
     SpectralField,
     anisotropic_poisson_solve,
     dealias,
-    forward_transform,
-    inverse_transform,
+    from_physical,
     load_snapshot,
     partial_derivative,
     save_snapshot,
+    to_physical,
 )
 from .constraints import (
     EVEN_IN_Z,
@@ -32,26 +31,25 @@ from .diagnostics import (
     difference_metrics,
     energy_ledger,
     gamma_of_alpha,
-    norm_h1,
     trilinear_check,
 )
 from .integrator import BlowUpError
 from .shmhd import ElsasserState, ShmhdParams
-from .pehm import PehmState, diagnose_vertical, surface_pressure_solve
+from .pehm import PehmState, diagnose_vertical, surface_pressure
 from .sweep import RateFit, SweepConfig, load_config, run_pair, run_sweep, emit_report
 
 __all__ = [
-    "GridSpec", "RealField", "SpectralField", "VectorState",
-    "forward_transform", "inverse_transform", "partial_derivative", "dealias",
+    "GridSpec", "SpectralField", "VectorState",
+    "to_physical", "from_physical", "partial_derivative", "dealias",
     "anisotropic_poisson_solve",
     "save_snapshot", "load_snapshot",
     "EVEN_IN_Z", "ODD_IN_Z", "parity_project", "parity_defect",
     "anisotropic_leray_project", "hydrostatic_reconstruct", "barotropic_project",
     "SpectrumParams", "generate_initial_data",
     "ShmhdParams", "ElsasserState", "BlowUpError",
-    "PehmState", "diagnose_vertical", "surface_pressure_solve",
+    "PehmState", "diagnose_vertical", "surface_pressure",
     "DiagnosticsRecord", "DiffRecord", "TrilinearReport",
-    "norm_h1", "energy_ledger", "difference_metrics",
+    "energy_ledger", "difference_metrics",
     "trilinear_check", "gamma_of_alpha",
     "SweepConfig", "RateFit", "load_config", "run_pair", "run_sweep", "emit_report",
 ]

@@ -30,7 +30,6 @@ EXIT_BLOWUP = 3
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="path to a key = value config file")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweep cells")
     p.add_argument("--mode", choices=["l2", "h1"], default=None, help="override config mode")
 
 
@@ -111,6 +110,7 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="run the eps-ladder convergence-rate study")
     _add_common(p_sweep)
+    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers for sweep cells")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="constraint + invariant battery on seeded fixtures")

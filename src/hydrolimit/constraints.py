@@ -37,13 +37,9 @@ class VectorState:
         return (self.h1, self.h2, self.v)
 
 
-def _reflect_z(f: SpectralField) -> np.ndarray:
-    return f.coeffs[:, :, f.grid.reflect_z_index]
-
-
 def parity_project(f: SpectralField, cls: str) -> SpectralField:
     """Project onto the even or odd part in z (symmetrization of m3 and -m3)."""
-    refl = _reflect_z(f)
+    refl = f.coeffs[:, :, f.grid.reflect_z_index]
     if cls == EVEN_IN_Z:
         return SpectralField(f.grid, 0.5 * (f.coeffs + refl))
     if cls == ODD_IN_Z:
@@ -109,22 +105,29 @@ def hydrostatic_reconstruct(h: tuple[SpectralField, SpectralField]) -> SpectralF
     return SpectralField(grid, v)
 
 
-def barotropic_project(
-    h: tuple[SpectralField, SpectralField]
-) -> tuple[SpectralField, SpectralField]:
-    """2D Leray projection of the vertical-mean (kz = 0) part of h; all
-    kz != 0 content passes through unchanged."""
+def barotropic_potential(h: tuple[SpectralField, SpectralField]) -> np.ndarray:
+    """phi = (kx h1 + ky h2) / |k_H|^2 on the kz = 0 plane (0 where |k_H| = 0): the 2D
+    Poisson solve whose gradient i k_H phi is the gradient part of the vertical mean of h."""
     grid = h[0].grid
-    c1 = h[0].coeffs.copy()
-    c2 = h[1].coeffs.copy()
     kx = grid.kx_deriv[:, :, 0]
     ky = grid.ky_deriv[:, :, 0]
     k2 = kx**2 + ky**2
     k2safe = np.where(k2 == 0.0, 1.0, k2)
-    divh = kx * c1[:, :, 0] + ky * c2[:, :, 0]
-    proj = np.where(k2 == 0.0, 0.0, divh / k2safe)
-    c1[:, :, 0] -= kx * proj
-    c2[:, :, 0] -= ky * proj
+    divh = kx * h[0].coeffs[:, :, 0] + ky * h[1].coeffs[:, :, 0]
+    return np.where(k2 == 0.0, 0.0, divh / k2safe)
+
+
+def barotropic_project(
+    h: tuple[SpectralField, SpectralField]
+) -> tuple[SpectralField, SpectralField]:
+    """2D Leray projection of the vertical-mean (kz = 0) part of h, h - grad_H phi;
+    all kz != 0 content passes through unchanged."""
+    grid = h[0].grid
+    phi = barotropic_potential(h)
+    c1 = h[0].coeffs.copy()
+    c2 = h[1].coeffs.copy()
+    c1[:, :, 0] -= grid.kx_deriv[:, :, 0] * phi
+    c2[:, :, 0] -= grid.ky_deriv[:, :, 0] * phi
     return (SpectralField(grid, c1), SpectralField(grid, c2))
 
 

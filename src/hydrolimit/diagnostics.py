@@ -41,15 +41,6 @@ def grad_h_norm_sq(f: SpectralField) -> float:
     return _weighted_sums(f)[1]
 
 
-def dz_norm_sq(f: SpectralField) -> float:
-    return _weighted_sums(f)[2]
-
-
-def norm_h1(f: SpectralField) -> float:
-    """H1 norm: ||f||^2 + sum over axes of ||df||^2."""
-    return float(np.sqrt(sum(_weighted_sums(f))))
-
-
 def _weighted_totals(horizontal, vertical, eps: float, alpha: float) -> tuple[float, float, float]:
     """Energy, anisotropic dissipation rate and squared H1 norm of horizontal
     and vertical components.  A vertical component's energy and H1 terms carry

@@ -7,10 +7,19 @@ vertical fundamental wavenumber is pi.
 from dataclasses import dataclass
 from functools import cached_property
 import math
+import sys
 
 import numpy as np
 
 Z_PERIOD = 2.0
+
+
+def normal_powers(x: float, *powers: float) -> bool:
+    """Whether x > 0 and every x**q is a normal float."""
+    try:
+        return x > 0 and all(sys.float_info.min <= x**q < math.inf for q in powers)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -32,8 +41,11 @@ class GridSpec:
         for name, n in (("n1", self.n1), ("n2", self.n2), ("n3", self.n3)):
             if n < 4 or n % 2 != 0:
                 raise ValueError(f"{name} must be an even integer >= 4, got {n}")
-        if self.l1 <= 0 or self.l2 <= 0:
-            raise ValueError(f"box lengths must be positive, got l1={self.l1}, l2={self.l2}")
+        for name, length, n in (("l1", self.l1, self.n1), ("l2", self.l2, self.n2)):
+            k_min = 2.0 * math.pi / length if length > 0 else 0.0
+            # every nonzero squared wavenumber, k_min^2 to (k_min n / 2)^2, must be a normal float
+            if not (normal_powers(k_min, 2) and normal_powers(k_min * n / 2, 2)):
+                raise ValueError(f"{name}: must be positive with normal squared wavenumbers, got {length}")
 
     @property
     def lz(self) -> float:

@@ -124,7 +124,7 @@ class Sample:
 
 def keep_state(state, record: DiagnosticsRecord) -> Sample:
     """The default per-sample hook of ``run``: a copy of the state and its record."""
-    return Sample(state.copy(), record)
+    return Sample(_rebuild(state, [f.coeffs.copy() for f in state.fields()], state.t), record)
 
 
 def step_count(t0: float, t_end: float, dt: float) -> int:

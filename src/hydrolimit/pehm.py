@@ -5,7 +5,7 @@ vertical components diagnosed from the incompressibility constraints.
 Scheme: the shared IMEX-Heun step of ``integrator``.  The surface pressure
 gradient is a kz = 0 horizontal gradient, which the barotropic projection of
 the predictor and the new state removes exactly, so the step never solves for
-the pressure; ``surface_pressure_solve`` recovers it as a diagnostic.
+the pressure; ``surface_pressure`` recovers it as a diagnostic.
 """
 
 from dataclasses import dataclass
@@ -14,15 +14,15 @@ from . import integrator
 from .constraints import (
     EVEN_IN_Z,
     barotropic_defect,
+    barotropic_potential,
     barotropic_project,
-    horizontal_divergence,
     hydrostatic_reconstruct,
     parity_defect,
     parity_project,
 )
 from .diagnostics import DiagnosticsRecord, pehm_dissipation_rate, pehm_energy
-from .integrator import elsasser_advection, imex_factors, imex_heun
-from .spectral import SpectralField, anisotropic_poisson_solve, diffusion_symbol, l2_norm
+from .integrator import elsasser_advection, imex_factors
+from .spectral import SpectralField, l2_norm, zero_field
 
 PRESSURE_CONSISTENCY_TOL = 1e-6
 
@@ -46,9 +46,6 @@ class PehmState:
     def from_fields(cls, fields, t: float) -> "PehmState":
         return cls(tuple(fields[:2]), tuple(fields[2:]), t)
 
-    def copy(self) -> "PehmState":
-        return self.from_fields([f.copy() for f in self.fields()], self.t)
-
 
 def diagnose_vertical(s: PehmState) -> tuple[SpectralField, SpectralField]:
     """Vertical components from the hydrostatic integrals of div_H."""
@@ -62,39 +59,24 @@ def _tendency(s: PehmState):
     return elsasser_advection((*s.a_h, a3), (*s.b_h, b3), 2)
 
 
-def _surface_poisson(source_pair) -> SpectralField:
-    """Solve Delta_H p = div_H <source>_z (the kz = 0 slice), zero-mean gauge."""
-    div = horizontal_divergence(source_pair)
-    div.coeffs[:, :, 1:] = 0.0
-    return anisotropic_poisson_solve(div, 1.0)
-
-
-def _surface_pressure(s: PehmState) -> tuple[SpectralField, float]:
-    """Surface pressure sourced from the A equation, and its relative
-    discrepancy from the one sourced from the B equation."""
+def surface_pressure(s: PehmState) -> tuple[SpectralField, float]:
+    """z-independent pressure p = -i phi from the vertically averaged horizontal
+    momentum equation, phi being the ``barotropic_potential`` of the A-equation
+    tendency, and its relative discrepancy from the pressure sourced from the
+    B equation.  A discrepancy above PRESSURE_CONSISTENCY_TOL signals broken
+    incompressibility and raises RuntimeError."""
     t, _ = _tendency(s)
-    p_a = _surface_poisson(t[:2])
+    p_a, p_b = zero_field(s.grid), zero_field(s.grid)
+    p_a.coeffs[:, :, 0] = -1j * barotropic_potential(t[:2])
+    p_b.coeffs[:, :, 0] = -1j * barotropic_potential(t[2:])
     scale = l2_norm(p_a)
-    discrepancy = l2_norm(p_a - _surface_poisson(t[2:]))
-    return p_a, discrepancy / scale if scale > 0 else 0.0
-
-
-def surface_pressure_solve(s: PehmState) -> SpectralField:
-    """z-independent pressure from the vertically averaged horizontal momentum
-    equation.  The same solve sourced from the other Elsaesser equation must
-    agree; a large discrepancy signals broken incompressibility."""
-    p_a, rel = _surface_pressure(s)
+    rel = l2_norm(p_a - p_b) / scale if scale > 0 else 0.0
     if rel > PRESSURE_CONSISTENCY_TOL:
         raise RuntimeError(
             f"surface-pressure consistency broken: relative discrepancy "
             f"{rel:.3e} exceeds {PRESSURE_CONSISTENCY_TOL:.0e}"
         )
-    return p_a
-
-
-def pressure_discrepancy(s: PehmState) -> float:
-    """Relative discrepancy between the two admissible pressure sources."""
-    return _surface_pressure(s)[1]
+    return p_a, rel
 
 
 def _enforce(s: PehmState) -> PehmState:
@@ -108,15 +90,8 @@ def _scheme(grid, dt: float, advect: bool) -> dict:
         tendency=_tendency if advect else None,
         enforce=_enforce,
         dt=dt,
-        **imex_factors(diffusion_symbol(grid, 1.0, 2.0, "none"), dt),
+        **imex_factors(grid.k2h, dt),  # horizontal diffusion only: (n1, n2, 1), broadcasts
     )
-
-
-def step(s: PehmState, dt: float, advect: bool = True) -> PehmState:
-    """Advance one time step dt."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return imex_heun(s, **_scheme(s.grid, dt, advect))
 
 
 def _record(s: PehmState, diss_accum: float) -> DiagnosticsRecord:

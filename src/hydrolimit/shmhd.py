@@ -7,14 +7,12 @@ exactly by the weighted Leray projection of the predictor and the new state.
 """
 
 from dataclasses import dataclass
-import math
-import sys
 
 from . import integrator
 from .constraints import EVEN_IN_Z, ODD_IN_Z, VectorState, anisotropic_leray_project, parity_project
 from .diagnostics import DiagnosticsRecord, shmhd_defects, shmhd_dissipation_rate, shmhd_energy
-from .integrator import BlowUpError, elsasser_advection, imex_factors, imex_heun  # noqa: F401  (BlowUpError re-exported)
-from .spectral import diffusion_symbol
+from .grid import normal_powers
+from .integrator import BlowUpError, elsasser_advection, imex_factors  # noqa: F401  (BlowUpError re-exported)
 
 PARITY = (EVEN_IN_Z, EVEN_IN_Z, ODD_IN_Z) * 2
 
@@ -22,11 +20,7 @@ PARITY = (EVEN_IN_Z, EVEN_IN_Z, ODD_IN_Z) * 2
 def check_eps(eps: float, alpha: float) -> None:
     """Raise ValueError unless eps > 0 and eps**2 and eps**alpha are normal
     floats, so that every eps weight and its inverse are finite and nonzero."""
-    try:
-        normal = eps > 0 and all(sys.float_info.min <= eps**q < math.inf for q in (2, alpha))
-    except OverflowError:
-        normal = False
-    if not normal:
+    if not normal_powers(eps, 2, alpha):
         raise ValueError(f"eps must be positive with eps**2 and eps**{alpha:g} normal floats, got {eps}")
 
 
@@ -65,9 +59,6 @@ class ElsasserState:
     def from_fields(cls, fields, t: float) -> "ElsasserState":
         return cls(VectorState(*fields[:3]), VectorState(*fields[3:]), t)
 
-    def copy(self) -> "ElsasserState":
-        return self.from_fields([f.copy() for f in self.fields()], self.t)
-
 
 def _tendency(s: ElsasserState):
     return elsasser_advection(s.a.components(), s.b.components(), 3)
@@ -92,13 +83,9 @@ def _scheme(grid, p: ShmhdParams) -> dict:
         tendency=_tendency if p.advect else None,
         enforce=lambda s: _enforce(s, p.eps),
         dt=p.dt,
-        **imex_factors(diffusion_symbol(grid, p.eps, p.alpha, "full"), p.dt),
+        # diffusion symbol: |k_H|^2 + eps^(alpha-2) kz^2
+        **imex_factors(grid.k2h + p.eps ** (p.alpha - 2.0) * grid.kz**2, p.dt),
     )
-
-
-def step(s: ElsasserState, p: ShmhdParams) -> ElsasserState:
-    """Advance one time step dt."""
-    return imex_heun(s, **_scheme(s.grid, p))
 
 
 def _record(s: ElsasserState, p: ShmhdParams, diss_accum: float) -> DiagnosticsRecord:

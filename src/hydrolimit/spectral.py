@@ -1,4 +1,4 @@
-"""Real/spectral field carriers, transforms, and diagonal spectral operators.
+"""Spectral field carrier, the transform pair, and diagonal spectral operators.
 
 Coefficient normalization: the forward transform divides by the lattice size,
 so coeff(0,0,0) is the mean of the field and Parseval reads
@@ -38,37 +38,17 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-@dataclass
-class RealField:
-    """Real values on the collocation lattice x_j = j*l1/n1, etc."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-
 def zero_field(grid: GridSpec) -> SpectralField:
     return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
 
 
-def forward_transform(f: RealField) -> SpectralField:
-    """FFT to spectral space; coeff(0) carries the mean of the field."""
-    if not np.all(np.isfinite(f.values)):
-        idx = tuple(np.argwhere(~np.isfinite(f.values))[0])
-        raise ValueError(f"non-finite value in real field at lattice index {idx}")
-    coeffs = np.fft.fftn(f.values) / f.grid.npoints
-    return SpectralField(f.grid, coeffs)
-
-
-def inverse_transform(f: SpectralField) -> RealField:
-    values = np.fft.ifftn(f.coeffs * f.grid.npoints).real
-    return RealField(f.grid, values)
-
-
 def to_physical(f: SpectralField) -> np.ndarray:
+    """Real values on the collocation lattice x_j = j*l1/n1, etc."""
     return np.fft.ifftn(f.coeffs * f.grid.npoints).real
 
 
 def from_physical(grid: GridSpec, values: np.ndarray) -> SpectralField:
+    """FFT of lattice values; coeff(0) carries the mean of the field."""
     return SpectralField(grid, np.fft.fftn(values) / grid.npoints)
 
 
@@ -115,16 +95,6 @@ def anisotropic_poisson_solve(rhs: SpectralField, eps: float) -> SpectralField:
     phi = rhs.coeffs / np.where(kernel, 1.0, denom)
     phi[kernel] = 0.0
     return SpectralField(g, phi)
-
-
-def diffusion_symbol(grid: GridSpec, eps: float, alpha: float, vertical_weight: str = "full") -> np.ndarray:
-    """Nonnegative multiplier of -L where L is the diffusion operator; without
-    vertical diffusion it is the (n1, n2, 1) horizontal symbol, which broadcasts."""
-    if vertical_weight == "full":
-        return grid.k2h + eps ** (alpha - 2.0) * grid.kz**2
-    if vertical_weight == "none":
-        return grid.k2h
-    raise ValueError(f"vertical_weight must be 'full' or 'none', got {vertical_weight!r}")
 
 
 def save_snapshot(f: SpectralField, path) -> None:

@@ -13,9 +13,9 @@ import os
 
 import numpy as np
 
-from .constraints import SpectrumParams, VectorState, generate_initial_data
-from .diagnostics import DiffRecord, difference_metrics, energy_ledger, gamma_of_alpha, trapezoid_accumulate
-from .grid import GridSpec
+from .constraints import SpectrumParams, generate_initial_data
+from .diagnostics import difference_metrics, energy_ledger, gamma_of_alpha, trapezoid_accumulate
+from .grid import GridSpec, normal_powers
 from .integrator import step_count
 from .pehm import PehmState
 from .pehm import run as pehm_run
@@ -74,6 +74,10 @@ class SweepConfig:
             step_count(0.0, self.t_end, self.dt)
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        if not normal_powers(self.m0, 2):
+            raise ConfigError(f"m0: must be positive with m0**2 a normal float, got {self.m0}")
         if self.sample_every < 1:
             raise ConfigError(f"sample_every: must be >= 1, got {self.sample_every}")
         GridSpec(self.n1, self.n2, self.n3, self.l1, self.l2)
@@ -161,7 +165,6 @@ class PairSummary:
 @dataclass
 class PairResult:
     eps: float
-    diffs: list[DiffRecord]
     rows: list[RunRow]
     summary: PairSummary
 
@@ -169,16 +172,8 @@ class PairResult:
 def initial_states(cfg: SweepConfig) -> tuple[ElsasserState, PehmState]:
     """Seed-deterministic shared initial data, lifted to both systems."""
     data = generate_initial_data(cfg.seed, cfg.spectrum, cfg.grid)
-    s_eps = ElsasserState(
-        VectorState(data.a_h[0].copy(), data.a_h[1].copy(), data.a3.copy()),
-        VectorState(data.b_h[0].copy(), data.b_h[1].copy(), data.b3.copy()),
-        0.0,
-    )
-    s_lim = PehmState(
-        (data.a_h[0].copy(), data.a_h[1].copy()),
-        (data.b_h[0].copy(), data.b_h[1].copy()),
-        0.0,
-    )
+    s_eps = ElsasserState.from_fields([f.copy() for f in (*data.a_h, data.a3, *data.b_h, data.b3)], 0.0)
+    s_lim = PehmState.from_fields([f.copy() for f in (*data.a_h, *data.b_h)], 0.0)
     return s_eps, s_lim
 
 
@@ -191,7 +186,7 @@ def sweep_inputs(cfg: SweepConfig) -> tuple[list, ElsasserState]:
 
 
 def _failed_cell(eps: float, status: str) -> PairResult:
-    return PairResult(eps, [], [], PairSummary(eps, math.nan, math.nan, math.nan, False, status))
+    return PairResult(eps, [], PairSummary(eps, math.nan, math.nan, math.nan, False, status))
 
 
 def _failure_status(e: Exception) -> str:
@@ -245,7 +240,7 @@ def run_pair(cfg: SweepConfig, eps: float, limit: list | None = None,
         energy_pass=ledger.passed,
         status="ok",
     )
-    return PairResult(eps, diffs, rows, summary)
+    return PairResult(eps, rows, summary)
 
 
 # ---------------------------------------------------------------------------

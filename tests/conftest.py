@@ -6,10 +6,8 @@ import pytest
 from hydrolimit.constraints import VectorState, hydrostatic_reconstruct
 from hydrolimit.grid import GridSpec
 from hydrolimit.spectral import (
-    RealField,
     SpectralField,
     dealias,
-    forward_transform,
     from_physical,
     l2_norm,
     partial_derivative,
@@ -27,19 +25,20 @@ def grid8_2pi():
     return GridSpec(8, 8, 8, 2.0 * np.pi, 2.0 * np.pi)
 
 
-def random_real_field(grid: GridSpec, seed: int) -> RealField:
+def random_real_field(grid: GridSpec, seed: int) -> np.ndarray:
+    """Standard-normal values on the collocation lattice."""
     rng = np.random.default_rng(seed)
-    return RealField(grid, rng.standard_normal(grid.shape))
+    return rng.standard_normal(grid.shape)
 
 
 def random_spectral_field(grid: GridSpec, seed: int) -> SpectralField:
-    return forward_transform(random_real_field(grid, seed))
+    return from_physical(grid, random_real_field(grid, seed))
 
 
 def field_from_lattice(grid: GridSpec, func) -> SpectralField:
     """Spectral field from a callable on the (x, y, z) lattice."""
     x, y, z = np.meshgrid(grid.x, grid.y, grid.z, indexing="ij")
-    return forward_transform(RealField(grid, func(x, y, z)))
+    return from_physical(grid, func(x, y, z))
 
 
 def convective_advection(adv, fields) -> list[SpectralField]:

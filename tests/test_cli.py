@@ -1,7 +1,10 @@
 """CLI subcommands, flags, exit codes, and emitted files."""
 
-import numpy as np
+import math
+
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import hydrolimit.cli as cli_mod
 from hydrolimit.cli import EXIT_BLOWUP, EXIT_OK, EXIT_VALIDATION, main
@@ -123,6 +126,25 @@ class TestValidationFailures:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    # a negative seed, an m0 whose square is not a normal float, and a box
+    # length whose spacing l1 / n1 rounds to zero (the CFL guard divided by it)
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("line", ["seed = -1", "m0 = 0", "m0 = 1e-300", "l1 = 5e-324"])
+    def test_rejects_out_of_range_key(self, tmp_path, capsys, command, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_CFG + line + "\n")
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        key = line.split()[0]
+        assert len(err) == 1 and err[0].startswith(f"error: {key}:")
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_jobs_is_a_sweep_only_flag(self, tiny_cfg, tmp_path, command):
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--config", tiny_cfg, "--out", str(tmp_path / "o"), "--jobs", "2"])
+        assert exc_info.value.code == EXIT_VALIDATION
+
     @pytest.mark.parametrize(
         "argv", [["sweep", "--jobs", "0"], ["sweep", "--jobs", "-3"],
                  ["verify", "--states", "0"], ["verify", "--states", "-1"]],
@@ -154,3 +176,103 @@ class TestValidationFailures:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: output directory not writable")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any config text and flags give exit 0, 2 or 3 and never a traceback
+
+_EDGE_NUMBERS = ["0", "-0", "-1", "5e-324", "1e-310", "1e-300", "1e-160", "1e160", "1e300",
+                 "1.7e308", "1e999", "nan", "inf", "-inf"]
+_ANY_VALUE = st.one_of(
+    st.sampled_from(_EDGE_NUMBERS),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+            max_size=6),
+)
+# the grid stays 8^3 whenever it is valid, so a generated config never allocates much
+_BAD_GRID_COUNT = st.sampled_from(["7", "2", "0", "-8", "8.0", "eight", ""])
+_TYPICAL = {
+    "n1": ["8"], "n2": ["8"], "n3": ["8"], "dt": ["0.002", "0.5"], "l1": ["1.0", "6.28"],
+    "l2": ["1.0", "6.28"], "alpha": ["3.0", "4.0"], "amplitude": ["0.1", "1e160"], "m0": ["2.5"],
+    "seed": ["0", "7"], "sample_every": ["1", "5"], "mode": ["l2", "h1"],
+}
+_OPTIONAL = ["l1", "l2", "alpha", "amplitude", "m0", "seed", "sample_every", "mode"]
+
+
+def _as_float(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+@st.composite
+def _config_text(draw) -> str:
+    """A valid 8^3 config in any key order, with up to two of its keys (the
+    ladder and t_end included) given arbitrary values or a bad line added."""
+    bad = draw(st.lists(st.sampled_from([*_TYPICAL, "eps", "t_end", "line"]), max_size=2, unique=True))
+    keys = ["n1", "n2", "n3", "dt", *(k for k in _OPTIONAL if draw(st.booleans()) or k in bad)]
+    values = {}
+    for key in keys:
+        if key not in bad:
+            values[key] = draw(st.sampled_from(_TYPICAL[key]))
+        elif key in ("n1", "n2", "n3"):
+            values[key] = draw(_BAD_GRID_COUNT)
+        else:
+            values[key] = draw(_ANY_VALUE)
+    # t_end is two steps of dt whenever dt parses, or a value that validation
+    # rejects: a valid but huge t_end would only make a long run
+    dt = _as_float(values["dt"])
+    values["t_end"] = "0.004" if dt is None else repr(2.0 * dt)
+    if "t_end" in bad:
+        values["t_end"] = draw(st.one_of(
+            st.just("0.003" if dt is None else repr(1.5 * dt)),
+            _ANY_VALUE.filter(lambda v: not 0 < (_as_float(v) or 0) < math.inf),
+        ))
+    lines = draw(st.permutations([f"{key} = {value}" for key, value in values.items()]))
+    if "line" in bad:
+        lines.append(draw(st.sampled_from(["frobnicate = 1", "no equals sign", "mode"])))
+    ladder = draw(st.lists(_ANY_VALUE, max_size=4)) if "eps" in bad else ["0.2", "0.1", "0.05"]
+    at = draw(st.integers(0, len(lines)))
+    lines[at:at] = [f"eps = {e}" for e in ladder]
+    return "\n".join(lines) + "\n"
+
+
+def _flags(command: str):
+    """Up to two valid flags of the subcommand, sometimes followed by one
+    that is malformed, out of range or belongs to another subcommand."""
+    valid = [["--mode", "l2"], ["--mode", "h1"]] + {
+        "simulate": [["--system", "pehm"], ["--eps", "0.07"]],
+        "sweep": [["--jobs", "1"], ["--jobs", "2"]],
+        "verify": [["--states", "1"], ["--states", "3"]],
+    }[command]
+    bad = st.one_of(
+        st.sampled_from([["--mode", "x"], ["--bogus"], ["--jobs", "0"], ["--jobs", "x"], ["--jobs", "2"],
+                         ["--states", "0"], ["--states", "-1"], ["--system", "x"], ["--eps"]]),
+        _ANY_VALUE.map(lambda v: ["--eps", v]),
+    )
+    good = st.lists(st.sampled_from(valid), max_size=2)
+    flags = st.one_of(good, st.tuples(good, bad).map(lambda gb: [*gb[0], gb[1]]))
+    return flags.map(lambda fl: [f for flag in fl for f in flag])
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), command=st.sampled_from(["simulate", "sweep", "verify"]),
+       text=_config_text(), out_blocked=st.sampled_from([False] * 9 + [True]))
+def test_fuzzed_config_and_flags_exit_cleanly(tmp_path_factory, data, command, text, out_blocked):
+    work = tmp_path_factory.mktemp("fuzz")
+    cfg = work / "fuzz.cfg"
+    cfg.write_text(text)
+    out = work / "out"
+    if out_blocked:
+        out.write_text("a plain file occupies the output path")
+    argv = [command, "--config", str(cfg), "--out", str(out), *data.draw(_flags(command))]
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse rejects the flags
+        code = e.code
+    event(f"{command} exit {code}")
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_BLOWUP)

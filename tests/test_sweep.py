@@ -111,6 +111,16 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError, match="eps"):
             SweepConfig(alpha=4.0, eps_ladder=ladder, **TINY).validate()
 
+    @pytest.mark.parametrize(
+        "key, value", [("seed", "-1"), ("m0", "0"), ("m0", "-2.5"), ("m0", "1e-300"), ("m0", "1e200")]
+    )
+    def test_out_of_range_seed_or_m0_rejected(self, tmp_path, key, value):
+        # a negative seed, or an m0 whose square is not a normal float
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
     def test_t_end_not_multiple_of_dt_rejected(self):
         with pytest.raises(ConfigError, match="t_end"):
             SweepConfig(dt=0.002, t_end=0.0105).validate()
