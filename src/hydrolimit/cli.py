@@ -11,11 +11,11 @@ from .pehm import run as pehm_run
 from .sweep import (
     ConfigError,
     SweepConfig,
-    RunRow,
     check_out_dir,
     emit_report,
     initial_states,
     load_config,
+    record_row,
     run_sweep,
     runs_csv_text,
     write_text_atomic,
@@ -46,24 +46,22 @@ def cmd_simulate(args) -> int:
     eps = args.eps if args.eps is not None else cfg.eps_ladder[0]
     s_eps0, s_lim0 = initial_states(cfg)
     check_out_dir(args.out)
-    run_id = f"seed{cfg.seed}-eps{eps:g}-alpha{cfg.alpha:g}"
+
+    def record_only(state, record):
+        return record
+
     try:
         if args.system == "shmhd":
             params = ShmhdParams(eps=eps, alpha=cfg.alpha, dt=cfg.dt, t_end=cfg.t_end)
-            traj = shmhd_run(s_eps0, params, cfg.sample_every)
+            records = shmhd_run(s_eps0, params, cfg.sample_every, sample=record_only)
         else:
-            traj = pehm_run(s_lim0, cfg.dt, cfg.t_end, cfg.sample_every)
+            records = pehm_run(s_lim0, cfg.dt, cfg.t_end, cfg.sample_every, sample=record_only)
     except BlowUpError as e:
         print(f"solver blow-up at step {e.step_index}: {e}", file=sys.stderr)
         return EXIT_BLOWUP
-    rows = [
-        RunRow(run_id, args.system, eps, cfg.alpha, s.record.t, s.record.e_l2,
-               s.record.dissipation_accum, None, None, None,
-               s.record.parity_defect, s.record.div_defect)
-        for s in traj
-    ]
+    rows = [record_row(cfg, args.system, eps, r) for r in records]
     write_text_atomic(os.path.join(args.out, "runs.csv"), runs_csv_text(rows))
-    print(f"{args.system} run complete: {len(traj)} samples, final t={traj[-1].record.t:g}")
+    print(f"{args.system} run complete: {len(records)} samples, final t={records[-1].t:g}")
     return EXIT_OK
 
 

@@ -13,7 +13,9 @@ from .spectral import (
     anisotropic_poisson_solve,
     dealias,
     l2_norm,
+    parseval_sum,
     partial_derivative,
+    partner,
     zero_field,
 )
 
@@ -38,12 +40,13 @@ class VectorState:
 
 
 def parity_project(f: SpectralField, cls: str) -> SpectralField:
-    """Project onto the even or odd part in z (symmetrization of m3 and -m3)."""
-    refl = f.coeffs[:, :, f.grid.reflect_z_index]
+    """Project onto the even or odd part in z (symmetrization of m3 and -m3,
+    whose coefficient is the conjugate partner of the stored one)."""
+    refl = partner(f.half, f.grid)
     if cls == EVEN_IN_Z:
-        return SpectralField(f.grid, 0.5 * (f.coeffs + refl))
+        return SpectralField(f.grid, 0.5 * (f.half + refl))
     if cls == ODD_IN_Z:
-        return SpectralField(f.grid, 0.5 * (f.coeffs - refl))
+        return SpectralField(f.grid, 0.5 * (f.half - refl))
     raise ValueError(f"parity class must be {EVEN_IN_Z!r} or {ODD_IN_Z!r}, got {cls!r}")
 
 
@@ -53,16 +56,12 @@ def parity_defect(f: SpectralField, cls: str) -> float:
 
 
 def divergence(g: VectorState) -> SpectralField:
-    return (
-        partial_derivative(g.h1, "x")
-        + partial_derivative(g.h2, "y")
-        + partial_derivative(g.v, "z")
-    )
+    return horizontal_divergence((g.h1, g.h2)) + partial_derivative(g.v, "z")
 
 
 def divergence_defect(g: VectorState) -> float:
     """Max spectral divergence coefficient, for use against a state scale."""
-    return float(np.max(np.abs(divergence(g).coeffs)))
+    return float(np.max(np.abs(divergence(g).half)))
 
 
 def anisotropic_leray_project(g: VectorState, eps: float) -> VectorState:
@@ -81,6 +80,15 @@ def horizontal_divergence(h: tuple[SpectralField, SpectralField]) -> SpectralFie
     return partial_derivative(h[0], "x") + partial_derivative(h[1], "y")
 
 
+def z_trace(f: SpectralField) -> np.ndarray:
+    """(x, y) spectrum of f(x, y, 0): the sum over every vertical mode m3 of the
+    full spectrum, that is the m3 = 0 and Nyquist planes plus each plane
+    0 < m3 < n3/2 and its conjugate partner."""
+    c = f.half
+    inner = c[:, :, 1:-1].sum(axis=2)
+    return c[:, :, 0] + c[:, :, -1] + inner + partner(inner, f.grid)
+
+
 def hydrostatic_reconstruct(h: tuple[SpectralField, SpectralField]) -> SpectralField:
     """Vertical component from v(z) = -int_0^z div_H h dxi, pinned by v(.,0) = 0.
 
@@ -88,8 +96,9 @@ def hydrostatic_reconstruct(h: tuple[SpectralField, SpectralField]) -> SpectralF
     the reconstruction is not z-periodic.
     """
     grid = h[0].grid
-    g = -1.0 * horizontal_divergence(h).coeffs
-    scale = float(np.sqrt(np.sum(np.abs(g) ** 2)))
+    source = -1.0 * horizontal_divergence(h)
+    g = source.half
+    scale = float(np.sqrt(parseval_sum(source)))
     mean_defect = float(np.max(np.abs(g[:, :, 0])))
     if scale > 0 and mean_defect > 1e-10 * scale:
         raise ValueError(
@@ -97,12 +106,12 @@ def hydrostatic_reconstruct(h: tuple[SpectralField, SpectralField]) -> SpectralF
             f"exceeds 1e-10 of source scale {scale:.3e}"
         )
     kz = grid.kz.reshape(-1)
-    inv_ikz = np.zeros(grid.n3, dtype=np.complex128)
+    inv_ikz = np.zeros(kz.size, dtype=np.complex128)
     inv_ikz[1:] = 1.0 / (1j * kz[1:])
-    v = g * inv_ikz
-    # kz = 0 mode fixed by the trace condition v(x, y, 0) = 0
-    v[:, :, 0] = -np.sum(v[:, :, 1:], axis=2)
-    return SpectralField(grid, v)
+    v = SpectralField(grid, g * inv_ikz)
+    # kz = 0 mode (zero so far) fixed by the trace condition v(x, y, 0) = 0
+    v.half[:, :, 0] = -z_trace(v)
+    return v
 
 
 def barotropic_potential(h: tuple[SpectralField, SpectralField]) -> np.ndarray:
@@ -113,7 +122,7 @@ def barotropic_potential(h: tuple[SpectralField, SpectralField]) -> np.ndarray:
     ky = grid.ky_deriv[:, :, 0]
     k2 = kx**2 + ky**2
     k2safe = np.where(k2 == 0.0, 1.0, k2)
-    divh = kx * h[0].coeffs[:, :, 0] + ky * h[1].coeffs[:, :, 0]
+    divh = kx * h[0].half[:, :, 0] + ky * h[1].half[:, :, 0]
     return np.where(k2 == 0.0, 0.0, divh / k2safe)
 
 
@@ -124,8 +133,8 @@ def barotropic_project(
     all kz != 0 content passes through unchanged."""
     grid = h[0].grid
     phi = barotropic_potential(h)
-    c1 = h[0].coeffs.copy()
-    c2 = h[1].coeffs.copy()
+    c1 = h[0].half.copy()
+    c2 = h[1].half.copy()
     c1[:, :, 0] -= grid.kx_deriv[:, :, 0] * phi
     c2[:, :, 0] -= grid.ky_deriv[:, :, 0] * phi
     return (SpectralField(grid, c1), SpectralField(grid, c2))
@@ -134,7 +143,7 @@ def barotropic_project(
 def barotropic_defect(h: tuple[SpectralField, SpectralField]) -> float:
     """Max coefficient of div_H of the vertical mean of h."""
     d = horizontal_divergence(h)
-    return float(np.max(np.abs(d.coeffs[:, :, 0])))
+    return float(np.max(np.abs(d.half[:, :, 0])))
 
 
 @dataclass
@@ -156,14 +165,14 @@ class InitialData:
 def _random_even_scalar(rng: np.random.Generator, grid: GridSpec, spectrum: SpectrumParams) -> SpectralField:
     shape = grid.shape
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    env = spectrum.amplitude * np.exp(
-        -(grid.modes1**2 + grid.modes2**2 + grid.modes3**2) / spectrum.m0**2
-    )
+    m3 = np.fft.fftfreq(grid.n3, 1.0 / grid.n3).astype(np.int64).reshape(1, 1, -1)
+    env = spectrum.amplitude * np.exp(-(grid.modes1**2 + grid.modes2**2 + m3**2) / spectrum.m0**2)
     c = c * env
-    # real field: hermitian symmetrization coeff(-m) = conj(coeff(m))
-    r1, r2, r3 = grid.reflect_all_index
-    c = 0.5 * (c + np.conj(c[np.ix_(r1, r2, r3)]))
-    f = dealias(SpectralField(grid, c))
+    # real field: hermitian symmetrization coeff(-m) = conj(coeff(m)) of the
+    # full-layout draws, then the stored half
+    r3 = (-np.arange(grid.n3)) % grid.n3
+    c = 0.5 * (c + np.conj(c[grid.reflect_xy][:, :, r3]))
+    f = dealias(SpectralField(grid, c[:, :, : grid.n3 // 2 + 1]))
     return parity_project(f, EVEN_IN_Z)
 
 

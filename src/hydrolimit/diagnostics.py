@@ -7,31 +7,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (
-    EVEN_IN_Z,
-    ODD_IN_Z,
-    VectorState,
-    divergence_defect,
-    hydrostatic_reconstruct,
-    parity_defect,
-)
+from .constraints import VectorState, hydrostatic_reconstruct
 from .spectral import SpectralField, l2_norm, to_physical
 
 
 def _weighted_sums(f: SpectralField) -> tuple[float, float, float]:
     """||f||^2, ||grad_H f||^2 and ||dz f||^2 as Parseval sums
     volume * sum_k w(k) |c_k|^2 with w = 1, kx^2 + ky^2 and kz^2, built from
-    the Nyquist-zeroed derivative wavenumbers.  The weights are separable, so
+    the Nyquist-zeroed derivative wavenumbers; over the stored half-spectrum
+    each weight also carries ``zweights``.  The weights are separable, so
     |c|^2 is reduced to its (x, y) and z marginals before it is weighted."""
     g = f.grid
     # hypot is 4x faster here than squaring the strided .real and .imag views
-    p = np.abs(f.coeffs) ** 2
+    p = np.abs(f.half) ** 2
     # plain reductions, never BLAS (dot, vdot, @): OpenBLAS threads spin on the other core
-    p_xy = p.sum(axis=2)
-    p_z = p.sum(axis=(0, 1))
+    p_xy = 2.0 * p.sum(axis=2) - p[:, :, 0] - p[:, :, -1]  # the zweights sum over m3
+    p_z = g.zweights * p.sum(axis=(0, 1))
     w_h = g.kx_deriv[:, :, 0] ** 2 + g.ky_deriv[:, :, 0] ** 2
     return (
-        g.volume * float(p_xy.sum()),
+        g.volume * float(p_z.sum()),
         g.volume * float(np.sum(w_h * p_xy)),
         g.volume * float(np.sum(g.kz_deriv[0, 0] ** 2 * p_z)),
     )
@@ -74,13 +68,7 @@ class DiagnosticsRecord:
 
 def shmhd_energy(a: VectorState, b: VectorState, eps: float) -> float:
     """E = ||A_h||^2 + ||B_h||^2 + eps^2 ||A3||^2 + eps^2 ||B3||^2."""
-    return (
-        l2_norm(a.h1) ** 2
-        + l2_norm(a.h2) ** 2
-        + l2_norm(b.h1) ** 2
-        + l2_norm(b.h2) ** 2
-        + eps**2 * (l2_norm(a.v) ** 2 + l2_norm(b.v) ** 2)
-    )
+    return pehm_energy((a.h1, a.h2), (b.h1, b.h2)) + eps**2 * (l2_norm(a.v) ** 2 + l2_norm(b.v) ** 2)
 
 
 def shmhd_dissipation_rate(a: VectorState, b: VectorState, eps: float, alpha: float) -> float:
@@ -192,20 +180,3 @@ def trilinear_check(f: SpectralField, g: SpectralField, h: SpectralField) -> Tri
     denom = min(rhs_a, rhs_b)
     implied_c = lhs / denom if denom > 0 else 0.0
     return TrilinearReport(lhs, rhs_a, rhs_b, implied_c)
-
-
-# ---------------------------------------------------------------------------
-# per-state defect summaries
-
-def shmhd_defects(a: VectorState, b: VectorState) -> tuple[float, float]:
-    """Max parity defect and max divergence defect over both vector states."""
-    par = max(
-        parity_defect(a.h1, EVEN_IN_Z),
-        parity_defect(a.h2, EVEN_IN_Z),
-        parity_defect(a.v, ODD_IN_Z),
-        parity_defect(b.h1, EVEN_IN_Z),
-        parity_defect(b.h2, EVEN_IN_Z),
-        parity_defect(b.v, ODD_IN_Z),
-    )
-    div = max(divergence_defect(a), divergence_defect(b))
-    return par, div

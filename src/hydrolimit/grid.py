@@ -26,9 +26,10 @@ def normal_powers(x: float, *powers: float) -> bool:
 class GridSpec:
     """Mode counts and horizontal box lengths of the periodic domain.
 
-    Wavenumbers follow FFT-standard mode ordering (0, 1, ..., n/2-1, -n/2,
-    ..., -1) on every axis.  Derivative wavenumbers zero the unpaired Nyquist
-    mode so differentiation preserves real-representability.
+    Tables follow the ``rfftn`` half-spectrum layout (n1, n2, n3//2 + 1): FFT
+    mode order (0, 1, ..., n/2-1, -n/2, ..., -1) in x and y, and vertical modes
+    0, ..., n3/2 only.  Derivative wavenumbers zero the unpaired Nyquist modes
+    so differentiation preserves real-representability.
     """
 
     n1: int
@@ -56,6 +57,10 @@ class GridSpec:
         return (self.n1, self.n2, self.n3)
 
     @property
+    def half_shape(self) -> tuple[int, int, int]:
+        return (self.n1, self.n2, self.n3 // 2 + 1)
+
+    @property
     def npoints(self) -> int:
         return self.n1 * self.n2 * self.n3
 
@@ -73,7 +78,13 @@ class GridSpec:
 
     @cached_property
     def modes3(self) -> np.ndarray:
-        return np.fft.fftfreq(self.n3, 1.0 / self.n3).astype(np.int64).reshape(1, 1, -1)
+        return np.arange(self.n3 // 2 + 1, dtype=np.int64).reshape(1, 1, -1)
+
+    @cached_property
+    def zweights(self) -> np.ndarray:
+        """Parseval weights (1, 2, ..., 2, 1) of the vertical modes 0, ..., n3/2:
+        every plane but m3 = 0 and the Nyquist plane also counts its partner -m3."""
+        return np.r_[1.0, np.full(self.n3 // 2 - 1, 2.0), 1.0]
 
     @cached_property
     def kx(self) -> np.ndarray:
@@ -89,21 +100,15 @@ class GridSpec:
 
     @cached_property
     def kx_deriv(self) -> np.ndarray:
-        k = self.kx.copy()
-        k[self.n1 // 2, :, :] = 0.0
-        return k
+        return np.where(self.modes1 == -(self.n1 // 2), 0.0, self.kx)
 
     @cached_property
     def ky_deriv(self) -> np.ndarray:
-        k = self.ky.copy()
-        k[:, self.n2 // 2, :] = 0.0
-        return k
+        return np.where(self.modes2 == -(self.n2 // 2), 0.0, self.ky)
 
     @cached_property
     def kz_deriv(self) -> np.ndarray:
-        k = self.kz.copy()
-        k[:, :, self.n3 // 2] = 0.0
-        return k
+        return np.where(self.modes3 == self.n3 // 2, 0.0, self.kz)
 
     @cached_property
     def k2h(self) -> np.ndarray:
@@ -118,17 +123,9 @@ class GridSpec:
         )
 
     @cached_property
-    def reflect_z_index(self) -> np.ndarray:
-        """Index array mapping vertical mode m3 to -m3 (Nyquist maps to itself)."""
-        return (-np.arange(self.n3)) % self.n3
-
-    @cached_property
-    def reflect_all_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            (-np.arange(self.n1)) % self.n1,
-            (-np.arange(self.n2)) % self.n2,
-            (-np.arange(self.n3)) % self.n3,
-        )
+    def reflect_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """Open-mesh index taking c(m1, m2, .) to c(-m1, -m2, .) (Nyquist maps to itself)."""
+        return np.ix_((-np.arange(self.n1)) % self.n1, (-np.arange(self.n2)) % self.n2)
 
     @cached_property
     def x(self) -> np.ndarray:

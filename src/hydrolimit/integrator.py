@@ -58,7 +58,7 @@ def elsasser_advection(a, b, n_advected: int) -> tuple[list[SpectralField], floa
         for j in range(3):
             if i >= n_advected and j >= n_advected:
                 continue
-            prod = from_physical(grid, a_phys[i] * b_phys[j]).coeffs
+            prod = from_physical(grid, a_phys[i] * b_phys[j]).half
             if i < n_advected:
                 t_a[i] = t_a[i] + k[j] * prod
             if j < n_advected:
@@ -83,7 +83,7 @@ def _rebuild(like, arrays, t):
 
 def check_finite(s) -> None:
     for name, f in zip(s.FIELD_NAMES, s.fields()):
-        if not np.all(np.isfinite(f.coeffs)):
+        if not np.all(np.isfinite(f.half)):
             raise BlowUpError(f"non-finite coefficients in field {name} at t={s.t:.6g}")
 
 
@@ -96,7 +96,7 @@ def imex_heun(s, tendency, enforce, decay, gain, dt: float):
     ``gain`` are the ``imex_factors`` of the diffusion symbol for this dt.
     """
     t_new = s.t + dt
-    c = [f.coeffs for f in s.fields()]
+    c = [f.half for f in s.fields()]
     if tendency is None:
         new = [decay * x for x in c]
     else:
@@ -107,9 +107,9 @@ def imex_heun(s, tendency, enforce, decay, gain, dt: float):
             warnings.warn(
                 f"CFL guard exceeded: dt*max|u|/min(dx) = {cfl:.3f} >= {CFL_LIMIT}", stacklevel=3
             )
-        t1 = [g.coeffs for g in t1]
+        t1 = [g.half for g in t1]
         pred = enforce(_rebuild(s, [decay * x + gain * (g + g) for x, g in zip(c, t1)], t_new))
-        t2 = [g.coeffs for g in tendency(pred)[0]]
+        t2 = [g.half for g in tendency(pred)[0]]
         new = [decay * x + gain * (g1 + g2) for x, g1, g2 in zip(c, t1, t2)]
     s_new = enforce(_rebuild(s, new, t_new))
     check_finite(s_new)
@@ -124,14 +124,15 @@ class Sample:
 
 def keep_state(state, record: DiagnosticsRecord) -> Sample:
     """The default per-sample hook of ``run``: a copy of the state and its record."""
-    return Sample(_rebuild(state, [f.coeffs.copy() for f in state.fields()], state.t), record)
+    return Sample(_rebuild(state, [f.half.copy() for f in state.fields()], state.t), record)
 
 
 def step_count(t0: float, t_end: float, dt: float) -> int:
     """Number of steps of size dt from t0 to t_end.
 
     Raises ValueError unless dt is positive, both times are finite, and
-    t_end - t0 is a whole number of steps to within STEP_TOL relative.
+    t_end - t0 is a whole number n < 1 / (2 STEP_TOL) of steps to within
+    STEP_TOL relative (any larger n would pass that test vacuously).
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt: must be positive and finite, got {dt}")
@@ -140,7 +141,10 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
     if t_end < t0:
         raise ValueError(f"t_end={t_end} precedes initial time {t0}")
     n = (t_end - t0) / dt
-    if not math.isfinite(n) or abs(n - round(n)) > STEP_TOL * max(n, 1.0):
+    if n >= 0.5 / STEP_TOL:
+        raise ValueError(f"t_end: {t_end} is {n:.3g} steps of dt={dt} from t={t0}, "
+                         f"at or above the limit of {0.5 / STEP_TOL:.0e} steps")
+    if abs(n - round(n)) > STEP_TOL * max(n, 1.0):
         raise ValueError(f"t_end: {t_end} is not a whole number of dt={dt} steps from t={t0}")
     return int(round(n))
 
@@ -163,7 +167,7 @@ def run(s0, t_end: float, sample_every: int, *, tendency, enforce, decay, gain, 
         except BlowUpError as e:
             e.step_index = i
             raise
-        mid = [0.5 * (f.coeffs + g.coeffs) for f, g in zip(s.fields(), s_new.fields())]
+        mid = [0.5 * (f.half + g.half) for f, g in zip(s.fields(), s_new.fields())]
         diss += dt * dissipation_rate(_rebuild(s, mid, s.t))
         del mid  # a midpoint kept alive through the next step raises the peak memory by a state
         s = s_new

@@ -67,8 +67,8 @@ def surface_pressure(s: PehmState) -> tuple[SpectralField, float]:
     incompressibility and raises RuntimeError."""
     t, _ = _tendency(s)
     p_a, p_b = zero_field(s.grid), zero_field(s.grid)
-    p_a.coeffs[:, :, 0] = -1j * barotropic_potential(t[:2])
-    p_b.coeffs[:, :, 0] = -1j * barotropic_potential(t[2:])
+    p_a.half[:, :, 0] = -1j * barotropic_potential(t[:2])
+    p_b.half[:, :, 0] = -1j * barotropic_potential(t[2:])
     scale = l2_norm(p_a)
     rel = l2_norm(p_a - p_b) / scale if scale > 0 else 0.0
     if rel > PRESSURE_CONSISTENCY_TOL:
@@ -110,10 +110,13 @@ def run(
     t_end: float,
     sample_every: int = 1,
     advect: bool = True,
-) -> list[integrator.Sample]:
-    """Repeated stepping with diagnostics every sample_every steps."""
+    sample=integrator.keep_state,
+) -> list:
+    """Repeated stepping with diagnostics every sample_every steps; each
+    sample is ``sample(state, record)``, by default an ``integrator.Sample``."""
     return integrator.run(
         s0, t_end, sample_every, **_scheme(s0.grid, dt, advect),
         dissipation_rate=lambda s: pehm_dissipation_rate(s.a_h, s.b_h),
         record=_record,
+        sample=sample,
     )

@@ -9,8 +9,9 @@ exactly by the weighted Leray projection of the predictor and the new state.
 from dataclasses import dataclass
 
 from . import integrator
-from .constraints import EVEN_IN_Z, ODD_IN_Z, VectorState, anisotropic_leray_project, parity_project
-from .diagnostics import DiagnosticsRecord, shmhd_defects, shmhd_dissipation_rate, shmhd_energy
+from .constraints import (EVEN_IN_Z, ODD_IN_Z, VectorState, anisotropic_leray_project, divergence_defect,
+                          parity_defect, parity_project)
+from .diagnostics import DiagnosticsRecord, shmhd_dissipation_rate, shmhd_energy
 from .grid import normal_powers
 from .integrator import BlowUpError, elsasser_advection, imex_factors  # noqa: F401  (BlowUpError re-exported)
 
@@ -89,13 +90,12 @@ def _scheme(grid, p: ShmhdParams) -> dict:
 
 
 def _record(s: ElsasserState, p: ShmhdParams, diss_accum: float) -> DiagnosticsRecord:
-    par, div = shmhd_defects(s.a, s.b)
     return DiagnosticsRecord(
         t=s.t,
         e_l2=shmhd_energy(s.a, s.b, p.eps),
         dissipation_accum=diss_accum,
-        parity_defect=par,
-        div_defect=div,
+        parity_defect=max(parity_defect(f, c) for f, c in zip(s.fields(), PARITY)),
+        div_defect=max(divergence_defect(s.a), divergence_defect(s.b)),
     )
 
 

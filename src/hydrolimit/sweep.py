@@ -169,6 +169,13 @@ class PairResult:
     summary: PairSummary
 
 
+def record_row(cfg: SweepConfig, system: str, eps: float, r, d=None) -> RunRow:
+    """The runs.csv row of one sampled record, with its difference metrics ``d`` if any."""
+    diff = (None, None, None) if d is None else (d.d_l2, d.d_diss_accum, d.d_h1)
+    return RunRow(f"seed{cfg.seed}-eps{eps:g}-alpha{cfg.alpha:g}", system, eps, cfg.alpha,
+                  r.t, r.e_l2, r.dissipation_accum, *diff, r.parity_defect, r.div_defect)
+
+
 def initial_states(cfg: SweepConfig) -> tuple[ElsasserState, PehmState]:
     """Seed-deterministic shared initial data, lifted to both systems."""
     data = generate_initial_data(cfg.seed, cfg.spectrum, cfg.grid)
@@ -199,7 +206,6 @@ def run_pair(cfg: SweepConfig, eps: float, limit: list | None = None,
     sample, against the PEHM trajectory ``limit``; both are only read, and
     both are computed here (``sweep_inputs``) unless both are given."""
     params = ShmhdParams(eps=eps, alpha=cfg.alpha, dt=cfg.dt, t_end=cfg.t_end)
-    run_id = f"seed{cfg.seed}-eps{eps:g}-alpha{cfg.alpha:g}"
     try:
         if limit is None or s_eps0 is None:
             limit, s_eps0 = sweep_inputs(cfg)
@@ -218,18 +224,8 @@ def run_pair(cfg: SweepConfig, eps: float, limit: list | None = None,
     for rec, accum in zip(diffs, accums):
         rec.d_diss_accum = accum
 
-    rows: list[RunRow] = []
-    for r, rec in zip(records, diffs):
-        rows.append(
-            RunRow(run_id, "shmhd", eps, cfg.alpha, r.t, r.e_l2, r.dissipation_accum,
-                   rec.d_l2, rec.d_diss_accum, rec.d_h1, r.parity_defect, r.div_defect)
-        )
-    for sl in limit:
-        r = sl.record
-        rows.append(
-            RunRow(run_id, "pehm", eps, cfg.alpha, r.t, r.e_l2, r.dissipation_accum,
-                   None, None, None, r.parity_defect, r.div_defect)
-        )
+    rows = [record_row(cfg, "shmhd", eps, r, d) for r, d in zip(records, diffs)]
+    rows += [record_row(cfg, "pehm", eps, sl.record) for sl in limit]
 
     ledger = energy_ledger(records)
     summary = PairSummary(

@@ -14,23 +14,20 @@ from .constraints import (
     generate_initial_data,
     horizontal_divergence,
     parity_defect,
+    z_trace,
 )
 from .grid import GridSpec
 from .spectral import from_physical, l2_norm, partial_derivative, to_physical
 
-ROUND_TRIP_TOL = 1e-12
-DIV_TOL = 1e-10
-PARITY_TOL = 1e-10
-TRACE_TOL = 1e-11
 # each check of the battery and its tolerance, in report order
 TOLS = {
-    "transform round-trip": ROUND_TRIP_TOL,
+    "transform round-trip": 1e-12,
     "parseval": 1e-12,
-    "divergence": DIV_TOL,
-    "parity": PARITY_TOL,
-    "hydrostatic trace": TRACE_TOL,
-    "hydrostatic residual": TRACE_TOL,
-    "leray idempotence": DIV_TOL,
+    "divergence": 1e-10,
+    "parity": 1e-10,
+    "hydrostatic trace": 1e-11,
+    "hydrostatic residual": 1e-11,
+    "leray idempotence": 1e-10,
 }
 
 
@@ -64,16 +61,14 @@ def run_battery(grid: GridSpec, seeds, spectrum: SpectrumParams | None = None) -
         worst["transform round-trip"] = max(
             worst["transform round-trip"], float(np.max(np.abs(back - values))) / sup
         )
-        lattice_l2 = float(
-            np.sqrt(np.mean(values**2) * grid.volume)
-        )
+        lattice_l2 = float(np.sqrt(np.mean(values**2) * grid.volume))
         worst["parseval"] = max(worst["parseval"], abs(lattice_l2 - l2_norm(spec)) / lattice_l2)
 
         for g in (a, b):
             worst["divergence"] = max(worst["divergence"], divergence_defect(g) / scale)
             proj = anisotropic_leray_project(g, 0.1)
             delta = max(
-                float(np.max(np.abs(x.coeffs - y.coeffs)))
+                float(np.max(np.abs(x.half - y.half)))
                 for x, y in zip(proj.components(), g.components())
             )
             worst["leray idempotence"] = max(worst["leray idempotence"], delta / scale)
@@ -84,11 +79,11 @@ def run_battery(grid: GridSpec, seeds, spectrum: SpectrumParams | None = None) -
             worst["parity"] = max(worst["parity"], parity_defect(f_, ODD_IN_Z) / scale)
 
         for h, v in ((data.a_h, data.a3), (data.b_h, data.b3)):
-            trace = float(np.max(np.abs(np.sum(v.coeffs, axis=2))))
+            trace = float(np.max(np.abs(z_trace(v))))
             worst["hydrostatic trace"] = max(worst["hydrostatic trace"], trace / scale)
             resid = partial_derivative(v, "z") + horizontal_divergence(h)
             worst["hydrostatic residual"] = max(
-                worst["hydrostatic residual"], float(np.max(np.abs(resid.coeffs))) / scale
+                worst["hydrostatic residual"], float(np.max(np.abs(resid.half))) / scale
             )
 
     return [CheckResult(name, worst[name], tol) for name, tol in TOLS.items()]

@@ -96,3 +96,81 @@ def derivative_difference_metrics(s_eps, s_lim, eps: float, alpha: float) -> tup
     d_a = VectorState(horizontal[0], horizontal[1], vertical[0])
     d_b = VectorState(horizontal[2], horizontal[3], vertical[1])
     return d_l2, derivative_dissipation_rate(d_a, d_b, eps, alpha), d_h1
+
+
+# ---------------------------------------------------------------------------
+# full-layout references: the complex (n1, n2, n3) FFT-ordered storage, with
+# the arithmetic the operators had on it, as oracles for the half-spectrum
+
+def field_from_full(grid: GridSpec, c: np.ndarray) -> SpectralField:
+    """The half-spectrum field of a full FFT-ordered Hermitian coefficient array."""
+    return SpectralField(grid, c[:, :, : grid.n3 // 2 + 1].copy())
+
+
+def full_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full-layout derivative wavenumbers (kx, ky, kz), Nyquist modes zeroed."""
+    out = []
+    for n, scale, shape in ((grid.n1, 2 * np.pi / grid.l1, (-1, 1, 1)),
+                            (grid.n2, 2 * np.pi / grid.l2, (1, -1, 1)),
+                            (grid.n3, np.pi, (1, 1, -1))):
+        k = scale * np.fft.fftfreq(n, 1.0 / n)
+        k[n // 2] = 0.0
+        out.append(k.reshape(shape))
+    return tuple(out)
+
+
+def full_to_physical(grid: GridSpec, c: np.ndarray) -> np.ndarray:
+    return np.fft.ifftn(c * grid.npoints).real
+
+
+def full_from_physical(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    return np.fft.fftn(values) / grid.npoints
+
+
+def full_weighted_sums(grid: GridSpec, c: np.ndarray) -> tuple[float, float, float]:
+    """volume * sum w |c|^2 with w = 1, kx^2 + ky^2 and kz^2 over the full spectrum."""
+    kx, ky, kz = full_wavenumbers(grid)
+    p = np.abs(c) ** 2
+    return tuple(float(grid.volume * np.sum(w * p)) for w in (1.0, kx**2 + ky**2, kz**2))
+
+
+def full_l2_norm(grid: GridSpec, c: np.ndarray) -> float:
+    return float(np.sqrt(full_weighted_sums(grid, c)[0]))
+
+
+def full_parity_project(grid: GridSpec, c: np.ndarray, even: bool) -> np.ndarray:
+    refl = c[:, :, (-np.arange(grid.n3)) % grid.n3]
+    return 0.5 * (c + refl) if even else 0.5 * (c - refl)
+
+
+def full_leray_project(grid: GridSpec, comps, eps: float) -> list[np.ndarray]:
+    k = full_wavenumbers(grid)
+    div = sum(1j * kj * cj for kj, cj in zip(k, comps))
+    denom = -(k[0] ** 2 + k[1] ** 2 + k[2] ** 2 / eps**2)
+    phi = np.where(denom == 0.0, 0.0, div / np.where(denom == 0.0, 1.0, denom))
+    weights = (1.0, 1.0, 1.0 / eps**2)
+    return [cj - w * (1j * kj * phi) for cj, kj, w in zip(comps, k, weights)]
+
+
+def full_barotropic_project(grid: GridSpec, c1: np.ndarray, c2: np.ndarray) -> list[np.ndarray]:
+    kx, ky, _ = full_wavenumbers(grid)
+    kx, ky = kx[:, :, 0], ky[:, :, 0]
+    k2 = kx**2 + ky**2
+    phi = np.where(k2 == 0.0, 0.0, (kx * c1[:, :, 0] + ky * c2[:, :, 0]) / np.where(k2 == 0.0, 1.0, k2))
+    out = [c1.copy(), c2.copy()]
+    out[0][:, :, 0] -= kx * phi
+    out[1][:, :, 0] -= ky * phi
+    return out
+
+
+def full_hydrostatic_reconstruct(grid: GridSpec, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """v = -int_0^z div_H h with every vertical mode m3 != 0 divided by i pi m3
+    (the full-layout Nyquist mode -n3/2 included) and v(., 0) = 0."""
+    kx, ky, _ = full_wavenumbers(grid)
+    g = -(1j * kx * c1 + 1j * ky * c2)
+    kz = np.pi * np.fft.fftfreq(grid.n3, 1.0 / grid.n3)
+    inv_ikz = np.zeros(grid.n3, dtype=np.complex128)
+    inv_ikz[1:] = 1.0 / (1j * kz[1:])
+    v = g * inv_ikz
+    v[:, :, 0] = -np.sum(v[:, :, 1:], axis=2)
+    return v

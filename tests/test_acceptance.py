@@ -21,7 +21,7 @@ from hydrolimit.shmhd import run as shmhd_run
 from hydrolimit.spectral import SpectralField, l2_norm, zero_field
 from hydrolimit.sweep import SweepConfig, initial_states, run_sweep, sweep_csv_text
 from hydrolimit.verify import run_battery
-from conftest import field_from_lattice
+from conftest import field_from_full, field_from_lattice
 
 REFERENCE = dict(
     n1=32, n2=32, n3=32, eps_ladder=(0.2, 0.1, 0.05, 0.025),
@@ -175,9 +175,9 @@ def _band_limited_scalar(seed: int, grid: GridSpec, band: int = 5) -> SpectralFi
         for j, m2 in enumerate(range(-band, band + 1)):
             for k, m3 in enumerate(range(-band, band + 1)):
                 coeffs[m1 % grid.n1, m2 % grid.n2, m3 % grid.n3] = block[i, j, k]
-    r1, r2, r3 = grid.reflect_all_index
+    r1, r2, r3 = ((-np.arange(n)) % n for n in grid.shape)
     coeffs = 0.5 * (coeffs + np.conj(coeffs[np.ix_(r1, r2, r3)]))
-    return SpectralField(grid, coeffs)
+    return field_from_full(grid, coeffs)
 
 
 def test_criterion_8_trilinear_stability(capsys):

@@ -1,6 +1,11 @@
 """CLI subcommands, flags, exit codes, and emitted files."""
 
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -9,6 +14,7 @@ from hypothesis import strategies as st
 import hydrolimit.cli as cli_mod
 from hydrolimit.cli import EXIT_BLOWUP, EXIT_OK, EXIT_VALIDATION, main
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 TINY_CFG = (
     "n1 = 8\nn2 = 8\nn3 = 8\n"
     "alpha = 3.0\n"
@@ -64,6 +70,39 @@ class TestSimulate:
         )
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_BLOWUP
+
+    def test_enormous_t_end_exits_before_running(self, tmp_path):
+        # in a subprocess with a timeout: an unchecked run would never end
+        path = tmp_path / "huge.cfg"
+        path.write_text(TINY_CFG.replace("t_end = 0.02", "t_end = 1e300"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hydrolimit.cli", "simulate", "--config", str(path),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_VALIDATION
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: t_end:")
+
+    @pytest.mark.parametrize("system, n_fields", [("shmhd", 6), ("pehm", 4)])
+    def test_keeps_records_not_states(self, tmp_path, system, n_fields):
+        # 41 samples at 16^3: keeping each state would hold 41 of them; the
+        # bound is half of that, well above the working set of one step
+        path = tmp_path / "mem.cfg"
+        path.write_text(TINY_CFG.replace("= 8", "= 16").replace("t_end = 0.02", "t_end = 0.08")
+                        .replace("sample_every = 5", "sample_every = 1"))
+        state_bytes = n_fields * 16 * 16 * (16 // 2 + 1) * 16
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", str(path), "--system", system,
+                         "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert len((tmp_path / "o" / "runs.csv").read_text().splitlines()) == 1 + 41
+        assert peak < 0.5 * 41 * state_bytes
 
 
 class TestSweep:

@@ -216,7 +216,7 @@ class TestInitialData:
         f = d.a_h[0]
         phys = np.fft.ifftn(f.coeffs * grid8_2pi.npoints)
         assert np.max(np.abs(phys.imag)) < 1e-13
-        assert np.all(f.coeffs[~grid8_2pi.dealias_mask] == 0.0)
+        assert np.all(f.half[~grid8_2pi.dealias_mask] == 0.0)
 
     def test_zero_amplitude_gives_zero_state(self, grid8_2pi):
         d = generate_initial_data(65, SpectrumParams(amplitude=0.0), grid8_2pi)

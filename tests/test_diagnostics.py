@@ -165,7 +165,7 @@ class TestDifferenceMetrics:
         s_eps, s_lim = self._states(g, 81)
         c = 0.3
         bump = field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * y) * np.cos(np.pi * z))
-        s_eps.a.h1.coeffs += c * bump.coeffs
+        s_eps.a.h1.half += c * bump.half
         eps, alpha = 0.2, 3.5
         rec = difference_metrics(s_eps, s_lim, eps, alpha)
         n2 = 0.5 * c**2
@@ -186,7 +186,7 @@ class TestDifferenceMetrics:
         g = GridSpec(8, 8, 8, 1.0, 1.0)
         s_eps, s_lim = self._states(g, 83)
         bump = field_from_lattice(g, lambda x, y, z: np.sin(np.pi * z))
-        s_eps.a.v.coeffs += bump.coeffs
+        s_eps.a.v.half += bump.half
         rec_1 = difference_metrics(s_eps, s_lim, 0.1, 3.0)
         rec_2 = difference_metrics(s_eps, s_lim, 0.2, 3.0)
         assert rec_2.d_l2 == pytest.approx(4.0 * rec_1.d_l2, rel=1e-12)
@@ -221,7 +221,7 @@ class TestTrilinear:
         # and the implied constant is sqrt(2).
         g = GridSpec(8, 8, 8, 1.0, 1.0)
         one = zero_field(g)
-        one.coeffs[0, 0, 0] = 1.0
+        one.half[0, 0, 0] = 1.0
         rep = trilinear_check(one, one, one)
         assert rep.lhs == pytest.approx(4.0, rel=1e-12)
         assert rep.rhs_a == pytest.approx(2.0**1.5, rel=1e-12)

@@ -26,7 +26,6 @@ from hydrolimit.shmhd import (
     run,
 )
 from hydrolimit.spectral import (
-    SpectralField,
     anisotropic_poisson_solve,
     dealias,
     from_physical,
@@ -35,7 +34,7 @@ from hydrolimit.spectral import (
     to_physical,
     zero_field,
 )
-from conftest import assert_rel_close, convective_advection, field_from_lattice
+from conftest import assert_rel_close, convective_advection, field_from_full, field_from_lattice
 
 
 def seeded_state(grid, seed) -> ElsasserState:
@@ -65,7 +64,7 @@ class TestNonlinearTendency:
                         c[m1 % (2 * n), m2 % (2 * n), m3 % (2 * n)] = f.coeffs[
                             m1 % n, m2 % n, m3 % n
                         ]
-            return SpectralField(fine, c)
+            return field_from_full(fine, c)
 
         def restrict(f):
             c = np.zeros(grid.shape, dtype=np.complex128)
@@ -76,7 +75,7 @@ class TestNonlinearTendency:
                         c[m1 % n, m2 % n, m3 % n] = f.coeffs[
                             m1 % (2 * n), m2 % (2 * n), m3 % (2 * n)
                         ]
-            return SpectralField(grid, c)
+            return field_from_full(grid, c)
 
         def oracle(adv: VectorState, f):
             out = np.zeros(fine.shape)
@@ -107,7 +106,7 @@ class TestNonlinearTendency:
         # advection of f by a constant field w is -w . grad f exactly
         g = GridSpec(8, 8, 8, 1.0, 1.0)
         const = zero_field(g)
-        const.coeffs[0, 0, 0] = 2.0
+        const.half[0, 0, 0] = 2.0
         f = field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * x))
         s = ElsasserState(
             VectorState(f, zero_field(g), zero_field(g)),
@@ -213,7 +212,7 @@ class TestStepping:
     def test_blow_up_raises_with_step_index(self, grid8_2pi):
         s = seeded_state(grid8_2pi, 133)
         for f in (*s.a.components(), *s.b.components()):
-            f.coeffs *= 1e6  # violently unstable for this dt
+            f.half *= 1e6  # violently unstable for this dt
         p = ShmhdParams(eps=0.1, alpha=3.0, dt=0.05, t_end=1.0)
         with pytest.raises(BlowUpError) as exc_info:
             with pytest.warns(UserWarning, match="CFL"):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hydrolimit.grid import GridSpec
 from hydrolimit.spectral import (
-    SpectralField,
     anisotropic_poisson_solve,
     dealias,
     from_physical,
@@ -21,7 +20,7 @@ from hydrolimit.spectral import (
     to_physical,
     zero_field,
 )
-from conftest import field_from_lattice, random_real_field, random_spectral_field
+from conftest import field_from_full, field_from_lattice, random_real_field, random_spectral_field
 
 
 class TestGridSpec:
@@ -49,9 +48,10 @@ class TestGridSpec:
         assert g.dz == pytest.approx(0.5)
 
     def test_vertical_wavenumber_is_pi_times_mode(self, grid8):
-        # z-period fixed at 2 regardless of the horizontal box
+        # z-period fixed at 2 regardless of the horizontal box; the half-spectrum
+        # keeps the vertical modes 0, ..., n3/2, the last being the Nyquist mode
         assert grid8.kz.reshape(-1)[1] == pytest.approx(np.pi)
-        assert grid8.kz.reshape(-1)[-1] == pytest.approx(-np.pi)
+        assert grid8.kz.reshape(-1)[-1] == pytest.approx(np.pi * grid8.n3 / 2)
 
     def test_derivative_wavenumbers_zero_nyquist(self, grid8):
         assert grid8.kx_deriv[grid8.n1 // 2, 0, 0] == 0.0
@@ -100,7 +100,7 @@ class TestDerivatives:
 
     def test_derivative_of_constant_is_zero(self, grid8):
         f = zero_field(grid8)
-        f.coeffs[0, 0, 0] = 3.5
+        f.half[0, 0, 0] = 3.5
         for axis in ("x", "y", "z"):
             assert l2_norm(partial_derivative(f, axis)) == 0.0
 
@@ -119,8 +119,8 @@ class TestDealias:
     def test_keeps_low_modes_kills_high_modes(self):
         g = GridSpec(12, 12, 12, 1.0, 1.0)
         f = zero_field(g)
-        f.coeffs[3, 0, 0] = 1.0  # 3*|m| = 9 < 12, kept
-        f.coeffs[4, 0, 0] = 1.0  # 3*|m| = 12, removed: it would alias
+        f.half[3, 0, 0] = 1.0  # 3*|m| = 9 < 12, kept
+        f.half[4, 0, 0] = 1.0  # 3*|m| = 12, removed: it would alias
         out = dealias(f)
         assert out.coeffs[3, 0, 0] == 1.0
         assert out.coeffs[4, 0, 0] == 0.0
@@ -151,7 +151,7 @@ class TestDealias:
                         c[m1 % (2 * n), m2 % (2 * n), m3 % (2 * n)] = src.coeffs[
                             m1 % n, m2 % n, m3 % n
                         ]
-            return SpectralField(fine, c)
+            return field_from_full(fine, c)
 
         coarse = dealias(from_physical(g, to_physical(f) * to_physical(h)))
         exact = from_physical(fine, to_physical(lift(f)) * to_physical(lift(h)))
@@ -178,24 +178,24 @@ class TestAnisotropicPoisson:
 
     def test_residual_of_random_source(self, grid8_2pi):
         f = random_spectral_field(grid8_2pi, 7)
-        f.coeffs[0, 0, 0] = 0.0
+        f.half[0, 0, 0] = 0.0
         eps = 0.1
         phi = anisotropic_poisson_solve(f, eps)
         g = grid8_2pi
         op = -(g.kx_deriv**2 + g.ky_deriv**2 + g.kz_deriv**2 / eps**2)
-        resid = op * phi.coeffs - f.coeffs
+        resid = op * phi.half - f.half
         resid[op == 0.0] = 0.0  # modes outside the operator's range
         assert np.max(np.abs(resid)) < 1e-12 * np.max(np.abs(f.coeffs))
 
     def test_zero_mean_gauge(self, grid8):
         f = random_spectral_field(grid8, 8)
-        f.coeffs[0, 0, 0] = 0.0
+        f.half[0, 0, 0] = 0.0
         phi = anisotropic_poisson_solve(f, 0.5)
         assert phi.coeffs[0, 0, 0] == 0.0
 
     def test_incompatible_mean_source_raises(self, grid8):
         f = random_spectral_field(grid8, 9)
-        f.coeffs[0, 0, 0] = 1.0
+        f.half[0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="mean"):
             anisotropic_poisson_solve(f, 0.5)
 

@@ -12,7 +12,7 @@ import hydrolimit.sweep as sweep_mod
 from hydrolimit.constraints import VectorState
 from hydrolimit.pehm import diagnose_vertical
 from hydrolimit.pehm import run as pehm_run
-from hydrolimit.integrator import BlowUpError
+from hydrolimit.integrator import STEP_TOL, BlowUpError, step_count
 from hydrolimit.shmhd import ElsasserState
 from hydrolimit.shmhd import run as shmhd_run
 from hydrolimit.sweep import (
@@ -124,6 +124,17 @@ class TestConfigGrammar:
     def test_t_end_not_multiple_of_dt_rejected(self):
         with pytest.raises(ConfigError, match="t_end"):
             SweepConfig(dt=0.002, t_end=0.0105).validate()
+
+    def test_enormous_t_end_rejected(self):
+        # 5e302 steps: every such t_end looks like a whole number of steps
+        with pytest.raises(ConfigError, match="t_end"):
+            SweepConfig(dt=0.002, t_end=1e300).validate()
+
+    def test_step_count_bound_is_half_over_step_tol(self):
+        assert STEP_TOL == 1e-9  # so the first count refused is 5e8
+        assert step_count(0.0, 499_999_999.0, 1.0) == 499_999_999
+        with pytest.raises(ValueError, match="t_end"):
+            step_count(0.0, 500_000_000.0, 1.0)
 
 
 class TestRateFit:
