@@ -4,12 +4,9 @@ hydrostatic limit, with an aspect-ratio convergence-rate harness."""
 from .grid import GridSpec
 from .spectral import (
     SpectralField,
-    anisotropic_poisson_solve,
     dealias,
     from_physical,
-    load_snapshot,
     partial_derivative,
-    save_snapshot,
     to_physical,
 )
 from .constraints import (
@@ -41,8 +38,6 @@ from .sweep import RateFit, SweepConfig, load_config, run_pair, run_sweep, emit_
 __all__ = [
     "GridSpec", "SpectralField", "VectorState",
     "to_physical", "from_physical", "partial_derivative", "dealias",
-    "anisotropic_poisson_solve",
-    "save_snapshot", "load_snapshot",
     "EVEN_IN_Z", "ODD_IN_Z", "parity_project", "parity_defect",
     "anisotropic_leray_project", "hydrostatic_reconstruct", "barotropic_project",
     "SpectrumParams", "generate_initial_data",

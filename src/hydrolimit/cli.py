@@ -1,6 +1,7 @@
 """Command-line entry points: simulate, sweep, verify."""
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -10,7 +11,6 @@ from .shmhd import run as shmhd_run
 from .pehm import run as pehm_run
 from .sweep import (
     ConfigError,
-    SweepConfig,
     check_out_dir,
     emit_report,
     initial_states,
@@ -30,19 +30,10 @@ EXIT_BLOWUP = 3
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="path to a key = value config file")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--mode", choices=["l2", "h1"], default=None, help="override config mode")
-
-
-def _load(args) -> SweepConfig:
-    cfg = load_config(args.config)
-    if args.mode is not None:
-        cfg = SweepConfig(**{**cfg.__dict__, "mode": args.mode})
-        cfg.validate()
-    return cfg
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     eps = args.eps if args.eps is not None else cfg.eps_ladder[0]
     s_eps0, s_lim0 = initial_states(cfg)
     check_out_dir(args.out)
@@ -66,7 +57,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
+    if args.mode is not None:
+        cfg = dataclasses.replace(cfg, mode=args.mode)
+        cfg.validate()
     check_out_dir(args.out)
     result = run_sweep(cfg, jobs=args.jobs)
     emit_report(result, args.out)
@@ -80,7 +74,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     if args.states < 1:
         raise ValueError(f"--states: must be >= 1, got {args.states}")
     seeds = range(cfg.seed, cfg.seed + args.states)
@@ -108,11 +102,12 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="run the eps-ladder convergence-rate study")
     _add_common(p_sweep)
+    p_sweep.add_argument("--mode", choices=["l2", "h1"], default=None, help="override config mode")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers for sweep cells")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="constraint + invariant battery on seeded fixtures")
-    _add_common(p_verify)
+    p_verify.add_argument("--config", required=True, help="path to a key = value config file")
     p_verify.add_argument("--states", type=int, default=20, help="number of seeded states")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -10,7 +10,6 @@ import numpy as np
 from .grid import GridSpec
 from .spectral import (
     SpectralField,
-    anisotropic_poisson_solve,
     dealias,
     l2_norm,
     parseval_sum,
@@ -55,24 +54,51 @@ def parity_defect(f: SpectralField, cls: str) -> float:
     return l2_norm(f - parity_project(f, cls))
 
 
-def divergence(g: VectorState) -> SpectralField:
-    return horizontal_divergence((g.h1, g.h2)) + partial_derivative(g.v, "z")
+def k_dot(cs, z=slice(None)) -> np.ndarray:
+    """k . c = sum_j k_j c_j per mode on the vertical planes z, for components cs
+    along x, y (and z), over the Nyquist-zeroed derivative wavenumbers: the
+    spectral divergence i k . c without its factor i."""
+    grid = cs[0].grid
+    ks = (grid.kx_deriv, grid.ky_deriv, grid.kz_deriv)
+    out = ks[0][:, :, z] * cs[0].half[:, :, z]
+    for k, c in zip(ks[1:], cs[1:]):
+        out += k[:, :, z] * c.half[:, :, z]
+    return out
+
+
+def _solve(kc: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """kc / denom, and 0 where denom vanishes (modes every derivative annihilates)."""
+    kernel = denom == 0.0
+    phi = kc / np.where(kernel, 1.0, denom)
+    phi[kernel] = 0.0
+    return phi
 
 
 def divergence_defect(g: VectorState) -> float:
     """Max spectral divergence coefficient, for use against a state scale."""
-    return float(np.max(np.abs(divergence(g).half)))
+    return float(np.max(np.abs(k_dot(g.components()))))
+
+
+def leray_potential(g: VectorState, eps: float) -> np.ndarray:
+    """phi = k . c / (kx^2 + ky^2 + kz^2 / eps^2): the weighted Poisson solve whose
+    gradient (k_H phi, eps^-2 kz phi) is the gradient part of g, i.e. the
+    spectrum of (grad_H p, eps^-2 dz p) for the potential p = -i phi."""
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    grid = g.grid
+    return _solve(k_dot(g.components()), grid.kx_deriv**2 + grid.ky_deriv**2 + grid.kz_deriv**2 / eps**2)
 
 
 def anisotropic_leray_project(g: VectorState, eps: float) -> VectorState:
-    """Remove the gradient part (grad_H phi, eps^-2 dz phi) of the weighted
-    elliptic operator Delta_H + eps^-2 dzz, leaving zero discrete divergence."""
-    div = divergence(g)
-    phi = anisotropic_poisson_solve(div, eps)
+    """Remove the gradient part (grad_H p, eps^-2 dz p) of the weighted elliptic
+    operator Delta_H + eps^-2 dzz, c_j - w_j k_j phi with w = (1, 1, eps^-2),
+    leaving zero discrete divergence."""
+    grid = g.grid
+    phi = leray_potential(g, eps)
     return VectorState(
-        g.h1 - partial_derivative(phi, "x"),
-        g.h2 - partial_derivative(phi, "y"),
-        g.v - (1.0 / eps**2) * partial_derivative(phi, "z"),
+        SpectralField(grid, g.h1.half - grid.kx_deriv * phi),
+        SpectralField(grid, g.h2.half - grid.ky_deriv * phi),
+        SpectralField(grid, g.v.half - grid.kz_deriv * phi * (1.0 / eps**2)),
     )
 
 
@@ -96,34 +122,30 @@ def hydrostatic_reconstruct(h: tuple[SpectralField, SpectralField]) -> SpectralF
     the reconstruction is not z-periodic.
     """
     grid = h[0].grid
-    source = -1.0 * horizontal_divergence(h)
-    g = source.half
-    scale = float(np.sqrt(parseval_sum(source)))
-    mean_defect = float(np.max(np.abs(g[:, :, 0])))
+    kc = k_dot(h)  # the source -div_H h is -i kc
+    scale = float(np.sqrt(parseval_sum(SpectralField(grid, kc))))
+    mean_defect = float(np.max(np.abs(kc[:, :, 0])))
     if scale > 0 and mean_defect > 1e-10 * scale:
         raise ValueError(
             f"barotropic precondition violated: z-mean divergence defect {mean_defect:.3e} "
             f"exceeds 1e-10 of source scale {scale:.3e}"
         )
+    # dz v = -i kc, so v = -kc / kz on every plane kz != 0
     kz = grid.kz.reshape(-1)
-    inv_ikz = np.zeros(kz.size, dtype=np.complex128)
-    inv_ikz[1:] = 1.0 / (1j * kz[1:])
-    v = SpectralField(grid, g * inv_ikz)
+    minus_inv_kz = np.zeros(kz.size)
+    minus_inv_kz[1:] = -1.0 / kz[1:]
+    v = SpectralField(grid, kc * minus_inv_kz)
     # kz = 0 mode (zero so far) fixed by the trace condition v(x, y, 0) = 0
     v.half[:, :, 0] = -z_trace(v)
     return v
 
 
 def barotropic_potential(h: tuple[SpectralField, SpectralField]) -> np.ndarray:
-    """phi = (kx h1 + ky h2) / |k_H|^2 on the kz = 0 plane (0 where |k_H| = 0): the 2D
-    Poisson solve whose gradient i k_H phi is the gradient part of the vertical mean of h."""
+    """phi = k_H . h / |k_H|^2 on the kz = 0 plane (0 where |k_H| = 0): the
+    ``leray_potential`` restricted to kz = 0, where eps drops out; k_H phi, the
+    spectrum of grad_H p for p = -i phi, is the gradient part of the vertical mean of h."""
     grid = h[0].grid
-    kx = grid.kx_deriv[:, :, 0]
-    ky = grid.ky_deriv[:, :, 0]
-    k2 = kx**2 + ky**2
-    k2safe = np.where(k2 == 0.0, 1.0, k2)
-    divh = kx * h[0].half[:, :, 0] + ky * h[1].half[:, :, 0]
-    return np.where(k2 == 0.0, 0.0, divh / k2safe)
+    return _solve(k_dot(h, 0), grid.kx_deriv[:, :, 0] ** 2 + grid.ky_deriv[:, :, 0] ** 2)
 
 
 def barotropic_project(
@@ -142,8 +164,7 @@ def barotropic_project(
 
 def barotropic_defect(h: tuple[SpectralField, SpectralField]) -> float:
     """Max coefficient of div_H of the vertical mean of h."""
-    d = horizontal_divergence(h)
-    return float(np.max(np.abs(d.half[:, :, 0])))
+    return float(np.max(np.abs(k_dot(h, 0))))
 
 
 @dataclass

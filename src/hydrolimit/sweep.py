@@ -76,6 +76,8 @@ class SweepConfig:
             raise ConfigError(str(e)) from None
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        if self.amplitude != 0 and not normal_powers(abs(self.amplitude), 2):
+            raise ConfigError(f"amplitude: must be 0 or have amplitude**2 a normal float, got {self.amplitude}")
         if not normal_powers(self.m0, 2):
             raise ConfigError(f"m0: must be positive with m0**2 a normal float, got {self.m0}")
         if self.sample_every < 1:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hydrolimit.constraints import VectorState, hydrostatic_reconstruct
+from hydrolimit.constraints import VectorState, horizontal_divergence, hydrostatic_reconstruct, leray_potential, z_trace
 from hydrolimit.grid import GridSpec
 from hydrolimit.spectral import (
     SpectralField,
@@ -33,6 +33,14 @@ def random_real_field(grid: GridSpec, seed: int) -> np.ndarray:
 
 def random_spectral_field(grid: GridSpec, seed: int) -> SpectralField:
     return from_physical(grid, random_real_field(grid, seed))
+
+
+def random_vector(grid: GridSpec, seed: int) -> VectorState:
+    return VectorState(
+        random_spectral_field(grid, seed),
+        random_spectral_field(grid, seed + 1),
+        random_spectral_field(grid, seed + 2),
+    )
 
 
 def field_from_lattice(grid: GridSpec, func) -> SpectralField:
@@ -173,4 +181,55 @@ def full_hydrostatic_reconstruct(grid: GridSpec, c1: np.ndarray, c2: np.ndarray)
     inv_ikz[1:] = 1.0 / (1j * kz[1:])
     v = g * inv_ikz
     v[:, :, 0] = -np.sum(v[:, :, 1:], axis=2)
+    return v
+
+
+# ---------------------------------------------------------------------------
+# derivative-chain references: the incompressibility arithmetic built from
+# spectral derivative fields and a Poisson solve of the divergence, as bitwise
+# oracles for the k . c kernel of ``constraints``
+
+def chain_divergence(g: VectorState) -> SpectralField:
+    return horizontal_divergence((g.h1, g.h2)) + partial_derivative(g.v, "z")
+
+
+def chain_poisson_solve(rhs: SpectralField, eps: float) -> SpectralField:
+    """(Delta_H + eps^-2 dzz) phi = rhs with phi = 0 on the modes every derivative annihilates."""
+    g = rhs.grid
+    denom = -(g.kx_deriv**2 + g.ky_deriv**2 + g.kz_deriv**2 / eps**2)
+    kernel = denom == 0.0
+    phi = rhs.half / np.where(kernel, 1.0, denom)
+    phi[kernel] = 0.0
+    return SpectralField(g, phi)
+
+
+def chain_leray_project(g: VectorState, eps: float) -> VectorState:
+    phi = chain_poisson_solve(chain_divergence(g), eps)
+    return VectorState(
+        g.h1 - partial_derivative(phi, "x"),
+        g.h2 - partial_derivative(phi, "y"),
+        g.v - (1.0 / eps**2) * partial_derivative(phi, "z"),
+    )
+
+
+def poisson_potential(g: VectorState, eps: float) -> SpectralField:
+    """The zero-mean solution p of (Delta_H + eps^-2 dzz) p = div g: -i times
+    the kernel's ``leray_potential``, as ``chain_poisson_solve`` returns it."""
+    return SpectralField(g.grid, -1j * leray_potential(g, eps))
+
+
+def chain_barotropic_defect(h) -> float:
+    """Max kz = 0 coefficient of the full-grid div_H h."""
+    return float(np.max(np.abs(horizontal_divergence(h).half[:, :, 0])))
+
+
+def chain_hydrostatic_reconstruct(h) -> SpectralField:
+    """v = source / (i kz) from the source -div_H h, with v(x, y, 0) = 0."""
+    grid = h[0].grid
+    source = (-1.0 * horizontal_divergence(h)).half
+    kz = grid.kz.reshape(-1)
+    inv_ikz = np.zeros(kz.size, dtype=np.complex128)
+    inv_ikz[1:] = 1.0 / (1j * kz[1:])
+    v = SpectralField(grid, source * inv_ikz)
+    v.half[:, :, 0] = -z_trace(v)
     return v

@@ -165,10 +165,13 @@ class TestValidationFailures:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
-    # a negative seed, an m0 whose square is not a normal float, and a box
-    # length whose spacing l1 / n1 rounds to zero (the CFL guard divided by it)
+    # a negative seed, an m0 whose square is not a normal float, a box length
+    # whose spacing l1 / n1 rounds to zero (the CFL guard divided by it), and an
+    # amplitude whose square overflows (the run blew up at step 0)
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    @pytest.mark.parametrize("line", ["seed = -1", "m0 = 0", "m0 = 1e-300", "l1 = 5e-324"])
+    @pytest.mark.parametrize(
+        "line", ["seed = -1", "m0 = 0", "m0 = 1e-300", "l1 = 5e-324", "amplitude = 1e160", "amplitude = -1e160"]
+    )
     def test_rejects_out_of_range_key(self, tmp_path, capsys, command, line):
         path = tmp_path / "bad.cfg"
         path.write_text(TINY_CFG + line + "\n")
@@ -180,8 +183,21 @@ class TestValidationFailures:
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_jobs_is_a_sweep_only_flag(self, tiny_cfg, tmp_path, command):
+        out = ["--out", str(tmp_path / "o")] if command == "simulate" else []
         with pytest.raises(SystemExit) as exc_info:
-            main([command, "--config", tiny_cfg, "--out", str(tmp_path / "o"), "--jobs", "2"])
+            main([command, "--config", tiny_cfg, *out, "--jobs", "2"])
+        assert exc_info.value.code == EXIT_VALIDATION
+
+    # --mode is read only by sweep, and verify writes no files
+    @pytest.mark.parametrize(
+        "command, flag", [("simulate", "--mode"), ("verify", "--mode"), ("verify", "--out")],
+        ids=["simulate-mode", "verify-mode", "verify-out"],
+    )
+    def test_flag_is_accepted_only_where_read(self, tiny_cfg, tmp_path, command, flag):
+        out = ["--out", str(tmp_path / "o")]
+        argv = [command, "--config", tiny_cfg, *(out if command == "simulate" else [])]
+        with pytest.raises(SystemExit) as exc_info:
+            main([*argv, *({"--mode": ["--mode", "h1"], "--out": out}[flag])])
         assert exc_info.value.code == EXIT_VALIDATION
 
     @pytest.mark.parametrize(
@@ -190,7 +206,8 @@ class TestValidationFailures:
         ids=["jobs0", "jobs-3", "states0", "states-1"],
     )
     def test_rejects_non_positive_count(self, tiny_cfg, tmp_path, capsys, argv):
-        code = main([*argv, "--config", tiny_cfg, "--out", str(tmp_path / "o")])
+        out = ["--out", str(tmp_path / "o")] if argv[0] == "sweep" else []
+        code = main([*argv, "--config", tiny_cfg, *out])
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
@@ -281,14 +298,15 @@ def _config_text(draw) -> str:
 def _flags(command: str):
     """Up to two valid flags of the subcommand, sometimes followed by one
     that is malformed, out of range or belongs to another subcommand."""
-    valid = [["--mode", "l2"], ["--mode", "h1"]] + {
+    valid = {
         "simulate": [["--system", "pehm"], ["--eps", "0.07"]],
-        "sweep": [["--jobs", "1"], ["--jobs", "2"]],
+        "sweep": [["--jobs", "1"], ["--jobs", "2"], ["--mode", "l2"], ["--mode", "h1"]],
         "verify": [["--states", "1"], ["--states", "3"]],
     }[command]
     bad = st.one_of(
-        st.sampled_from([["--mode", "x"], ["--bogus"], ["--jobs", "0"], ["--jobs", "x"], ["--jobs", "2"],
-                         ["--states", "0"], ["--states", "-1"], ["--system", "x"], ["--eps"]]),
+        st.sampled_from([["--mode", "x"], ["--mode", "h1"], ["--bogus"], ["--jobs", "0"], ["--jobs", "x"],
+                         ["--jobs", "2"], ["--states", "0"], ["--states", "-1"],
+                         ["--system", "x"], ["--eps"]]),
         _ANY_VALUE.map(lambda v: ["--eps", v]),
     )
     good = st.lists(st.sampled_from(valid), max_size=2)
@@ -308,7 +326,8 @@ def test_fuzzed_config_and_flags_exit_cleanly(tmp_path_factory, data, command, t
     out = work / "out"
     if out_blocked:
         out.write_text("a plain file occupies the output path")
-    argv = [command, "--config", str(cfg), "--out", str(out), *data.draw(_flags(command))]
+    out_flag = [] if command == "verify" else ["--out", str(out)]  # verify writes no files
+    argv = [command, "--config", str(cfg), *out_flag, *data.draw(_flags(command))]
     try:
         code = main(argv)
     except SystemExit as e:  # argparse rejects the flags

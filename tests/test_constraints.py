@@ -15,7 +15,6 @@ from hydrolimit.constraints import (
     anisotropic_leray_project,
     barotropic_defect,
     barotropic_project,
-    divergence,
     divergence_defect,
     generate_initial_data,
     horizontal_divergence,
@@ -25,15 +24,7 @@ from hydrolimit.constraints import (
 )
 from hydrolimit.grid import GridSpec
 from hydrolimit.spectral import l2_norm, to_physical, zero_field
-from conftest import field_from_lattice, random_spectral_field
-
-
-def random_vector(grid, seed):
-    return VectorState(
-        random_spectral_field(grid, seed),
-        random_spectral_field(grid, seed + 1),
-        random_spectral_field(grid, seed + 2),
-    )
+from conftest import field_from_lattice, random_spectral_field, random_vector
 
 
 class TestParity:

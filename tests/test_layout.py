@@ -1,7 +1,8 @@
 """The real-FFT half-spectrum layout against full-layout references: each
 operator on the stored half matches the same operator on the complex
 (n1, n2, n3) spectrum, on boxes with l1 != l2 and with the Nyquist planes of
-every axis populated."""
+every axis populated.  On the same boxes, every incompressibility operator
+built on the k . c kernel equals the derivative-chain arithmetic bit for bit."""
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from hydrolimit.constraints import (
     ODD_IN_Z,
     VectorState,
     anisotropic_leray_project,
+    barotropic_defect,
     barotropic_project,
+    divergence_defect,
     horizontal_divergence,
     hydrostatic_reconstruct,
+    leray_potential,
     parity_defect,
     parity_project,
     z_trace,
@@ -22,6 +26,11 @@ from hydrolimit.diagnostics import _weighted_sums
 from hydrolimit.grid import GridSpec
 from hydrolimit.spectral import from_physical, l2_norm, partial_derivative, to_physical
 from conftest import (
+    chain_barotropic_defect,
+    chain_divergence,
+    chain_hydrostatic_reconstruct,
+    chain_leray_project,
+    chain_poisson_solve,
     field_from_full,
     full_barotropic_project,
     full_from_physical,
@@ -130,6 +139,38 @@ class TestLayoutOracle:
         inner = slice(1, n // 2)
         assert_close(v.coeffs[:, :, inner], v_ref[:, :, inner])
         assert_close(v.coeffs[:, :, n // 2 + 1:], v_ref[:, :, n // 2 + 1:])
+
+
+@pytest.mark.parametrize("n", SIZES)
+class TestKernelOracle:
+    def test_leray_potential_is_i_times_the_poisson_solve(self, n):
+        g = VectorState(*(populated(n, 320 + i)[1] for i in range(3)))
+        for eps in (0.3, 0.05):
+            want = chain_poisson_solve(chain_divergence(g), eps).half
+            assert np.array_equal(-1j * leray_potential(g, eps), want)
+
+    def test_anisotropic_leray_project(self, n):
+        g = VectorState(*(populated(n, 323 + i)[1] for i in range(3)))
+        for eps in (0.3, 0.05):
+            got = anisotropic_leray_project(g, eps)
+            want = chain_leray_project(g, eps)
+            for x, y in zip(got.components(), want.components()):
+                assert np.array_equal(x.half, y.half)
+
+    def test_divergence_defect(self, n):
+        """Equal on a random state and on its projection, where only rounding remains."""
+        g = VectorState(*(populated(n, 326 + i)[1] for i in range(3)))
+        for state in (g, anisotropic_leray_project(g, 0.1)):
+            assert divergence_defect(state) == float(np.max(np.abs(chain_divergence(state).half)))
+
+    def test_barotropic_defect(self, n):
+        h = (populated(n, 329)[1], populated(n, 330)[1])
+        for pair in (h, barotropic_project(h)):
+            assert barotropic_defect(pair) == chain_barotropic_defect(pair)
+
+    def test_hydrostatic_reconstruct(self, n):
+        h = barotropic_project((populated(n, 331)[1], populated(n, 332)[1]))
+        assert np.array_equal(hydrostatic_reconstruct(h).half, chain_hydrostatic_reconstruct(h).half)
 
 
 def test_field_from_full_keeps_the_half():

@@ -1,5 +1,5 @@
-"""Transforms, spectral derivatives, dealiasing, the anisotropic elliptic
-solve, and the snapshot format."""
+"""Transforms, spectral derivatives, dealiasing, and the anisotropic elliptic
+solve behind the weighted Leray projection."""
 
 import math
 
@@ -8,19 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hydrolimit.constraints import VectorState, anisotropic_leray_project
 from hydrolimit.grid import GridSpec
 from hydrolimit.spectral import (
-    anisotropic_poisson_solve,
     dealias,
     from_physical,
     l2_norm,
-    load_snapshot,
     partial_derivative,
-    save_snapshot,
     to_physical,
     zero_field,
 )
-from conftest import field_from_full, field_from_lattice, random_real_field, random_spectral_field
+from conftest import (
+    chain_divergence,
+    field_from_full,
+    field_from_lattice,
+    poisson_potential,
+    random_real_field,
+    random_spectral_field,
+    random_vector,
+)
 
 
 class TestGridSpec:
@@ -165,22 +171,23 @@ class TestDealias:
 
 class TestAnisotropicPoisson:
     def test_single_mode_closed_form(self):
-        # (Delta_H + eps^-2 dzz) phi = sin(2 pi x) cos(pi z) on l1 = l2 = 1
+        # (Delta_H + eps^-2 dzz) phi = sin(2 pi x) cos(pi z) on l1 = l2 = 1, the
+        # divergence of h1 = -cos(2 pi x) cos(pi z) / (2 pi);
         # phi_hat scales by -1 / (4 pi^2 + pi^2 / eps^2); eps = 0.2 gives
         # denominator 4 pi^2 + 25 pi^2 = 29 pi^2.
         g = GridSpec(8, 8, 8, 1.0, 1.0)
-        rhs = field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * x) * np.cos(np.pi * z))
-        phi = anisotropic_poisson_solve(rhs, eps=0.2)
+        h1 = field_from_lattice(g, lambda x, y, z: -np.cos(2 * np.pi * x) * np.cos(np.pi * z) / (2 * np.pi))
+        phi = poisson_potential(VectorState(h1, zero_field(g), zero_field(g)), eps=0.2)
         expected = field_from_lattice(
             g, lambda x, y, z: -np.sin(2 * np.pi * x) * np.cos(np.pi * z) / (29 * np.pi**2)
         )
         assert np.max(np.abs(phi.coeffs - expected.coeffs)) < 1e-15
 
     def test_residual_of_random_source(self, grid8_2pi):
-        f = random_spectral_field(grid8_2pi, 7)
-        f.half[0, 0, 0] = 0.0
+        v = random_vector(grid8_2pi, 7)
+        f = chain_divergence(v)
         eps = 0.1
-        phi = anisotropic_poisson_solve(f, eps)
+        phi = poisson_potential(v, eps)
         g = grid8_2pi
         op = -(g.kx_deriv**2 + g.ky_deriv**2 + g.kz_deriv**2 / eps**2)
         resid = op * phi.half - f.half
@@ -188,51 +195,10 @@ class TestAnisotropicPoisson:
         assert np.max(np.abs(resid)) < 1e-12 * np.max(np.abs(f.coeffs))
 
     def test_zero_mean_gauge(self, grid8):
-        f = random_spectral_field(grid8, 8)
-        f.half[0, 0, 0] = 0.0
-        phi = anisotropic_poisson_solve(f, 0.5)
+        phi = poisson_potential(random_vector(grid8, 8), 0.5)
         assert phi.coeffs[0, 0, 0] == 0.0
 
-    def test_incompatible_mean_source_raises(self, grid8):
-        f = random_spectral_field(grid8, 9)
-        f.half[0, 0, 0] = 1.0
-        with pytest.raises(ValueError, match="mean"):
-            anisotropic_poisson_solve(f, 0.5)
-
     def test_nonpositive_eps_raises(self, grid8):
+        g = VectorState(zero_field(grid8), zero_field(grid8), zero_field(grid8))
         with pytest.raises(ValueError, match="eps"):
-            anisotropic_poisson_solve(zero_field(grid8), 0.0)
-
-
-class TestSnapshot:
-    def test_round_trip(self, tmp_path, grid8):
-        f = random_spectral_field(grid8, 12)
-        path = tmp_path / "field.bin"
-        save_snapshot(f, path)
-        g = load_snapshot(path)
-        assert g.grid == grid8
-        assert np.array_equal(g.coeffs, f.coeffs)
-
-    def test_header_layout(self, tmp_path):
-        g = GridSpec(4, 6, 8, 1.5, 2.5)
-        save_snapshot(zero_field(g), tmp_path / "f.bin")
-        raw = (tmp_path / "f.bin").read_bytes()
-        assert raw[:8] == b"HLIMFLD1"
-        assert len(raw) == 8 + 12 + 16 + 16 * g.npoints
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="magic"):
-            load_snapshot(path)
-
-    @pytest.mark.parametrize("cut", [16, 5, -3])
-    def test_payload_length_must_match_header(self, tmp_path, grid8, cut):
-        """A file truncated by whole or partial coefficients, or one with
-        trailing bytes (negative cut), is rejected by name."""
-        path = tmp_path / "field.bin"
-        save_snapshot(random_spectral_field(grid8, 13), path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-cut] if cut > 0 else raw + b"\x00" * -cut)
-        with pytest.raises(ValueError, match="header declares"):
-            load_snapshot(path)
+            anisotropic_leray_project(g, 0.0)

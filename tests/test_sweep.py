@@ -121,6 +121,18 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError, match=key):
             load_config(path)
 
+    @pytest.mark.parametrize("value", ["1e160", "-1e160", "1e-170"])
+    def test_amplitude_without_normal_square_rejected(self, tmp_path, value):
+        # amplitude**2, and with it the initial energy, overflows or underflows
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"amplitude = {value}\n")
+        with pytest.raises(ConfigError, match="amplitude"):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", [0.0, 0.1, -0.1, 1e8])
+    def test_amplitude_zero_or_with_normal_square_accepted(self, value):
+        SweepConfig(amplitude=value, **TINY).validate()
+
     def test_t_end_not_multiple_of_dt_rejected(self):
         with pytest.raises(ConfigError, match="t_end"):
             SweepConfig(dt=0.002, t_end=0.0105).validate()
