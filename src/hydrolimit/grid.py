@@ -115,12 +115,21 @@ class GridSpec:
         return self.kx**2 + self.ky**2
 
     @cached_property
+    def band(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The 2/3 band, the modes with 3*|m_i| < n_i on every axis, in the
+        half-spectrum: the FFT-order indices ``i1`` of its x modes and ``i2`` of
+        its y modes, and the count ``k3`` of its vertical modes 0, ..., k3 - 1.
+        ``half[i1[:, None], i2, :k3]`` is the band block."""
+        i1, i2, i3 = (np.flatnonzero(3 * np.abs(m.ravel()) < n)
+                      for m, n in ((self.modes1, self.n1), (self.modes2, self.n2), (self.modes3, self.n3)))
+        return i1, i2, i3.size
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
-        return (
-            (3 * np.abs(self.modes1) < self.n1)
-            & (3 * np.abs(self.modes2) < self.n2)
-            & (3 * np.abs(self.modes3) < self.n3)
-        )
+        i1, i2, k3 = self.band
+        mask = np.zeros(self.half_shape, dtype=bool)
+        mask[i1[:, None], i2, :k3] = True
+        return mask
 
     @cached_property
     def reflect_xy(self) -> tuple[np.ndarray, np.ndarray]:

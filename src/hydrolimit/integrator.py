@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
-from .spectral import SpectralField, from_physical, to_physical
+from .spectral import SpectralField, band_from_physical, band_to_physical, from_band
 
 CFL_LIMIT = 0.5
 STEP_TOL = 1e-9
@@ -44,27 +44,31 @@ def elsasser_advection(a, b, n_advected: int) -> tuple[list[SpectralField], floa
     vertical components enter only when those are advected.  The result is
     exact under the 2/3 rule while both fields stay in the dealiased band.
 
+    Every transform is band-limited (``band_to_physical``/``band_from_physical``):
+    a and b must be zero outside the 2/3 band, and their coefficients outside
+    it are ignored; the products k_j F(a_i b_j) are formed on the band block only.
+
     Returns the tendencies (a's first) and the largest physical velocity
     component, for the CFL guard.
     """
     grid = a[0].grid
-    a_phys = [to_physical(f) for f in a]
-    b_phys = [to_physical(f) for f in b]
+    a_phys = [band_to_physical(f) for f in a]
+    b_phys = [band_to_physical(f) for f in b]
     max_speed = max(float(np.max(np.abs(c))) for c in (*a_phys, *b_phys))
-    k = (grid.kx_deriv, grid.ky_deriv, grid.kz_deriv)
+    i1, i2, k3 = grid.band
+    k = (grid.kx_deriv[i1], grid.ky_deriv[:, i2], grid.kz_deriv[:, :, :k3])
     t_a = [0.0] * n_advected
     t_b = [0.0] * n_advected
     for i in range(3):
         for j in range(3):
             if i >= n_advected and j >= n_advected:
                 continue
-            prod = from_physical(grid, a_phys[i] * b_phys[j]).half
+            prod = band_from_physical(grid, a_phys[i] * b_phys[j])
             if i < n_advected:
                 t_a[i] = t_a[i] + k[j] * prod
             if j < n_advected:
                 t_b[j] = t_b[j] + k[i] * prod
-    mask = -1j * grid.dealias_mask
-    return [SpectralField(grid, mask * t) for t in (*t_a, *t_b)], max_speed
+    return [from_band(grid, -1j * t) for t in (*t_a, *t_b)], max_speed
 
 
 def imex_factors(lam, dt: float) -> dict:

@@ -1,4 +1,5 @@
-"""Spectral field carrier, the transform pair, and diagonal spectral operators.
+"""Spectral field carrier, the transform pair and its band-limited form for the
+nonlinear tendency, and diagonal spectral operators.
 
 Every field is real, so it keeps only its ``rfftn`` half-spectrum, with z the
 halved last axis; the modes -m3 it drops are c(m1, m2, -m3) = conj(c(-m1, -m2, m3)).
@@ -67,6 +68,45 @@ def to_physical(f: SpectralField) -> np.ndarray:
 def from_physical(grid: GridSpec, values: np.ndarray) -> SpectralField:
     """Real FFT of lattice values; coeff(0) carries the mean of the field."""
     return SpectralField(grid, np.fft.rfftn(values, norm="forward"))
+
+
+def band_to_physical(f: SpectralField) -> np.ndarray:
+    """``to_physical`` of a field that is zero outside the 2/3 band (``GridSpec.band``),
+    bit for bit: ``irfftn``'s three 1-D passes in its axis order (x, y, z),
+    skipping the lines that are all zero.  x runs on the band's (m2, m3) lines
+    only, y, in place, on its m3 planes only, and z on every (x, y) line.
+
+    Precondition: f is zero outside the band.  Coefficients outside the band
+    are ignored.
+    """
+    g = f.grid
+    i1, i2, k3 = g.band
+    lines = np.zeros((g.n1, i2.size, k3), dtype=np.complex128)
+    lines[i1] = f.half[i1[:, None], i2, :k3]
+    planes = np.zeros(g.half_shape, dtype=np.complex128)
+    planes[:, i2, :k3] = np.fft.ifft(lines, axis=0, norm="forward")
+    kept = planes[:, :, :k3]
+    np.fft.ifft(kept, axis=1, norm="forward", out=kept)
+    return np.fft.irfft(planes, n=g.n3, axis=2, norm="forward")
+
+
+def band_from_physical(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """The band block of ``dealias(from_physical(grid, values))``, bit for bit,
+    shaped (len(i1), len(i2), k3) for ``grid.band = (i1, i2, k3)``:
+    ``rfftn``'s 1-D passes in its axis order (z, y, x), each keeping only the
+    band's planes of its axis before the next pass transforms them."""
+    i1, i2, k3 = grid.band
+    planes = np.fft.rfft(values, axis=2, norm="forward")[:, :, :k3]
+    np.fft.fft(planes, axis=1, norm="forward", out=planes)
+    return np.fft.fft(planes[:, i2], axis=0, norm="forward")[i1]
+
+
+def from_band(grid: GridSpec, block: np.ndarray) -> SpectralField:
+    """The field whose band block is ``block`` and which is zero outside the band."""
+    i1, i2, k3 = grid.band
+    half = np.zeros(grid.half_shape, dtype=np.complex128)
+    half[i1[:, None], i2, :k3] = block
+    return SpectralField(grid, half)
 
 
 def partial_derivative(f: SpectralField, axis: str) -> SpectralField:

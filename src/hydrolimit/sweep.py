@@ -5,9 +5,7 @@ Config grammar: flat ``key = value`` lines, ``#`` comments, and repeated
 ``eps`` keys building the ladder.  Unknown keys are errors.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 import math
 import os
 
@@ -291,6 +289,44 @@ def _run_cell(cfg: SweepConfig, eps: float, inputs: tuple | None = None) -> Pair
         return _failed_cell(eps, _failure_status(e))
 
 
+def _pool_cells(cfg: SweepConfig, inputs: tuple, jobs: int) -> list[PairResult]:
+    """The ladder cells, run in a pool of ``jobs`` forked workers.
+
+    A worker that dies (killed, or exiting mid-cell) breaks its pool, and every
+    cell unfinished in that pool is lost with it; the finished ones are kept.
+    Each lost cell is rerun once, in a fresh pool of its own, so that a cell
+    that kills its worker again takes no other cell with it.  A cell that still
+    does not finish gets the status ``error:WorkerDied``.
+    """
+    # imported here: serial sweeps and plain imports of the CLI skip their cost
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    def attempt(ladder, workers: int) -> dict:
+        futures = {}
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share_inputs,
+                                 initargs=inputs) as pool:
+            for eps in ladder:
+                try:
+                    futures[eps] = pool.submit(_run_cell, cfg, eps)
+                except BrokenProcessPool:
+                    break
+        done = {}
+        for eps, future in futures.items():
+            try:
+                done[eps] = future.result()
+            except BrokenProcessPool:
+                pass
+        return done
+
+    cells = attempt(cfg.eps_ladder, jobs)
+    for eps in cfg.eps_ladder:
+        if eps not in cells:
+            cells.update(attempt([eps], 1))
+    return [cells[eps] if eps in cells else _failed_cell(eps, "error:WorkerDied")
+            for eps in cfg.eps_ladder]
+
+
 def sweep_errors(result_cells, mode: str) -> list[tuple[float, float]]:
     out = []
     for cell in result_cells:
@@ -316,9 +352,7 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
         cells = [_failed_cell(eps, _failure_status(e)) for eps in cfg.eps_ladder]
     else:
         if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs, initializer=_share_inputs,
-                                     initargs=inputs) as pool:
-                cells = list(pool.map(partial(_run_cell, cfg), cfg.eps_ladder))
+            cells = _pool_cells(cfg, inputs, jobs)
         else:
             cells = [_run_cell(cfg, eps, inputs) for eps in cfg.eps_ladder]
     cells.sort(key=lambda c: -c.eps)

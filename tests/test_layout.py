@@ -2,7 +2,9 @@
 operator on the stored half matches the same operator on the complex
 (n1, n2, n3) spectrum, on boxes with l1 != l2 and with the Nyquist planes of
 every axis populated.  On the same boxes, every incompressibility operator
-built on the k . c kernel equals the derivative-chain arithmetic bit for bit."""
+built on the k . c kernel equals the derivative-chain arithmetic bit for bit.
+Every solver state stays inside the 2/3 band, as the band-limited transforms
+of the nonlinear tendency require."""
 
 import numpy as np
 import pytest
@@ -24,7 +26,11 @@ from hydrolimit.constraints import (
 )
 from hydrolimit.diagnostics import _weighted_sums
 from hydrolimit.grid import GridSpec
+from hydrolimit.pehm import run as pehm_run
+from hydrolimit.shmhd import ShmhdParams
+from hydrolimit.shmhd import run as shmhd_run
 from hydrolimit.spectral import from_physical, l2_norm, partial_derivative, to_physical
+from hydrolimit.sweep import SweepConfig, initial_states
 from conftest import (
     chain_barotropic_defect,
     chain_divergence,
@@ -177,3 +183,31 @@ def test_field_from_full_keeps_the_half():
     g = box(16)
     f = random_spectral_field(g, 312)
     assert np.array_equal(field_from_full(g, f.coeffs).half, f.half)
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 16), (24, 16, 12)], ids=["16^3", "24x16x12"])
+class TestBandPrecondition:
+    """``elsasser_advection`` ignores coefficients outside the 2/3 band, so
+    every state it is given must be exactly zero there."""
+
+    @staticmethod
+    def outside(fields):
+        return [f.half[~f.grid.dealias_mask] for f in fields]
+
+    def test_shmhd_states(self, shape):
+        cfg = SweepConfig(*shape, l1=2.0, l2=3.0)
+        s0, _ = initial_states(cfg)
+        samples = shmhd_run(s0, ShmhdParams(eps=0.1, alpha=4.0, dt=cfg.dt, t_end=4 * cfg.dt))
+        assert len(samples) == 5
+        for sample in samples:
+            assert all(np.all(c == 0.0) for c in self.outside(sample.state.fields()))
+
+    def test_pehm_states_and_their_verticals(self, shape):
+        cfg = SweepConfig(*shape, l1=2.0, l2=3.0)
+        _, p0 = initial_states(cfg)
+        samples = pehm_run(p0, cfg.dt, 4 * cfg.dt)
+        assert len(samples) == 5
+        for sample in samples:
+            s = sample.state
+            verticals = [hydrostatic_reconstruct(s.a_h), hydrostatic_reconstruct(s.b_h)]
+            assert all(np.all(c == 0.0) for c in self.outside([*s.fields(), *verticals]))

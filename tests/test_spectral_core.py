@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from hydrolimit.constraints import VectorState, anisotropic_leray_project
 from hydrolimit.grid import GridSpec
 from hydrolimit.spectral import (
+    band_from_physical,
+    band_to_physical,
     dealias,
+    from_band,
     from_physical,
     l2_norm,
     partial_derivative,
@@ -119,6 +122,38 @@ class TestDerivatives:
         df = partial_derivative(f, "x")
         phys = np.fft.ifftn(df.coeffs * grid8.npoints)
         assert np.max(np.abs(phys.imag)) < 1e-12
+
+
+BAND_GRIDS = [GridSpec(8, 8, 8), GridSpec(24, 24, 24), GridSpec(32, 32, 32), GridSpec(16, 24, 8, 1.0, 3.0)]
+
+
+@pytest.mark.parametrize("g", BAND_GRIDS, ids=lambda g: "x".join(map(str, g.shape)))
+class TestBandTransforms:
+    """The band-limited pair skips the FFT lines the 2/3 rule leaves zero and
+    must equal the full transforms bit for bit (24 has 3 | n, and 16x24x8 a
+    different band on every axis)."""
+
+    def test_band_is_the_two_thirds_rule(self, g):
+        rule = ((3 * np.abs(g.modes1) < g.n1) & (3 * np.abs(g.modes2) < g.n2)
+                & (3 * np.abs(g.modes3) < g.n3))
+        assert np.array_equal(g.dealias_mask, rule)
+        i1, i2, k3 = g.band
+        assert g.dealias_mask.sum() == i1.size * i2.size * k3
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_inverse_equals_to_physical(self, g, seed):
+        f = dealias(random_spectral_field(g, seed))
+        assert np.array_equal(band_to_physical(f), to_physical(f))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_forward_equals_dealiased_from_physical(self, g, seed):
+        values = random_real_field(g, seed)
+        got = from_band(g, band_from_physical(g, values))
+        assert np.array_equal(got.half, dealias(from_physical(g, values)).half)
+
+    def test_inverse_ignores_modes_outside_the_band(self, g):
+        f = random_spectral_field(g, 2)
+        assert np.array_equal(band_to_physical(f), to_physical(dealias(f)))
 
 
 class TestDealias:

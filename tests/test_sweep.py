@@ -280,6 +280,41 @@ class TestRunSweep:
         emit_report(result, tmp_path / "report")
         assert f"0.1,nan,nan,{status}" in (tmp_path / "report" / "sweep.csv").read_text()
 
+    def test_dead_worker_fails_only_its_cell(self, monkeypatch, tmp_path):
+        """A pool worker that exits mid-cell, on its first attempt and on the
+        rerun, costs that cell alone; the report is still written."""
+        def dying_run(s0, params, *args, **kwargs):
+            if params.eps == 0.1:
+                os._exit(1)
+            return shmhd_run(s0, params, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "shmhd_run", dying_run)
+        cfg = SweepConfig(alpha=4.0, eps_ladder=(0.2, 0.1, 0.05), **TINY)
+        result = run_sweep(cfg, jobs=2)
+        assert [c.summary.status for c in result.cells] == ["ok", "error:WorkerDied", "ok"]
+        assert result.fit is not None
+        emit_report(result, tmp_path / "report")
+        assert "0.1,nan,nan,error:WorkerDied" in (tmp_path / "report" / "sweep.csv").read_text()
+
+    def test_worker_dying_once_is_rerun(self, monkeypatch, tmp_path):
+        """A worker that dies on a cell's first attempt only: the rerun
+        finishes it and the report matches the serial sweep byte for byte."""
+        cfg = SweepConfig(alpha=4.0, eps_ladder=(0.2, 0.1, 0.05), **TINY)
+        emit_report(run_sweep(cfg, jobs=1), tmp_path / "serial")
+        died = tmp_path / "died"
+
+        def dying_once(s0, params, *args, **kwargs):
+            if params.eps == 0.1 and not died.exists():
+                died.touch()
+                os._exit(1)
+            return shmhd_run(s0, params, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "shmhd_run", dying_once)
+        emit_report(run_sweep(cfg, jobs=2), tmp_path / "pool")
+        assert died.exists()
+        for name in ("sweep.csv", "runs.csv", "summary.txt"):
+            assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_initial_states_once_per_sweep(self, monkeypatch, tmp_path, jobs):
         """The seeded data is built once, in the parent, for the PEHM run and
