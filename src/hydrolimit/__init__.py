@@ -2,13 +2,7 @@
 hydrostatic limit, with an aspect-ratio convergence-rate harness."""
 
 from .grid import GridSpec
-from .spectral import (
-    SpectralField,
-    dealias,
-    from_physical,
-    partial_derivative,
-    to_physical,
-)
+from .spectral import SpectralField, from_physical, to_physical
 from .constraints import (
     EVEN_IN_Z,
     ODD_IN_Z,
@@ -37,7 +31,7 @@ from .sweep import RateFit, SweepConfig, load_config, run_pair, run_sweep, emit_
 
 __all__ = [
     "GridSpec", "SpectralField", "VectorState",
-    "to_physical", "from_physical", "partial_derivative", "dealias",
+    "to_physical", "from_physical",
     "EVEN_IN_Z", "ODD_IN_Z", "parity_project", "parity_defect",
     "anisotropic_leray_project", "hydrostatic_reconstruct", "barotropic_project",
     "SpectrumParams", "generate_initial_data",

@@ -8,15 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec
-from .spectral import (
-    SpectralField,
-    dealias,
-    l2_norm,
-    parseval_sum,
-    partial_derivative,
-    partner,
-    zero_field,
-)
+from .spectral import SpectralField, from_band, l2_norm, parseval_sum, partner, zero_field
 
 EVEN_IN_Z = "even_in_z"
 ODD_IN_Z = "odd_in_z"
@@ -56,10 +48,9 @@ def parity_defect(f: SpectralField, cls: str) -> float:
 
 def k_dot(cs, z=slice(None)) -> np.ndarray:
     """k . c = sum_j k_j c_j per mode on the vertical planes z, for components cs
-    along x, y (and z), over the Nyquist-zeroed derivative wavenumbers: the
-    spectral divergence i k . c without its factor i."""
+    along x, y (and z): the spectral divergence i k . c without its factor i."""
     grid = cs[0].grid
-    ks = (grid.kx_deriv, grid.ky_deriv, grid.kz_deriv)
+    ks = (grid.kx, grid.ky, grid.kz)
     out = ks[0][:, :, z] * cs[0].half[:, :, z]
     for k, c in zip(ks[1:], cs[1:]):
         out += k[:, :, z] * c.half[:, :, z]
@@ -67,7 +58,7 @@ def k_dot(cs, z=slice(None)) -> np.ndarray:
 
 
 def _solve(kc: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """kc / denom, and 0 where denom vanishes (modes every derivative annihilates)."""
+    """kc / denom, and 0 where denom vanishes (at the mean only)."""
     kernel = denom == 0.0
     phi = kc / np.where(kernel, 1.0, denom)
     phi[kernel] = 0.0
@@ -86,7 +77,7 @@ def leray_potential(g: VectorState, eps: float) -> np.ndarray:
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     grid = g.grid
-    return _solve(k_dot(g.components()), grid.kx_deriv**2 + grid.ky_deriv**2 + grid.kz_deriv**2 / eps**2)
+    return _solve(k_dot(g.components()), grid.k2h + grid.kz**2 / eps**2)
 
 
 def anisotropic_leray_project(g: VectorState, eps: float) -> VectorState:
@@ -96,14 +87,10 @@ def anisotropic_leray_project(g: VectorState, eps: float) -> VectorState:
     grid = g.grid
     phi = leray_potential(g, eps)
     return VectorState(
-        SpectralField(grid, g.h1.half - grid.kx_deriv * phi),
-        SpectralField(grid, g.h2.half - grid.ky_deriv * phi),
-        SpectralField(grid, g.v.half - grid.kz_deriv * phi * (1.0 / eps**2)),
+        SpectralField(grid, g.h1.half - grid.kx * phi),
+        SpectralField(grid, g.h2.half - grid.ky * phi),
+        SpectralField(grid, g.v.half - grid.kz * phi * (1.0 / eps**2)),
     )
-
-
-def horizontal_divergence(h: tuple[SpectralField, SpectralField]) -> SpectralField:
-    return partial_derivative(h[0], "x") + partial_derivative(h[1], "y")
 
 
 def z_trace(f: SpectralField) -> np.ndarray:
@@ -145,7 +132,7 @@ def barotropic_potential(h: tuple[SpectralField, SpectralField]) -> np.ndarray:
     ``leray_potential`` restricted to kz = 0, where eps drops out; k_H phi, the
     spectrum of grad_H p for p = -i phi, is the gradient part of the vertical mean of h."""
     grid = h[0].grid
-    return _solve(k_dot(h, 0), grid.kx_deriv[:, :, 0] ** 2 + grid.ky_deriv[:, :, 0] ** 2)
+    return _solve(k_dot(h, 0), grid.k2h[:, :, 0])
 
 
 def barotropic_project(
@@ -157,8 +144,8 @@ def barotropic_project(
     phi = barotropic_potential(h)
     c1 = h[0].half.copy()
     c2 = h[1].half.copy()
-    c1[:, :, 0] -= grid.kx_deriv[:, :, 0] * phi
-    c2[:, :, 0] -= grid.ky_deriv[:, :, 0] * phi
+    c1[:, :, 0] -= grid.kx[:, :, 0] * phi
+    c2[:, :, 0] -= grid.ky[:, :, 0] * phi
     return (SpectralField(grid, c1), SpectralField(grid, c2))
 
 
@@ -190,11 +177,11 @@ def _random_even_scalar(rng: np.random.Generator, grid: GridSpec, spectrum: Spec
     env = spectrum.amplitude * np.exp(-(grid.modes1**2 + grid.modes2**2 + m3**2) / spectrum.m0**2)
     c = c * env
     # real field: hermitian symmetrization coeff(-m) = conj(coeff(m)) of the
-    # full-layout draws, then the stored half
+    # full-layout draws, then its band block
     r3 = (-np.arange(grid.n3)) % grid.n3
     c = 0.5 * (c + np.conj(c[grid.reflect_xy][:, :, r3]))
-    f = dealias(SpectralField(grid, c[:, :, : grid.n3 // 2 + 1]))
-    return parity_project(f, EVEN_IN_Z)
+    i1, i2, k3 = grid.band
+    return parity_project(from_band(grid, c[i1[:, None], i2, :k3]), EVEN_IN_Z)
 
 
 def generate_initial_data(seed: int, spectrum: SpectrumParams, grid: GridSpec) -> InitialData:

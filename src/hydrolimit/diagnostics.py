@@ -13,21 +13,20 @@ from .spectral import SpectralField, l2_norm, to_physical
 
 def _weighted_sums(f: SpectralField) -> tuple[float, float, float]:
     """||f||^2, ||grad_H f||^2 and ||dz f||^2 as Parseval sums
-    volume * sum_k w(k) |c_k|^2 with w = 1, kx^2 + ky^2 and kz^2, built from
-    the Nyquist-zeroed derivative wavenumbers; over the stored half-spectrum
-    each weight also carries ``zweights``.  The weights are separable, so
-    |c|^2 is reduced to its (x, y) and z marginals before it is weighted."""
+    volume * sum_k w(k) |c_k|^2 with w = 1, kx^2 + ky^2 and kz^2; over the
+    stored half-spectrum each weight also carries ``zweights``.  The weights
+    are separable, so |c|^2 is reduced to its (x, y) and z marginals before it
+    is weighted."""
     g = f.grid
     # hypot is 4x faster here than squaring the strided .real and .imag views
     p = np.abs(f.half) ** 2
     # plain reductions, never BLAS (dot, vdot, @): OpenBLAS threads spin on the other core
     p_xy = 2.0 * p.sum(axis=2) - p[:, :, 0] - p[:, :, -1]  # the zweights sum over m3
     p_z = g.zweights * p.sum(axis=(0, 1))
-    w_h = g.kx_deriv[:, :, 0] ** 2 + g.ky_deriv[:, :, 0] ** 2
     return (
         g.volume * float(p_z.sum()),
-        g.volume * float(np.sum(w_h * p_xy)),
-        g.volume * float(np.sum(g.kz_deriv[0, 0] ** 2 * p_z)),
+        g.volume * float(np.sum(g.k2h[:, :, 0] * p_xy)),
+        g.volume * float(np.sum(g.kz[0, 0] ** 2 * p_z)),
     )
 
 

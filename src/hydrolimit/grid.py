@@ -28,8 +28,8 @@ class GridSpec:
 
     Tables follow the ``rfftn`` half-spectrum layout (n1, n2, n3//2 + 1): FFT
     mode order (0, 1, ..., n/2-1, -n/2, ..., -1) in x and y, and vertical modes
-    0, ..., n3/2 only.  Derivative wavenumbers zero the unpaired Nyquist modes
-    so differentiation preserves real-representability.
+    0, ..., n3/2 only.  Fields hold only the 2/3 band (``band``), which has no
+    Nyquist mode, so one wavenumber table per axis serves every derivative.
     """
 
     n1: int
@@ -99,18 +99,6 @@ class GridSpec:
         return np.pi * self.modes3.astype(np.float64)
 
     @cached_property
-    def kx_deriv(self) -> np.ndarray:
-        return np.where(self.modes1 == -(self.n1 // 2), 0.0, self.kx)
-
-    @cached_property
-    def ky_deriv(self) -> np.ndarray:
-        return np.where(self.modes2 == -(self.n2 // 2), 0.0, self.ky)
-
-    @cached_property
-    def kz_deriv(self) -> np.ndarray:
-        return np.where(self.modes3 == self.n3 // 2, 0.0, self.kz)
-
-    @cached_property
     def k2h(self) -> np.ndarray:
         return self.kx**2 + self.ky**2
 
@@ -123,13 +111,6 @@ class GridSpec:
         i1, i2, i3 = (np.flatnonzero(3 * np.abs(m.ravel()) < n)
                       for m, n in ((self.modes1, self.n1), (self.modes2, self.n2), (self.modes3, self.n3)))
         return i1, i2, i3.size
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        i1, i2, k3 = self.band
-        mask = np.zeros(self.half_shape, dtype=bool)
-        mask[i1[:, None], i2, :k3] = True
-        return mask
 
     @cached_property
     def reflect_xy(self) -> tuple[np.ndarray, np.ndarray]:

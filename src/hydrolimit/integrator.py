@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
-from .spectral import SpectralField, band_from_physical, band_to_physical, from_band
+from .spectral import SpectralField, band_from_physical, from_band, to_physical
 
 CFL_LIMIT = 0.5
 STEP_TOL = 1e-9
@@ -41,22 +41,19 @@ def elsasser_advection(a, b, n_advected: int) -> tuple[list[SpectralField], floa
     Both fields are divergence-free, so (b . grad) a_i = d_j(a_i b_j) and
     (a . grad) b_i = d_j(a_j b_i): each product a_i b_j is formed and
     transformed once and feeds both tendencies.  The products of the two
-    vertical components enter only when those are advected.  The result is
-    exact under the 2/3 rule while both fields stay in the dealiased band.
-
-    Every transform is band-limited (``band_to_physical``/``band_from_physical``):
-    a and b must be zero outside the 2/3 band, and their coefficients outside
-    it are ignored; the products k_j F(a_i b_j) are formed on the band block only.
+    vertical components enter only when those are advected.  Both fields hold
+    only band modes, so by the 2/3 rule each product aliases only onto modes
+    the forward transform drops, and k_j F(a_i b_j) is formed on the band block.
 
     Returns the tendencies (a's first) and the largest physical velocity
     component, for the CFL guard.
     """
     grid = a[0].grid
-    a_phys = [band_to_physical(f) for f in a]
-    b_phys = [band_to_physical(f) for f in b]
+    a_phys = [to_physical(f) for f in a]
+    b_phys = [to_physical(f) for f in b]
     max_speed = max(float(np.max(np.abs(c))) for c in (*a_phys, *b_phys))
     i1, i2, k3 = grid.band
-    k = (grid.kx_deriv[i1], grid.ky_deriv[:, i2], grid.kz_deriv[:, :, :k3])
+    k = (grid.kx[i1], grid.ky[:, i2], grid.kz[:, :, :k3])
     t_a = [0.0] * n_advected
     t_b = [0.0] * n_advected
     for i in range(3):

@@ -1,11 +1,16 @@
-"""Spectral field carrier, the transform pair and its band-limited form for the
-nonlinear tendency, and diagonal spectral operators.
+"""Spectral field carrier, the transform pair, and diagonal spectral operators.
 
 Every field is real, so it keeps only its ``rfftn`` half-spectrum, with z the
 halved last axis; the modes -m3 it drops are c(m1, m2, -m3) = conj(c(-m1, -m2, m3)).
 The forward transform divides by the lattice size, so coeff(0,0,0) is the
 mean of the field and Parseval reads integral |f|^2 dOmega = volume * sum
 |coeff|^2 over the full spectrum, = volume * sum zweights |coeff|^2 over the half.
+
+Field invariant: every ``SpectralField`` is zero outside the 2/3 band
+(``GridSpec.band``, the modes with 3*|m_i| < n_i on every axis).  The forward
+transform truncates to the band, the inverse reads only the band, and every
+operator maps band fields to band fields.  3*|m| < n excludes the unpaired
+Nyquist mode n/2 of each axis, so no field holds one.
 """
 
 from dataclasses import dataclass
@@ -61,24 +66,11 @@ def zero_field(grid: GridSpec) -> SpectralField:
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
-    """Real values on the collocation lattice x_j = j*l1/n1, etc."""
-    return np.fft.irfftn(f.half, s=f.grid.shape, axes=(0, 1, 2), norm="forward")
-
-
-def from_physical(grid: GridSpec, values: np.ndarray) -> SpectralField:
-    """Real FFT of lattice values; coeff(0) carries the mean of the field."""
-    return SpectralField(grid, np.fft.rfftn(values, norm="forward"))
-
-
-def band_to_physical(f: SpectralField) -> np.ndarray:
-    """``to_physical`` of a field that is zero outside the 2/3 band (``GridSpec.band``),
-    bit for bit: ``irfftn``'s three 1-D passes in its axis order (x, y, z),
-    skipping the lines that are all zero.  x runs on the band's (m2, m3) lines
-    only, y, in place, on its m3 planes only, and z on every (x, y) line.
-
-    Precondition: f is zero outside the band.  Coefficients outside the band
-    are ignored.
-    """
+    """Real values on the collocation lattice x_j = j*l1/n1, etc.: ``irfftn``'s
+    three 1-D passes in its axis order (x, y, z), skipping the lines that the
+    band leaves zero.  x runs on the band's (m2, m3) lines only, y, in place, on
+    its m3 planes only, and z on every (x, y) line.  Coefficients outside the
+    band are ignored."""
     g = f.grid
     i1, i2, k3 = g.band
     lines = np.zeros((g.n1, i2.size, k3), dtype=np.complex128)
@@ -90,11 +82,17 @@ def band_to_physical(f: SpectralField) -> np.ndarray:
     return np.fft.irfft(planes, n=g.n3, axis=2, norm="forward")
 
 
+def from_physical(grid: GridSpec, values: np.ndarray) -> SpectralField:
+    """The real FFT of lattice values, truncated to the band; coeff(0) carries
+    the mean of the field."""
+    return from_band(grid, band_from_physical(grid, values))
+
+
 def band_from_physical(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """The band block of ``dealias(from_physical(grid, values))``, bit for bit,
-    shaped (len(i1), len(i2), k3) for ``grid.band = (i1, i2, k3)``:
-    ``rfftn``'s 1-D passes in its axis order (z, y, x), each keeping only the
-    band's planes of its axis before the next pass transforms them."""
+    """The band block of the real FFT of lattice values, shaped
+    (len(i1), len(i2), k3) for ``grid.band = (i1, i2, k3)``: ``rfftn``'s 1-D
+    passes in its axis order (z, y, x), each keeping only the band's planes of
+    its axis before the next pass transforms them."""
     i1, i2, k3 = grid.band
     planes = np.fft.rfft(values, axis=2, norm="forward")[:, :, :k3]
     np.fft.fft(planes, axis=1, norm="forward", out=planes)
@@ -102,27 +100,11 @@ def band_from_physical(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 
 def from_band(grid: GridSpec, block: np.ndarray) -> SpectralField:
-    """The field whose band block is ``block`` and which is zero outside the band."""
+    """The field whose band block is ``block``."""
     i1, i2, k3 = grid.band
     half = np.zeros(grid.half_shape, dtype=np.complex128)
     half[i1[:, None], i2, :k3] = block
     return SpectralField(grid, half)
-
-
-def partial_derivative(f: SpectralField, axis: str) -> SpectralField:
-    """Spectral derivative along 'x', 'y' or 'z'."""
-    g = f.grid
-    try:
-        k = {"x": g.kx_deriv, "y": g.ky_deriv, "z": g.kz_deriv}[axis]
-    except KeyError:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
-    return SpectralField(g, 1j * k * f.half)
-
-
-def dealias(f: SpectralField) -> SpectralField:
-    """2/3-rule truncation: keep only modes with 3*|m_i| < n_i on every axis, so a
-    product of two kept fields aliases only onto removed modes."""
-    return SpectralField(f.grid, f.half * f.grid.dealias_mask)
 
 
 def parseval_sum(f: SpectralField) -> float:

@@ -2,7 +2,8 @@
 rate fitting, and CSV/SVG reporting.
 
 Config grammar: flat ``key = value`` lines, ``#`` comments, and repeated
-``eps`` keys building the ladder.  Unknown keys are errors.
+``eps`` keys building the ladder.  Unknown keys and any other repeated key
+are errors.
 """
 
 from dataclasses import dataclass, field
@@ -111,6 +112,8 @@ def load_config(path) -> SweepConfig:
             key, _, val = line.partition("=")
             key = key.strip()
             val = val.strip()
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
                 if key == "eps":
                     eps.append(float(val))
@@ -290,7 +293,9 @@ def _run_cell(cfg: SweepConfig, eps: float, inputs: tuple | None = None) -> Pair
 
 
 def _pool_cells(cfg: SweepConfig, inputs: tuple, jobs: int) -> list[PairResult]:
-    """The ladder cells, run in a pool of ``jobs`` forked workers.
+    """The ladder cells, run in a pool of ``jobs`` forked workers, or one per
+    cell if the ladder is shorter (a forking pool starts all its workers at
+    the first submit).
 
     A worker that dies (killed, or exiting mid-cell) breaks its pool, and every
     cell unfinished in that pool is lost with it; the finished ones are kept.
@@ -319,7 +324,7 @@ def _pool_cells(cfg: SweepConfig, inputs: tuple, jobs: int) -> list[PairResult]:
                 pass
         return done
 
-    cells = attempt(cfg.eps_ladder, jobs)
+    cells = attempt(cfg.eps_ladder, min(jobs, len(cfg.eps_ladder)))
     for eps in cfg.eps_ladder:
         if eps not in cells:
             cells.update(attempt([eps], 1))

@@ -3,16 +3,9 @@
 import numpy as np
 import pytest
 
-from hydrolimit.constraints import VectorState, horizontal_divergence, hydrostatic_reconstruct, leray_potential, z_trace
+from hydrolimit.constraints import VectorState, hydrostatic_reconstruct, leray_potential, z_trace
 from hydrolimit.grid import GridSpec
-from hydrolimit.spectral import (
-    SpectralField,
-    dealias,
-    from_physical,
-    l2_norm,
-    partial_derivative,
-    to_physical,
-)
+from hydrolimit.spectral import SpectralField, from_physical, l2_norm, to_physical
 
 
 @pytest.fixture
@@ -32,7 +25,61 @@ def random_real_field(grid: GridSpec, seed: int) -> np.ndarray:
 
 
 def random_spectral_field(grid: GridSpec, seed: int) -> SpectralField:
+    """A random field of the 2/3 band: the package forward of random lattice values."""
     return from_physical(grid, random_real_field(grid, seed))
+
+
+# ---------------------------------------------------------------------------
+# numpy references for the band-limited transform pair, and the derivative
+# arithmetic on the whole half-spectrum, Nyquist modes included
+
+def rfft_field(grid: GridSpec, values: np.ndarray) -> SpectralField:
+    """numpy's real FFT of lattice values, every mode kept (Nyquist planes too)."""
+    return SpectralField(grid, np.fft.rfftn(values, norm="forward"))
+
+
+def irfft_values(f: SpectralField) -> np.ndarray:
+    """numpy's inverse real FFT of every stored coefficient."""
+    return np.fft.irfftn(f.half, s=f.grid.shape, axes=(0, 1, 2), norm="forward")
+
+
+def populated_spectral_field(grid: GridSpec, seed: int) -> SpectralField:
+    """A random field with content on every mode, the Nyquist planes included."""
+    return rfft_field(grid, random_real_field(grid, seed))
+
+
+def band_mask(grid: GridSpec) -> np.ndarray:
+    """True on the half-spectrum modes of ``grid.band``."""
+    i1, i2, k3 = grid.band
+    mask = np.zeros(grid.half_shape, dtype=bool)
+    mask[i1[:, None], i2, :k3] = True
+    return mask
+
+
+def dealias(f: SpectralField) -> SpectralField:
+    """2/3-rule truncation of any field: keep only the modes of the band."""
+    return SpectralField(f.grid, f.half * band_mask(f.grid))
+
+
+def derivative_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half-spectrum (kx, ky, kz) with the unpaired Nyquist modes zeroed, so a
+    derivative of any real field stays real."""
+    return tuple(np.where(np.abs(m) == n // 2, 0.0, k) for m, n, k in
+                 ((grid.modes1, grid.n1, grid.kx), (grid.modes2, grid.n2, grid.ky),
+                  (grid.modes3, grid.n3, grid.kz)))
+
+
+def partial_derivative(f: SpectralField, axis: str) -> SpectralField:
+    """Spectral derivative along 'x', 'y' or 'z'."""
+    try:
+        k = dict(zip("xyz", derivative_wavenumbers(f.grid)))[axis]
+    except KeyError:
+        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
+    return SpectralField(f.grid, 1j * k * f.half)
+
+
+def horizontal_divergence(h: tuple[SpectralField, SpectralField]) -> SpectralField:
+    return partial_derivative(h[0], "x") + partial_derivative(h[1], "y")
 
 
 def random_vector(grid: GridSpec, seed: int) -> VectorState:
@@ -127,6 +174,12 @@ def full_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return tuple(out)
 
 
+def full_band_mask(grid: GridSpec) -> np.ndarray:
+    """True on the full-layout modes with 3*|m_i| < n_i on every axis."""
+    m1, m2, m3 = np.ix_(*(np.fft.fftfreq(n, 1.0 / n) for n in grid.shape))
+    return (3 * np.abs(m1) < grid.n1) & (3 * np.abs(m2) < grid.n2) & (3 * np.abs(m3) < grid.n3)
+
+
 def full_to_physical(grid: GridSpec, c: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(c * grid.npoints).real
 
@@ -195,12 +248,12 @@ def chain_divergence(g: VectorState) -> SpectralField:
 
 def chain_poisson_solve(rhs: SpectralField, eps: float) -> SpectralField:
     """(Delta_H + eps^-2 dzz) phi = rhs with phi = 0 on the modes every derivative annihilates."""
-    g = rhs.grid
-    denom = -(g.kx_deriv**2 + g.ky_deriv**2 + g.kz_deriv**2 / eps**2)
+    kx, ky, kz = derivative_wavenumbers(rhs.grid)
+    denom = -(kx**2 + ky**2 + kz**2 / eps**2)
     kernel = denom == 0.0
     phi = rhs.half / np.where(kernel, 1.0, denom)
     phi[kernel] = 0.0
-    return SpectralField(g, phi)
+    return SpectralField(rhs.grid, phi)
 
 
 def chain_leray_project(g: VectorState, eps: float) -> VectorState:

@@ -12,7 +12,10 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import hydrolimit.cli as cli_mod
+import hydrolimit.spectral as spectral_mod
 from hydrolimit.cli import EXIT_BLOWUP, EXIT_OK, EXIT_VALIDATION, main
+from hydrolimit.grid import GridSpec
+from hydrolimit.verify import run_battery
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 TINY_CFG = (
@@ -37,6 +40,21 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("PASS") == 7
         assert "FAIL" not in out
+
+    def test_battery_checks_the_solvers_transform_pair(self, monkeypatch):
+        """A fault planted in the forward transform the solvers use (one kept
+        x line zeroed) fails the round-trip and Parseval checks."""
+        forward = spectral_mod.band_from_physical
+
+        def faulty(grid, values):
+            block = forward(grid, values)
+            block[1] = 0.0
+            return block
+
+        monkeypatch.setattr(spectral_mod, "band_from_physical", faulty)
+        verdicts = {r.name: r.passed for r in run_battery(GridSpec(8, 8, 8), [7])}
+        assert not verdicts["transform round-trip"]
+        assert not verdicts["parseval"]
 
 
 class TestSimulate:
@@ -124,6 +142,11 @@ class TestValidationFailures:
     def test_missing_config(self, tmp_path):
         code = main(["sweep", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
+
+    def test_repeated_key(self, tiny_cfg, capsys):
+        Path(tiny_cfg).write_text(TINY_CFG + "dt = 0.004\n")
+        assert main(["verify", "--config", tiny_cfg]) == EXIT_VALIDATION
+        assert f"{tiny_cfg}:11: duplicate key 'dt'" in capsys.readouterr().err
 
     def test_malformed_config(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -17,14 +17,13 @@ from hydrolimit.constraints import (
     barotropic_project,
     divergence_defect,
     generate_initial_data,
-    horizontal_divergence,
     hydrostatic_reconstruct,
     parity_defect,
     parity_project,
 )
 from hydrolimit.grid import GridSpec
 from hydrolimit.spectral import l2_norm, to_physical, zero_field
-from conftest import field_from_lattice, random_spectral_field, random_vector
+from conftest import band_mask, field_from_lattice, random_spectral_field, random_vector
 
 
 class TestParity:
@@ -207,7 +206,7 @@ class TestInitialData:
         f = d.a_h[0]
         phys = np.fft.ifftn(f.coeffs * grid8_2pi.npoints)
         assert np.max(np.abs(phys.imag)) < 1e-13
-        assert np.all(f.half[~grid8_2pi.dealias_mask] == 0.0)
+        assert np.all(f.half[~band_mask(grid8_2pi)] == 0.0)
 
     def test_zero_amplitude_gives_zero_state(self, grid8_2pi):
         d = generate_initial_data(65, SpectrumParams(amplitude=0.0), grid8_2pi)

@@ -24,8 +24,8 @@ from hydrolimit.pehm import (
     run,
     surface_pressure,
 )
-from hydrolimit.spectral import l2_norm, partial_derivative, zero_field
-from conftest import assert_rel_close, convective_advection, field_from_lattice
+from hydrolimit.spectral import l2_norm, zero_field
+from conftest import assert_rel_close, convective_advection, field_from_lattice, partial_derivative
 
 
 def seeded_state(grid, seed) -> PehmState:

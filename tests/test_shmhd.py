@@ -24,15 +24,15 @@ from hydrolimit.shmhd import (
     nonlinear_tendency,
     run,
 )
-from hydrolimit.spectral import (
-    dealias,
-    from_physical,
-    l2_norm,
+from hydrolimit.spectral import from_physical, l2_norm, to_physical, zero_field
+from conftest import (
+    assert_rel_close,
+    convective_advection,
+    field_from_full,
+    field_from_lattice,
     partial_derivative,
-    to_physical,
-    zero_field,
+    poisson_potential,
 )
-from conftest import assert_rel_close, convective_advection, field_from_full, field_from_lattice, poisson_potential
 
 
 def seeded_state(grid, seed) -> ElsasserState:

@@ -1,5 +1,6 @@
-"""Transforms, spectral derivatives, dealiasing, and the anisotropic elliptic
-solve behind the weighted Leray projection."""
+"""The band-limited transform pair, the reference spectral derivatives,
+dealiasing, and the anisotropic elliptic solve behind the weighted Leray
+projection."""
 
 import math
 
@@ -10,26 +11,27 @@ from hypothesis import strategies as st
 
 from hydrolimit.constraints import VectorState, anisotropic_leray_project
 from hydrolimit.grid import GridSpec
-from hydrolimit.spectral import (
-    band_from_physical,
-    band_to_physical,
-    dealias,
-    from_band,
-    from_physical,
-    l2_norm,
-    partial_derivative,
-    to_physical,
-    zero_field,
-)
+from hydrolimit.spectral import band_from_physical, from_band, from_physical, l2_norm, to_physical, zero_field
 from conftest import (
+    band_mask,
     chain_divergence,
+    dealias,
     field_from_full,
     field_from_lattice,
+    irfft_values,
+    partial_derivative,
     poisson_potential,
+    populated_spectral_field,
     random_real_field,
     random_spectral_field,
     random_vector,
+    rfft_field,
 )
+
+
+def band_values(grid: GridSpec, seed: int) -> np.ndarray:
+    """Lattice values of a random field of the 2/3 band."""
+    return to_physical(random_spectral_field(grid, seed))
 
 
 class TestGridSpec:
@@ -62,9 +64,14 @@ class TestGridSpec:
         assert grid8.kz.reshape(-1)[1] == pytest.approx(np.pi)
         assert grid8.kz.reshape(-1)[-1] == pytest.approx(np.pi * grid8.n3 / 2)
 
-    def test_derivative_wavenumbers_zero_nyquist(self, grid8):
-        assert grid8.kx_deriv[grid8.n1 // 2, 0, 0] == 0.0
-        assert grid8.kz_deriv[0, 0, grid8.n3 // 2] == 0.0
+    @pytest.mark.parametrize("n", [4, 6, 8, 24, 32])
+    def test_band_holds_no_nyquist_mode(self, n):
+        # 3 * n/2 < n never holds, so kx, ky and kz need no Nyquist-zeroed copies
+        g = GridSpec(n, n, n)
+        i1, i2, k3 = g.band
+        assert n // 2 not in np.abs(g.modes1.ravel()[i1])
+        assert n // 2 not in np.abs(g.modes2.ravel()[i2])
+        assert k3 <= n // 2
 
 
 class TestTransforms:
@@ -74,12 +81,12 @@ class TestTransforms:
         assert spec.coeffs[0, 0, 0] == pytest.approx(np.mean(f))
 
     def test_round_trip(self, grid8):
-        f = random_real_field(grid8, 1)
+        f = band_values(grid8, 1)
         back = to_physical(from_physical(grid8, f))
         assert np.max(np.abs(back - f)) < 1e-12 * np.max(np.abs(f))
 
     def test_parseval_l2_norm(self, grid8):
-        f = random_real_field(grid8, 2)
+        f = band_values(grid8, 2)
         lattice = math.sqrt(np.mean(f**2) * grid8.volume)
         assert l2_norm(from_physical(grid8, f)) == pytest.approx(lattice, rel=1e-13)
 
@@ -87,12 +94,15 @@ class TestTransforms:
     @given(seed=st.integers(0, 10_000))
     def test_round_trip_property(self, seed):
         grid = GridSpec(8, 8, 8, 1.0, 1.0)
-        f = random_real_field(grid, seed)
+        f = band_values(grid, seed)
         back = to_physical(from_physical(grid, f))
         assert np.allclose(back, f, atol=1e-12)
 
 
 class TestDerivatives:
+    """The reference derivatives of ``conftest``, which the chain and
+    convective-form oracles build on."""
+
     def test_single_mode_x_derivative(self, grid8):
         f = field_from_lattice(grid8, lambda x, y, z: np.sin(2 * np.pi * x))
         df = to_physical(partial_derivative(f, "x"))
@@ -129,46 +139,46 @@ BAND_GRIDS = [GridSpec(8, 8, 8), GridSpec(24, 24, 24), GridSpec(32, 32, 32), Gri
 
 @pytest.mark.parametrize("g", BAND_GRIDS, ids=lambda g: "x".join(map(str, g.shape)))
 class TestBandTransforms:
-    """The band-limited pair skips the FFT lines the 2/3 rule leaves zero and
-    must equal the full transforms bit for bit (24 has 3 | n, and 16x24x8 a
-    different band on every axis)."""
+    """The pair skips the FFT lines the 2/3 rule leaves zero and must equal
+    numpy's full transforms of band fields bit for bit (24 has 3 | n, and
+    16x24x8 a different band on every axis)."""
 
     def test_band_is_the_two_thirds_rule(self, g):
         rule = ((3 * np.abs(g.modes1) < g.n1) & (3 * np.abs(g.modes2) < g.n2)
                 & (3 * np.abs(g.modes3) < g.n3))
-        assert np.array_equal(g.dealias_mask, rule)
+        assert np.array_equal(band_mask(g), rule)
         i1, i2, k3 = g.band
-        assert g.dealias_mask.sum() == i1.size * i2.size * k3
+        assert band_mask(g).sum() == i1.size * i2.size * k3
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_inverse_equals_to_physical(self, g, seed):
-        f = dealias(random_spectral_field(g, seed))
-        assert np.array_equal(band_to_physical(f), to_physical(f))
+        f = dealias(populated_spectral_field(g, seed))
+        assert np.array_equal(to_physical(f), irfft_values(f))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_forward_equals_dealiased_from_physical(self, g, seed):
         values = random_real_field(g, seed)
-        got = from_band(g, band_from_physical(g, values))
-        assert np.array_equal(got.half, dealias(from_physical(g, values)).half)
+        want = dealias(rfft_field(g, values)).half
+        assert np.array_equal(from_physical(g, values).half, want)
+        assert np.array_equal(from_band(g, band_from_physical(g, values)).half, want)
 
     def test_inverse_ignores_modes_outside_the_band(self, g):
-        f = random_spectral_field(g, 2)
-        assert np.array_equal(band_to_physical(f), to_physical(dealias(f)))
+        f = populated_spectral_field(g, 2)
+        assert np.array_equal(to_physical(f), irfft_values(dealias(f)))
 
 
 class TestDealias:
+    """The forward transform is the 2/3-rule truncation."""
+
     def test_keeps_low_modes_kills_high_modes(self):
         g = GridSpec(12, 12, 12, 1.0, 1.0)
-        f = zero_field(g)
-        f.half[3, 0, 0] = 1.0  # 3*|m| = 9 < 12, kept
-        f.half[4, 0, 0] = 1.0  # 3*|m| = 12, removed: it would alias
-        out = dealias(f)
-        assert out.coeffs[3, 0, 0] == 1.0
+        # 3*|m| = 9 < 12 is kept; 3*|m| = 12 is removed: it would alias
+        out = field_from_lattice(g, lambda x, y, z: np.cos(6 * np.pi * x) + np.cos(8 * np.pi * x))
+        assert out.coeffs[3, 0, 0] == pytest.approx(0.5, rel=1e-14)
         assert out.coeffs[4, 0, 0] == 0.0
 
     def test_idempotent(self, grid8):
-        f = random_spectral_field(grid8, 4)
-        once = dealias(f)
+        once = from_physical(grid8, random_real_field(grid8, 4))
         twice = dealias(once)
         assert np.array_equal(once.coeffs, twice.coeffs)
 
@@ -179,10 +189,10 @@ class TestDealias:
         and 3*M < n, wrapped product modes land outside the band (n = 24 has
         n divisible by 3, where |m| = n/3 must be removed)."""
         g = GridSpec(n, n, n, 1.0, 1.0)
-        band = int(np.max(np.abs(g.modes1.ravel()[g.dealias_mask[:, 0, 0]])))
+        band = int(np.max(np.abs(g.modes1.ravel()[g.band[0]])))
         fine = GridSpec(2 * n, 2 * n, 2 * n, 1.0, 1.0)
-        f = dealias(random_spectral_field(g, 5))
-        h = dealias(random_spectral_field(g, 6))
+        f = random_spectral_field(g, 5)
+        h = random_spectral_field(g, 6)
 
         def lift(src):
             c = np.zeros(fine.shape, dtype=np.complex128)
@@ -194,7 +204,7 @@ class TestDealias:
                         ]
             return field_from_full(fine, c)
 
-        coarse = dealias(from_physical(g, to_physical(f) * to_physical(h)))
+        coarse = from_physical(g, to_physical(f) * to_physical(h))
         exact = from_physical(fine, to_physical(lift(f)) * to_physical(lift(h)))
         for m1 in range(-band, band + 1):
             for m2 in range(-band, band + 1):
@@ -224,7 +234,7 @@ class TestAnisotropicPoisson:
         eps = 0.1
         phi = poisson_potential(v, eps)
         g = grid8_2pi
-        op = -(g.kx_deriv**2 + g.ky_deriv**2 + g.kz_deriv**2 / eps**2)
+        op = -(g.kx**2 + g.ky**2 + g.kz**2 / eps**2)
         resid = op * phi.half - f.half
         resid[op == 0.0] = 0.0  # modes outside the operator's range
         assert np.max(np.abs(resid)) < 1e-12 * np.max(np.abs(f.coeffs))

@@ -1,6 +1,7 @@
 """Sweep orchestration: config grammar, rate fitting, matched-pair plumbing,
 reporting, and cross-parallelism determinism."""
 
+import concurrent.futures
 import math
 import os
 from pathlib import Path
@@ -70,6 +71,13 @@ class TestConfigGrammar:
         path = tmp_path / "bad.cfg"
         path.write_text("dt = fast\n")
         with pytest.raises(ConfigError, match="bad value"):
+            load_config(path)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        """Only eps may repeat: a second dt would otherwise silently win."""
+        path = tmp_path / "dup.cfg"
+        path.write_text("dt = 0.002\neps = 0.2\neps = 0.1\neps = 0.05\ndt = 0.004\n")
+        with pytest.raises(ConfigError, match=r"dup\.cfg:5: duplicate key 'dt'"):
             load_config(path)
 
     def test_line_without_equals(self, tmp_path):
@@ -245,6 +253,39 @@ class TestRunSweep:
         assert runs_csv_text([r for c in serial.cells for r in c.rows]) == \
             runs_csv_text([r for c in parallel.cells for r in c.rows])
 
+
+    def test_pool_size_is_capped_by_the_ladder(self, monkeypatch):
+        """A forking pool starts all its workers at the first submit, so a
+        ``jobs`` above the ladder length must not reach it.  The pool here
+        runs each cell inline and starts no process."""
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(sweep_mod, "_pool_inputs", sweep_mod._pool_inputs)
+        cfg = SweepConfig(alpha=4.0, eps_ladder=(0.2, 0.1, 0.05, 0.025), **TINY)
+        serial = run_sweep(cfg, jobs=1)
+        pooled = run_sweep(cfg, jobs=10**6)
+        assert sizes and max(sizes) <= 4
+        for text in (sweep_csv_text, summary_text):
+            assert text(pooled) == text(serial)
+        assert runs_csv_text([r for c in pooled.cells for r in c.rows]) == \
+            runs_csv_text([r for c in serial.cells for r in c.rows])
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_pehm_runs_once_per_sweep(self, monkeypatch, tmp_path, jobs):
