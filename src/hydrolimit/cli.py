@@ -5,7 +5,6 @@ import dataclasses
 import os
 import sys
 
-from .constraints import SpectrumParams
 from .shmhd import BlowUpError, ShmhdParams
 from .shmhd import run as shmhd_run
 from .pehm import run as pehm_run
@@ -78,7 +77,7 @@ def cmd_verify(args) -> int:
     if args.states < 1:
         raise ValueError(f"--states: must be >= 1, got {args.states}")
     seeds = range(cfg.seed, cfg.seed + args.states)
-    results = run_battery(cfg.grid, seeds, SpectrumParams(cfg.amplitude, cfg.m0))
+    results = run_battery(cfg.grid, seeds, cfg.spectrum)
     ok = True
     for r in results:
         verdict = "PASS" if r.passed else "FAIL"
@@ -114,7 +113,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as e:
+    except (ConfigError, ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec
-from .spectral import SpectralField, from_band, l2_norm, parseval_sum, partner, zero_field
+from .spectral import SpectralField, from_band, l2_norm, parseval_sum, partner
 
 EVEN_IN_Z = "even_in_z"
 ODD_IN_Z = "odd_in_z"
@@ -162,14 +162,6 @@ class SpectrumParams:
     m0: float = 2.5
 
 
-@dataclass
-class InitialData:
-    a_h: tuple[SpectralField, SpectralField]
-    b_h: tuple[SpectralField, SpectralField]
-    a3: SpectralField
-    b3: SpectralField
-
-
 def _random_even_scalar(rng: np.random.Generator, grid: GridSpec, spectrum: SpectrumParams) -> SpectralField:
     shape = grid.shape
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -184,14 +176,13 @@ def _random_even_scalar(rng: np.random.Generator, grid: GridSpec, spectrum: Spec
     return parity_project(from_band(grid, c[i1[:, None], i2, :k3]), EVEN_IN_Z)
 
 
-def generate_initial_data(seed: int, spectrum: SpectrumParams, grid: GridSpec) -> InitialData:
-    """Deterministic band-limited, even-in-z, barotropically projected data
-    with vertical components reconstructed hydrostatically."""
+def generate_initial_data(seed: int, spectrum: SpectrumParams, grid: GridSpec) -> tuple[VectorState, VectorState]:
+    """Deterministic band-limited, even-in-z, barotropically projected
+    horizontal pairs A and B with vertical components reconstructed
+    hydrostatically."""
     rng = np.random.default_rng(seed)
     a_h = (_random_even_scalar(rng, grid, spectrum), _random_even_scalar(rng, grid, spectrum))
     b_h = (_random_even_scalar(rng, grid, spectrum), _random_even_scalar(rng, grid, spectrum))
     a_h = barotropic_project(a_h)
     b_h = barotropic_project(b_h)
-    if spectrum.amplitude == 0.0:
-        return InitialData(a_h, b_h, zero_field(grid), zero_field(grid))
-    return InitialData(a_h, b_h, hydrostatic_reconstruct(a_h), hydrostatic_reconstruct(b_h))
+    return VectorState(*a_h, hydrostatic_reconstruct(a_h)), VectorState(*b_h, hydrostatic_reconstruct(b_h))

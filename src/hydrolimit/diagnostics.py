@@ -127,7 +127,7 @@ class DiffRecord:
     d_h1: float
 
 
-def difference_metrics(s_eps, s_lim, eps: float, alpha: float, d_diss_accum: float = 0.0) -> DiffRecord:
+def difference_metrics(s_eps, s_lim, eps: float, alpha: float) -> DiffRecord:
     """Weighted norms of the difference between an SHMHD state and a PEHM
     state with diagnosed vertical components: the vertical parts carry the
     eps weights of the energy functional."""
@@ -140,7 +140,7 @@ def difference_metrics(s_eps, s_lim, eps: float, alpha: float, d_diss_accum: flo
                                         (*s_lim.a_h, *s_lim.b_h)))
     vertical = (v - hydrostatic_reconstruct(h) for v, h in ((s_eps.a.v, s_lim.a_h), (s_eps.b.v, s_lim.b_h)))
     d_l2, d_diss_rate, d_h1 = _weighted_totals(horizontal, vertical, eps, alpha)
-    return DiffRecord(s_eps.t, d_l2, d_diss_rate, d_diss_accum, d_h1)
+    return DiffRecord(s_eps.t, d_l2, d_diss_rate, 0.0, d_h1)  # d_diss_accum: summed over a trajectory
 
 
 # ---------------------------------------------------------------------------

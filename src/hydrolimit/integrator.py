@@ -2,7 +2,7 @@
 
 Diffusion is implicit-trapezoidal; advection is a Heun (explicit trapezoidal)
 predictor-corrector.  A system supplies its tendency, its constraint
-enforcement, the IMEX factors of its diffusion symbol (built once per run) and
+enforcement, its diffusion symbol (whose IMEX factors ``run`` builds once) and
 its dissipation rate.  Constraints are enforced on the predictor and on the
 new state, not on the tendencies: every projection commutes with the diagonal
 diffusion factor (Leray and barotropic projections act mode by mode; parity
@@ -68,16 +68,6 @@ def elsasser_advection(a, b, n_advected: int) -> tuple[list[SpectralField], floa
     return [from_band(grid, -1j * t) for t in (*t_a, *t_b)], max_speed
 
 
-def imex_factors(lam, dt: float) -> dict:
-    """The per-mode factors of one IMEX step with diffusion symbol lam, as the
-    ``decay`` and ``gain`` keywords of ``imex_heun`` and ``run``: a field c
-    with advection tendencies t1, t2 becomes decay * c + gain * (t1 + t2),
-    where decay = (1 - h lam) / (1 + h lam), gain = h / (1 + h lam), h = dt/2."""
-    h = 0.5 * dt
-    denom = 1.0 + h * lam
-    return dict(decay=(1.0 - h * lam) / denom, gain=h / denom)
-
-
 def _rebuild(like, arrays, t):
     return type(like).from_fields([SpectralField(like.grid, c) for c in arrays], t)
 
@@ -93,8 +83,10 @@ def imex_heun(s, tendency, enforce, decay, gain, dt: float):
 
     ``tendency(state)`` returns the advection tendencies, one per field, and
     the largest velocity component; ``None`` steps the diffusion alone.
-    ``enforce(state)`` projects a state onto the constraints; ``decay`` and
-    ``gain`` are the ``imex_factors`` of the diffusion symbol for this dt.
+    ``enforce(state)`` projects a state onto the constraints.  With diffusion
+    symbol lam and h = dt/2, a field c with advection tendencies t1, t2 becomes
+    decay * c + gain * (t1 + t2), where decay = (1 - h lam) / (1 + h lam) and
+    gain = h / (1 + h lam).
     """
     t_new = s.t + dt
     c = [f.half for f in s.fields()]
@@ -150,15 +142,19 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
     return int(round(n))
 
 
-def run(s0, t_end: float, sample_every: int, *, tendency, enforce, decay, gain, dt: float,
+def run(s0, t_end: float, sample_every: int, *, tendency, enforce, lam, dt: float,
         dissipation_rate, record, sample=keep_state) -> list:
     """Step s0 to t_end and return ``sample(state, record(state, dissipation))``
-    taken every sample_every steps and at the end.
+    taken every sample_every steps and at the end.  ``lam`` is the diffusion
+    symbol; its IMEX factors (see ``imex_heun``) are built once here.
 
     The dissipation integral is accumulated per step at the midpoint state, so
     the linear (advection off) energy balance closes to rounding.
     """
     n_steps = step_count(s0.t, t_end, dt)
+    h = 0.5 * dt
+    decay, gain = (1.0 - h * lam) / (1.0 + h * lam), h / (1.0 + h * lam)
+    del lam  # a caller's fresh full-grid symbol is freed here, not held through the run
     samples = [sample(s0, record(s0, 0.0))]
     s = s0
     diss = 0.0

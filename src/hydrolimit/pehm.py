@@ -21,7 +21,7 @@ from .constraints import (
     parity_project,
 )
 from .diagnostics import DiagnosticsRecord, pehm_dissipation_rate, pehm_energy
-from .integrator import elsasser_advection, imex_factors
+from .integrator import elsasser_advection
 from .spectral import SpectralField, l2_norm, zero_field
 
 PRESSURE_CONSISTENCY_TOL = 1e-6
@@ -85,15 +85,6 @@ def _enforce(s: PehmState) -> PehmState:
     return PehmState.from_fields([parity_project(f, EVEN_IN_Z) for f in fields], s.t)
 
 
-def _scheme(grid, dt: float, advect: bool) -> dict:
-    return dict(
-        tendency=_tendency if advect else None,
-        enforce=_enforce,
-        dt=dt,
-        **imex_factors(grid.k2h, dt),  # horizontal diffusion only: (n1, n2, 1), broadcasts
-    )
-
-
 def _record(s: PehmState, diss_accum: float) -> DiagnosticsRecord:
     return DiagnosticsRecord(
         t=s.t,
@@ -115,7 +106,11 @@ def run(
     """Repeated stepping with diagnostics every sample_every steps; each
     sample is ``sample(state, record)``, by default an ``integrator.Sample``."""
     return integrator.run(
-        s0, t_end, sample_every, **_scheme(s0.grid, dt, advect),
+        s0, t_end, sample_every,
+        tendency=_tendency if advect else None,
+        enforce=_enforce,
+        lam=s0.grid.k2h,  # horizontal diffusion only: (n1, n2, 1), broadcasts
+        dt=dt,
         dissipation_rate=lambda s: pehm_dissipation_rate(s.a_h, s.b_h),
         record=_record,
         sample=sample,

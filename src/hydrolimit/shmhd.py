@@ -13,7 +13,7 @@ from .constraints import (EVEN_IN_Z, ODD_IN_Z, VectorState, anisotropic_leray_pr
                           parity_defect, parity_project)
 from .diagnostics import DiagnosticsRecord, shmhd_dissipation_rate, shmhd_energy
 from .grid import normal_powers
-from .integrator import BlowUpError, elsasser_advection, imex_factors  # noqa: F401  (BlowUpError re-exported)
+from .integrator import BlowUpError, elsasser_advection  # noqa: F401  (BlowUpError re-exported)
 
 PARITY = (EVEN_IN_Z, EVEN_IN_Z, ODD_IN_Z) * 2
 
@@ -79,16 +79,6 @@ def _enforce(s: ElsasserState, eps: float) -> ElsasserState:
     return ElsasserState.from_fields([parity_project(f, c) for f, c in zip(fields, PARITY)], s.t)
 
 
-def _scheme(grid, p: ShmhdParams) -> dict:
-    return dict(
-        tendency=_tendency if p.advect else None,
-        enforce=lambda s: _enforce(s, p.eps),
-        dt=p.dt,
-        # diffusion symbol: |k_H|^2 + eps^(alpha-2) kz^2
-        **imex_factors(grid.k2h + p.eps ** (p.alpha - 2.0) * grid.kz**2, p.dt),
-    )
-
-
 def _record(s: ElsasserState, p: ShmhdParams, diss_accum: float) -> DiagnosticsRecord:
     return DiagnosticsRecord(
         t=s.t,
@@ -104,7 +94,11 @@ def run(s0: ElsasserState, p: ShmhdParams, sample_every: int = 1,
     """Repeated stepping with diagnostics every sample_every steps; each
     sample is ``sample(state, record)``, by default an ``integrator.Sample``."""
     return integrator.run(
-        s0, p.t_end, sample_every, **_scheme(s0.grid, p),
+        s0, p.t_end, sample_every,
+        tendency=_tendency if p.advect else None,
+        enforce=lambda s: _enforce(s, p.eps),
+        lam=s0.grid.k2h + p.eps ** (p.alpha - 2.0) * s0.grid.kz**2,  # |k_H|^2 + eps^(alpha-2) kz^2
+        dt=p.dt,
         dissipation_rate=lambda s: shmhd_dissipation_rate(s.a, s.b, p.eps, p.alpha),
         record=lambda s, diss: _record(s, p, diss),
         sample=sample,

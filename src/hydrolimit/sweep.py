@@ -160,7 +160,6 @@ class PairSummary:
     eps: float
     sup_d_l2: float
     sup_d_h1: float
-    final_d_diss: float
     energy_pass: bool
     status: str
 
@@ -180,11 +179,12 @@ def record_row(cfg: SweepConfig, system: str, eps: float, r, d=None) -> RunRow:
 
 
 def initial_states(cfg: SweepConfig) -> tuple[ElsasserState, PehmState]:
-    """Seed-deterministic shared initial data, lifted to both systems."""
-    data = generate_initial_data(cfg.seed, cfg.spectrum, cfg.grid)
-    s_eps = ElsasserState.from_fields([f.copy() for f in (*data.a_h, data.a3, *data.b_h, data.b3)], 0.0)
-    s_lim = PehmState.from_fields([f.copy() for f in (*data.a_h, *data.b_h)], 0.0)
-    return s_eps, s_lim
+    """Seed-deterministic shared initial data, lifted to both systems.  Both
+    hold copies: made after the generator's temporaries are freed, they leave
+    the parent, and so every pool worker forked from it, less resident heap."""
+    a, b = generate_initial_data(cfg.seed, cfg.spectrum, cfg.grid)
+    s_eps = ElsasserState.from_fields([f.copy() for f in (*a.components(), *b.components())], 0.0)
+    return s_eps, PehmState.from_fields([f.copy() for f in (a.h1, a.h2, b.h1, b.h2)], 0.0)
 
 
 def sweep_inputs(cfg: SweepConfig) -> tuple[list, ElsasserState]:
@@ -196,30 +196,24 @@ def sweep_inputs(cfg: SweepConfig) -> tuple[list, ElsasserState]:
 
 
 def _failed_cell(eps: float, status: str) -> PairResult:
-    return PairResult(eps, [], PairSummary(eps, math.nan, math.nan, math.nan, False, status))
+    return PairResult(eps, [], PairSummary(eps, math.nan, math.nan, False, status))
 
 
 def _failure_status(e: Exception) -> str:
     return f"blowup:{e}" if isinstance(e, BlowUpError) else f"error:{type(e).__name__}"
 
 
-def run_pair(cfg: SweepConfig, eps: float, limit: list | None = None,
-             s_eps0: ElsasserState | None = None) -> PairResult:
+def run_pair(cfg: SweepConfig, eps: float, limit: list, s_eps0: ElsasserState) -> PairResult:
     """Run SHMHD from the seeded state ``s_eps0`` and difference it, sample by
-    sample, against the PEHM trajectory ``limit``; both are only read, and
-    both are computed here (``sweep_inputs``) unless both are given."""
+    sample, against the PEHM trajectory ``limit`` (both from ``sweep_inputs``,
+    and both only read)."""
     params = ShmhdParams(eps=eps, alpha=cfg.alpha, dt=cfg.dt, t_end=cfg.t_end)
-    try:
-        if limit is None or s_eps0 is None:
-            limit, s_eps0 = sweep_inputs(cfg)
-        lim = iter(limit)
+    lim = iter(limit)
 
-        def compare(state, record):
-            return difference_metrics(state, next(lim).state, eps, cfg.alpha), record
+    def compare(state, record):
+        return difference_metrics(state, next(lim).state, eps, cfg.alpha), record
 
-        traj_eps = shmhd_run(s_eps0, params, cfg.sample_every, sample=compare)
-    except BlowUpError as e:
-        return _failed_cell(eps, _failure_status(e))
+    traj_eps = shmhd_run(s_eps0, params, cfg.sample_every, sample=compare)
 
     diffs = [d for d, _ in traj_eps]
     records = [r for _, r in traj_eps]
@@ -235,7 +229,6 @@ def run_pair(cfg: SweepConfig, eps: float, limit: list | None = None,
         eps=eps,
         sup_d_l2=max(d.d_l2 for d in diffs),
         sup_d_h1=max(d.d_h1 for d in diffs),
-        final_d_diss=diffs[-1].d_diss_accum,
         energy_pass=ledger.passed,
         status="ok",
     )
@@ -411,8 +404,6 @@ def summary_text(result: SweepResult) -> str:
     lines.append(f"sweep: alpha={cfg.alpha:g} mode={cfg.mode} seed={cfg.seed} "
                  f"grid={cfg.n1}x{cfg.n2}x{cfg.n3} dt={cfg.dt:g} t_end={cfg.t_end:g}")
     ok = [c for c in result.cells if c.summary.status == "ok"]
-    if not result.cells:
-        lines.append("no ladder cells were run")
     for cell in result.cells:
         s = cell.summary
         if s.status == "ok":

@@ -3,6 +3,7 @@
 import math
 import os
 from pathlib import Path
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -38,7 +39,7 @@ class TestVerify:
         code = main(["verify", "--config", tiny_cfg, "--states", "3"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert out.count("PASS") == 7
+        assert out.count("PASS") == 6
         assert "FAIL" not in out
 
     def test_battery_checks_the_solvers_transform_pair(self, monkeypatch):
@@ -240,6 +241,28 @@ class TestValidationFailures:
         path.write_text(TINY_CFG.replace("alpha = 3.0", "alpha = 2.0"))
         code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("argv", [["simulate", "--out", "o"], ["verify"], ["sweep", "--jobs", "2", "--out", "o"]],
+                             ids=["simulate", "verify", "sweep-jobs2"])
+    def test_grid_too_large_to_allocate(self, tmp_path, argv):
+        # the first draw of a 65536^3 grid asks for 2 PiB, beyond the address
+        # space, so malloc refuses it without touching memory; the address-space
+        # limit keeps any smaller allocation a future change puts first harmless
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        path = tmp_path / "big.cfg"
+        path.write_text(TINY_CFG.replace("= 8", "= 65536"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hydrolimit.cli", *argv, "--config", str(path)],
+            capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
+            preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == EXIT_VALIDATION
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate")
 
     @pytest.mark.parametrize("command, runner", [("sweep", "run_sweep"), ("simulate", "shmhd_run")])
     def test_unwritable_out_fails_before_running(self, tiny_cfg, tmp_path, capsys, monkeypatch,

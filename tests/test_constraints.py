@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hydrolimit.constraints import (
     EVEN_IN_Z,
     ODD_IN_Z,
-    InitialData,
     SpectrumParams,
     VectorState,
     anisotropic_leray_project,
@@ -131,22 +130,22 @@ class TestHydrostatic:
         assert np.max(np.abs(v.coeffs - expected.coeffs)) < 1e-13
 
     def test_closes_the_divergence(self, grid8_2pi):
-        data = generate_initial_data(40, SpectrumParams(), grid8_2pi)
-        v = hydrostatic_reconstruct(data.a_h)
-        state = VectorState(data.a_h[0], data.a_h[1], v)
-        scale = max(l2_norm(f) for f in data.a_h)
+        a, _ = generate_initial_data(40, SpectrumParams(), grid8_2pi)
+        v = hydrostatic_reconstruct((a.h1, a.h2))
+        state = VectorState(a.h1, a.h2, v)
+        scale = max(l2_norm(f) for f in (a.h1, a.h2))
         assert divergence_defect(state) < 1e-13 * scale
 
     def test_trace_vanishes_at_z_zero(self, grid8_2pi):
-        data = generate_initial_data(41, SpectrumParams(), grid8_2pi)
-        v = hydrostatic_reconstruct(data.b_h)
+        _, b = generate_initial_data(41, SpectrumParams(), grid8_2pi)
+        v = hydrostatic_reconstruct((b.h1, b.h2))
         # v(x, y, 0) is the sum of coefficients over all vertical modes
         trace = np.sum(v.coeffs, axis=2)
         assert np.max(np.abs(trace)) < 1e-15
 
     def test_odd_parity_of_reconstruction(self, grid8_2pi):
-        data = generate_initial_data(42, SpectrumParams(), grid8_2pi)
-        v = hydrostatic_reconstruct(data.a_h)
+        a, _ = generate_initial_data(42, SpectrumParams(), grid8_2pi)
+        v = hydrostatic_reconstruct((a.h1, a.h2))
         assert parity_defect(v, ODD_IN_Z) < 1e-13
 
     def test_rejects_non_barotropic_input(self, grid8_2pi):
@@ -179,45 +178,42 @@ class TestBarotropic:
 
 class TestInitialData:
     def test_deterministic_in_seed(self, grid8_2pi):
-        d1 = generate_initial_data(60, SpectrumParams(), grid8_2pi)
-        d2 = generate_initial_data(60, SpectrumParams(), grid8_2pi)
-        assert np.array_equal(d1.a_h[0].coeffs, d2.a_h[0].coeffs)
-        assert np.array_equal(d1.b3.coeffs, d2.b3.coeffs)
+        a1, b1 = generate_initial_data(60, SpectrumParams(), grid8_2pi)
+        a2, b2 = generate_initial_data(60, SpectrumParams(), grid8_2pi)
+        assert np.array_equal(a1.h1.coeffs, a2.h1.coeffs)
+        assert np.array_equal(b1.v.coeffs, b2.v.coeffs)
 
     def test_different_seeds_differ(self, grid8_2pi):
-        d1 = generate_initial_data(61, SpectrumParams(), grid8_2pi)
-        d2 = generate_initial_data(62, SpectrumParams(), grid8_2pi)
-        assert not np.array_equal(d1.a_h[0].coeffs, d2.a_h[0].coeffs)
+        a1, _ = generate_initial_data(61, SpectrumParams(), grid8_2pi)
+        a2, _ = generate_initial_data(62, SpectrumParams(), grid8_2pi)
+        assert not np.array_equal(a1.h1.coeffs, a2.h1.coeffs)
 
     def test_all_structural_invariants(self, grid8_2pi):
-        d = generate_initial_data(63, SpectrumParams(), grid8_2pi)
-        scale = max(l2_norm(f) for f in (*d.a_h, *d.b_h))
-        for f in (*d.a_h, *d.b_h):
+        a, b = generate_initial_data(63, SpectrumParams(), grid8_2pi)
+        scale = max(l2_norm(f) for f in (a.h1, a.h2, b.h1, b.h2))
+        for f in (a.h1, a.h2, b.h1, b.h2):
             assert parity_defect(f, EVEN_IN_Z) < 1e-13 * scale
-        for v in (d.a3, d.b3):
+        for v in (a.v, b.v):
             assert parity_defect(v, ODD_IN_Z) < 1e-13 * scale
-        a = VectorState(d.a_h[0], d.a_h[1], d.a3)
-        b = VectorState(d.b_h[0], d.b_h[1], d.b3)
         assert divergence_defect(a) < 1e-13 * scale
         assert divergence_defect(b) < 1e-13 * scale
 
     def test_fields_are_real_and_band_limited(self, grid8_2pi):
-        d = generate_initial_data(64, SpectrumParams(), grid8_2pi)
-        f = d.a_h[0]
+        a, _ = generate_initial_data(64, SpectrumParams(), grid8_2pi)
+        f = a.h1
         phys = np.fft.ifftn(f.coeffs * grid8_2pi.npoints)
         assert np.max(np.abs(phys.imag)) < 1e-13
         assert np.all(f.half[~band_mask(grid8_2pi)] == 0.0)
 
     def test_zero_amplitude_gives_zero_state(self, grid8_2pi):
-        d = generate_initial_data(65, SpectrumParams(amplitude=0.0), grid8_2pi)
-        for f in (*d.a_h, *d.b_h, d.a3, d.b3):
+        a, b = generate_initial_data(65, SpectrumParams(amplitude=0.0), grid8_2pi)
+        for f in (*a.components(), *b.components()):
             assert l2_norm(f) == 0.0
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_divergence_free_property(self, seed):
         grid = GridSpec(8, 8, 8, 2 * np.pi, 2 * np.pi)
-        d = generate_initial_data(seed, SpectrumParams(), grid)
-        a = VectorState(d.a_h[0], d.a_h[1], d.a3)
-        scale = max(l2_norm(f) for f in d.a_h) or 1.0
+        a, _ = generate_initial_data(seed, SpectrumParams(), grid)
+        scale = max(l2_norm(f) for f in (a.h1, a.h2)) or 1.0
         assert divergence_defect(a) < 1e-12 * scale

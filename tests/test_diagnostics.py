@@ -141,13 +141,9 @@ class TestEnergyLedger:
 class TestDifferenceMetrics:
     @staticmethod
     def _states(grid, seed):
-        d = generate_initial_data(seed, SpectrumParams(), grid)
-        s_eps = ElsasserState(
-            VectorState(d.a_h[0], d.a_h[1], d.a3),
-            VectorState(d.b_h[0], d.b_h[1], d.b3),
-            0.0,
-        )
-        s_lim = PehmState((d.a_h[0].copy(), d.a_h[1].copy()), (d.b_h[0].copy(), d.b_h[1].copy()), 0.0)
+        a, b = generate_initial_data(seed, SpectrumParams(), grid)
+        s_eps = ElsasserState(a, b, 0.0)
+        s_lim = PehmState((a.h1.copy(), a.h2.copy()), (b.h1.copy(), b.h2.copy()), 0.0)
         return s_eps, s_lim
 
     def test_identical_states_give_zero(self, grid8_2pi):

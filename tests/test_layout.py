@@ -237,8 +237,8 @@ class TestBandPrecondition:
         self.assert_in_band([f])
 
     def test_initial_data_and_verticals(self, shape):
-        d = generate_initial_data(341, SpectrumParams(), GridSpec(*shape, 2.0, 3.0))
-        self.assert_in_band([*d.a_h, *d.b_h, d.a3, d.b3])
+        a, b = generate_initial_data(341, SpectrumParams(), GridSpec(*shape, 2.0, 3.0))
+        self.assert_in_band([*a.components(), *b.components()])
 
     def test_projections_and_reconstruction_of_band_inputs(self, shape):
         g = GridSpec(*shape, 2.0, 3.0)

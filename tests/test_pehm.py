@@ -29,21 +29,17 @@ from conftest import assert_rel_close, convective_advection, field_from_lattice,
 
 
 def seeded_state(grid, seed) -> PehmState:
-    d = generate_initial_data(seed, SpectrumParams(), grid)
-    return PehmState(
-        (d.a_h[0].copy(), d.a_h[1].copy()),
-        (d.b_h[0].copy(), d.b_h[1].copy()),
-        0.0,
-    )
+    a, b = generate_initial_data(seed, SpectrumParams(), grid)
+    return PehmState((a.h1.copy(), a.h2.copy()), (b.h1.copy(), b.h2.copy()), 0.0)
 
 
 class TestVerticalDiagnosis:
     def test_matches_seeded_verticals(self, grid8_2pi):
-        d = generate_initial_data(140, SpectrumParams(), grid8_2pi)
-        s = PehmState((d.a_h[0], d.a_h[1]), (d.b_h[0], d.b_h[1]), 0.0)
+        a, b = generate_initial_data(140, SpectrumParams(), grid8_2pi)
+        s = PehmState((a.h1, a.h2), (b.h1, b.h2), 0.0)
         a3, b3 = diagnose_vertical(s)
-        assert np.max(np.abs(a3.coeffs - d.a3.coeffs)) < 1e-14
-        assert np.max(np.abs(b3.coeffs - d.b3.coeffs)) < 1e-14
+        assert np.max(np.abs(a3.coeffs - a.v.coeffs)) < 1e-14
+        assert np.max(np.abs(b3.coeffs - b.v.coeffs)) < 1e-14
 
     def test_diagnosed_verticals_are_odd(self, grid8_2pi):
         s = seeded_state(grid8_2pi, 141)

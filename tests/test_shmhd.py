@@ -36,12 +36,7 @@ from conftest import (
 
 
 def seeded_state(grid, seed) -> ElsasserState:
-    d = generate_initial_data(seed, SpectrumParams(), grid)
-    return ElsasserState(
-        VectorState(d.a_h[0], d.a_h[1], d.a3),
-        VectorState(d.b_h[0], d.b_h[1], d.b3),
-        0.0,
-    )
+    return ElsasserState(*generate_initial_data(seed, SpectrumParams(), grid), 0.0)
 
 
 class TestNonlinearTendency:

@@ -193,26 +193,26 @@ class TestRunPair:
             return out
 
         monkeypatch.setattr(sweep_mod, "shmhd_run", lifted_run)
-        result = run_pair(cfg, eps=0.1)
+        result = run_pair(cfg, 0.1, *sweep_mod.sweep_inputs(cfg))
         assert result.summary.status == "ok"
         assert result.summary.sup_d_l2 == 0.0
         assert result.summary.sup_d_h1 == 0.0
-        assert result.summary.final_d_diss == 0.0
+        assert all(r.d_diss_accum == 0.0 for r in result.rows if r.system == "shmhd")
 
     def test_real_pair_produces_positive_error(self):
         cfg = SweepConfig(alpha=3.0, **TINY)
-        result = run_pair(cfg, eps=0.2)
+        result = run_pair(cfg, 0.2, *sweep_mod.sweep_inputs(cfg))
         assert result.summary.status == "ok"
         assert result.summary.sup_d_l2 > 0.0
         assert result.summary.energy_pass
 
     def test_shared_inputs_match_self_seeded_cells(self):
         """Cells run from one shared seeded state and PEHM trajectory give the
-        results of cells that seed for themselves, and leave both unchanged."""
+        results of cells that each get fresh ones, and leave both unchanged."""
         cfg = SweepConfig(alpha=4.0, **TINY)
         limit, s_eps0 = sweep_mod.sweep_inputs(cfg)
         shared = [run_pair(cfg, eps, limit, s_eps0) for eps in (0.2, 0.1)]
-        assert shared == [run_pair(cfg, eps) for eps in (0.2, 0.1)]
+        assert shared == [run_pair(cfg, eps, *sweep_mod.sweep_inputs(cfg)) for eps in (0.2, 0.1)]
         lim_fresh, fresh = sweep_mod.sweep_inputs(cfg)
         for got, want in zip(s_eps0.fields(), fresh.fields()):
             assert np.array_equal(got.coeffs, want.coeffs)
@@ -222,8 +222,9 @@ class TestRunPair:
 
     def test_smaller_eps_gives_smaller_error(self):
         cfg = SweepConfig(alpha=4.0, **TINY)
-        big = run_pair(cfg, eps=0.2).summary.sup_d_l2
-        small = run_pair(cfg, eps=0.05).summary.sup_d_l2
+        limit, s_eps0 = sweep_mod.sweep_inputs(cfg)
+        big = run_pair(cfg, 0.2, limit, s_eps0).summary.sup_d_l2
+        small = run_pair(cfg, 0.05, limit, s_eps0).summary.sup_d_l2
         assert small < big
 
 
@@ -305,7 +306,7 @@ class TestRunSweep:
         assert log.read_text().split() == [str(os.getpid())]
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("exc", [ValueError, RuntimeError, ZeroDivisionError])
+    @pytest.mark.parametrize("exc", [ValueError, RuntimeError, ZeroDivisionError, BlowUpError])
     def test_failing_cell_is_isolated(self, monkeypatch, tmp_path, jobs, exc):
         def failing_run(s0, params, *args, **kwargs):
             if params.eps == 0.1:
@@ -315,7 +316,7 @@ class TestRunSweep:
         monkeypatch.setattr(sweep_mod, "shmhd_run", failing_run)
         cfg = SweepConfig(alpha=4.0, eps_ladder=(0.2, 0.1, 0.05), **TINY)
         result = run_sweep(cfg, jobs=jobs)
-        status = f"error:{exc.__name__}"
+        status = "blowup:injected failure" if exc is BlowUpError else f"error:{exc.__name__}"
         assert [c.summary.status for c in result.cells] == ["ok", status, "ok"]
         assert [e for e, _ in result.errors] == [0.2, 0.05]
         emit_report(result, tmp_path / "report")
