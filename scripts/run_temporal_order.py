@@ -15,10 +15,11 @@ import sys
 
 import numpy as np
 
+from hydrolimit.constraints import VectorState
 from hydrolimit.grid import GridSpec
 from hydrolimit.pehm import PehmState
 from hydrolimit.pehm import run as pehm_run
-from hydrolimit.shmhd import ElsasserState, ShmhdParams, VectorState
+from hydrolimit.shmhd import ElsasserState, ShmhdParams
 from hydrolimit.shmhd import run as shmhd_run
 from hydrolimit.spectral import from_physical, l2_norm, zero_field
 

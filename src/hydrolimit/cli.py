@@ -14,6 +14,7 @@ from .sweep import (
     emit_report,
     initial_states,
     load_config,
+    no_fit_reason,
     record_row,
     run_sweep,
     runs_csv_text,
@@ -59,7 +60,6 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.mode is not None:
         cfg = dataclasses.replace(cfg, mode=args.mode)
-        cfg.validate()
     check_out_dir(args.out)
     result = run_sweep(cfg, jobs=args.jobs)
     emit_report(result, args.out)
@@ -68,7 +68,7 @@ def cmd_sweep(args) -> int:
               f"(predicted {result.fit.gamma_half_predicted:g}), "
               f"r^2 {result.fit.r_squared:.4f}")
     else:
-        print("no rate fit (fewer than 2 successful cells); partial report emitted")
+        print(f"no rate fit ({no_fit_reason(result.errors)}); partial report emitted")
     return EXIT_OK
 
 

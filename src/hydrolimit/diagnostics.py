@@ -123,7 +123,6 @@ class DiffRecord:
     t: float
     d_l2: float
     d_diss_rate: float
-    d_diss_accum: float
     d_h1: float
 
 
@@ -140,7 +139,7 @@ def difference_metrics(s_eps, s_lim, eps: float, alpha: float) -> DiffRecord:
                                         (*s_lim.a_h, *s_lim.b_h)))
     vertical = (v - hydrostatic_reconstruct(h) for v, h in ((s_eps.a.v, s_lim.a_h), (s_eps.b.v, s_lim.b_h)))
     d_l2, d_diss_rate, d_h1 = _weighted_totals(horizontal, vertical, eps, alpha)
-    return DiffRecord(s_eps.t, d_l2, d_diss_rate, 0.0, d_h1)  # d_diss_accum: summed over a trajectory
+    return DiffRecord(s_eps.t, d_l2, d_diss_rate, d_h1)
 
 
 # ---------------------------------------------------------------------------

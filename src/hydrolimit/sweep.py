@@ -6,7 +6,7 @@ Config grammar: flat ``key = value`` lines, ``#`` comments, and repeated
 are errors.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 import math
 import os
 
@@ -26,8 +26,11 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
+    """A sweep's settings, validated once, at construction: every instance,
+    ``dataclasses.replace`` copies included, is valid, and none can change."""
+
     n1: int = 32
     n2: int = 32
     n3: int = 32
@@ -43,11 +46,11 @@ class SweepConfig:
     sample_every: int = 10
     mode: str = "l2"
 
-    def validate(self) -> None:
-        for key in sorted(_FLOAT_KEYS):
-            value = getattr(self, key)
-            if not math.isfinite(value):
-                raise ConfigError(f"{key}: must be finite, got {value}")
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name}: must be finite, got {value}")
         if not all(math.isfinite(e) for e in self.eps_ladder):
             raise ConfigError(f"eps: all ladder values must be finite, got {self.eps_ladder}")
         if not self.eps_ladder:
@@ -92,8 +95,8 @@ class SweepConfig:
         return SpectrumParams(self.amplitude, self.m0)
 
 
-_INT_KEYS = {"n1", "n2", "n3", "seed", "sample_every"}
-_FLOAT_KEYS = {"l1", "l2", "alpha", "dt", "t_end", "amplitude", "m0"}
+# the type of each config key; ``eps``, the one key that repeats, builds ``eps_ladder``
+_KEY_TYPES = {f.name: f.type for f in fields(SweepConfig) if f.name != "eps_ladder"}
 
 
 def load_config(path) -> SweepConfig:
@@ -117,12 +120,8 @@ def load_config(path) -> SweepConfig:
             try:
                 if key == "eps":
                     eps.append(float(val))
-                elif key in _INT_KEYS:
-                    values[key] = int(val)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(val)
-                elif key == "mode":
-                    values[key] = val
+                elif key in _KEY_TYPES:
+                    values[key] = _KEY_TYPES[key](val)
                 else:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             except ValueError as e:
@@ -131,9 +130,7 @@ def load_config(path) -> SweepConfig:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {val!r}") from None
     if eps:
         values["eps_ladder"] = tuple(eps)
-    cfg = SweepConfig(**values)
-    cfg.validate()
-    return cfg
+    return SweepConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +154,6 @@ class RunRow:
 
 @dataclass
 class PairSummary:
-    eps: float
     sup_d_l2: float
     sup_d_h1: float
     energy_pass: bool
@@ -171,9 +167,9 @@ class PairResult:
     summary: PairSummary
 
 
-def record_row(cfg: SweepConfig, system: str, eps: float, r, d=None) -> RunRow:
-    """The runs.csv row of one sampled record, with its difference metrics ``d`` if any."""
-    diff = (None, None, None) if d is None else (d.d_l2, d.d_diss_accum, d.d_h1)
+def record_row(cfg: SweepConfig, system: str, eps: float, r, diff=(None, None, None)) -> RunRow:
+    """The runs.csv row of one sampled record, with its difference metrics
+    ``diff = (d_l2, d_diss_accum, d_h1)`` if any."""
     return RunRow(f"seed{cfg.seed}-eps{eps:g}-alpha{cfg.alpha:g}", system, eps, cfg.alpha,
                   r.t, r.e_l2, r.dissipation_accum, *diff, r.parity_defect, r.div_defect)
 
@@ -196,7 +192,7 @@ def sweep_inputs(cfg: SweepConfig) -> tuple[list, ElsasserState]:
 
 
 def _failed_cell(eps: float, status: str) -> PairResult:
-    return PairResult(eps, [], PairSummary(eps, math.nan, math.nan, False, status))
+    return PairResult(eps, [], PairSummary(math.nan, math.nan, False, status))
 
 
 def _failure_status(e: Exception) -> str:
@@ -213,25 +209,13 @@ def run_pair(cfg: SweepConfig, eps: float, limit: list, s_eps0: ElsasserState) -
     def compare(state, record):
         return difference_metrics(state, next(lim).state, eps, cfg.alpha), record
 
-    traj_eps = shmhd_run(s_eps0, params, cfg.sample_every, sample=compare)
-
-    diffs = [d for d, _ in traj_eps]
-    records = [r for _, r in traj_eps]
+    diffs, records = zip(*shmhd_run(s_eps0, params, cfg.sample_every, sample=compare))
     accums = trapezoid_accumulate([d.t for d in diffs], [d.d_diss_rate for d in diffs])
-    for rec, accum in zip(diffs, accums):
-        rec.d_diss_accum = accum
-
-    rows = [record_row(cfg, "shmhd", eps, r, d) for r, d in zip(records, diffs)]
+    rows = [record_row(cfg, "shmhd", eps, r, (d.d_l2, accum, d.d_h1))
+            for r, d, accum in zip(records, diffs, accums)]
     rows += [record_row(cfg, "pehm", eps, sl.record) for sl in limit]
-
-    ledger = energy_ledger(records)
-    summary = PairSummary(
-        eps=eps,
-        sup_d_l2=max(d.d_l2 for d in diffs),
-        sup_d_h1=max(d.d_h1 for d in diffs),
-        energy_pass=ledger.passed,
-        status="ok",
-    )
+    summary = PairSummary(max(d.d_l2 for d in diffs), max(d.d_h1 for d in diffs),
+                          energy_ledger(records).passed, "ok")
     return PairResult(eps, rows, summary)
 
 
@@ -263,7 +247,7 @@ class SweepResult:
     config: SweepConfig
     cells: list[PairResult]
     fit: RateFit | None
-    errors: list[tuple[float, float]] = field(default_factory=list)
+    errors: list[tuple[float, float]]
 
 
 # The ``sweep_inputs`` every cell shares, set in pool workers by their
@@ -277,11 +261,12 @@ def _share_inputs(limit: list, s_eps0: ElsasserState) -> None:
 
 
 def _run_cell(cfg: SweepConfig, eps: float, inputs: tuple | None = None) -> PairResult:
-    """One ladder cell; a ValueError, RuntimeError or ArithmeticError fails this
-    cell only, with the status ``error:<type>`` (``blowup:<message>``)."""
+    """One ladder cell; a ValueError, RuntimeError, ArithmeticError or
+    MemoryError fails this cell only, with the status ``error:<type>``
+    (``blowup:<message>``)."""
     try:
         return run_pair(cfg, eps, *(_pool_inputs if inputs is None else inputs))
-    except (ValueError, RuntimeError, ArithmeticError) as e:
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as e:
         return _failed_cell(eps, _failure_status(e))
 
 
@@ -325,19 +310,18 @@ def _pool_cells(cfg: SweepConfig, inputs: tuple, jobs: int) -> list[PairResult]:
             for eps in cfg.eps_ladder]
 
 
-def sweep_errors(result_cells, mode: str) -> list[tuple[float, float]]:
-    out = []
-    for cell in result_cells:
-        if cell.summary.status != "ok":
-            continue
-        sup = cell.summary.sup_d_l2 if mode == "l2" else cell.summary.sup_d_h1
-        out.append((cell.eps, math.sqrt(sup)))
-    return out
+def no_fit_reason(errors: list[tuple[float, float]]) -> str | None:
+    """Why the ``(eps, error)`` pairs of the successful cells admit no
+    log-log rate fit, or None if they admit one."""
+    if len(errors) < 2:
+        return "fewer than 2 successful cells"
+    if not all(v > 0 for _, v in errors):
+        return "a successful cell has zero error, which has no logarithm"
+    return None
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     """Run all ladder cells (optionally in parallel) and fit the rate."""
-    cfg.validate()
     if cfg.alpha <= 2:
         raise ConfigError(f"alpha: must exceed 2 for the convergence study, got {cfg.alpha}")
     if len(cfg.eps_ladder) < 3:
@@ -353,12 +337,11 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
             cells = _pool_cells(cfg, inputs, jobs)
         else:
             cells = [_run_cell(cfg, eps, inputs) for eps in cfg.eps_ladder]
-    cells.sort(key=lambda c: -c.eps)
-    errors = sweep_errors(cells, cfg.mode)
-    gamma_half = gamma_of_alpha(cfg.alpha) / 2.0
+    errors = [(c.eps, math.sqrt(c.summary.sup_d_l2 if cfg.mode == "l2" else c.summary.sup_d_h1))
+              for c in cells if c.summary.status == "ok"]
     fit = None
-    if len(errors) >= 2 and all(e > 0 for _, e in errors):
-        fit = fit_rate([e for e, _ in errors], [v for _, v in errors], gamma_half)
+    if no_fit_reason(errors) is None:
+        fit = fit_rate([e for e, _ in errors], [v for _, v in errors], gamma_of_alpha(cfg.alpha) / 2.0)
     return SweepResult(cfg, cells, fit, errors)
 
 
@@ -368,17 +351,10 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return repr(x)
-    return str(x)
+    return repr(x) if isinstance(x, float) else str(x)
 
 
-RUNS_COLUMNS = [
-    "run_id", "system", "eps", "alpha", "t", "e_l2", "dissipation_accum",
-    "d_l2", "d_diss_accum", "d_h1", "parity_defect", "div_defect",
-]
+RUNS_COLUMNS = [f.name for f in fields(RunRow)]
 
 
 def runs_csv_text(rows: list[RunRow]) -> str:
@@ -399,11 +375,9 @@ def sweep_csv_text(result: SweepResult) -> str:
 
 
 def summary_text(result: SweepResult) -> str:
-    lines = []
     cfg = result.config
-    lines.append(f"sweep: alpha={cfg.alpha:g} mode={cfg.mode} seed={cfg.seed} "
-                 f"grid={cfg.n1}x{cfg.n2}x{cfg.n3} dt={cfg.dt:g} t_end={cfg.t_end:g}")
-    ok = [c for c in result.cells if c.summary.status == "ok"]
+    lines = [f"sweep: alpha={cfg.alpha:g} mode={cfg.mode} seed={cfg.seed} "
+             f"grid={cfg.n1}x{cfg.n2}x{cfg.n3} dt={cfg.dt:g} t_end={cfg.t_end:g}"]
     for cell in result.cells:
         s = cell.summary
         if s.status == "ok":
@@ -421,8 +395,8 @@ def summary_text(result: SweepResult) -> str:
         )
         if f.slope > f.gamma_half_predicted:
             lines.append("note: observed rate exceeds the predicted upper-bound rate")
-    elif len(ok) < 2:
-        lines.append("fewer than 2 successful cells: no rate fit, partial report only")
+    else:
+        lines.append(f"{no_fit_reason(result.errors)}: no rate fit, partial report only")
     return "\n".join(lines) + "\n"
 
 
@@ -451,7 +425,7 @@ def rate_svg_text(result: SweepResult) -> str:
         def py(y):
             return h - pad - (y - y0) / yr * (h - 2 * pad)
 
-        if result.fit is not None and len(pts) >= 2:
+        if result.fit is not None:
             ln10 = math.log(10.0)
             ya = (result.fit.slope * (x0 * ln10) + result.fit.intercept) / ln10
             yb = (result.fit.slope * (x1 * ln10) + result.fit.intercept) / ln10

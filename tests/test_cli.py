@@ -138,6 +138,16 @@ class TestSweep:
         )
         assert code == EXIT_OK
 
+    def test_no_rate_fit_names_zero_error(self, tiny_cfg, tmp_path, capsys):
+        # every cell of a zero-amplitude sweep succeeds with error 0
+        Path(tiny_cfg).write_text(TINY_CFG + "amplitude = 0\n")
+        code = main(["sweep", "--config", tiny_cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == ("no rate fit (a successful cell has zero error, which "
+                                           "has no logarithm); partial report emitted\n")
+        assert (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:] == [
+            "0.2,0.0,0.0,ok", "0.1,0.0,0.0,ok", "0.05,0.0,0.0,ok"]
+
 
 class TestValidationFailures:
     def test_missing_config(self, tmp_path):

@@ -2,6 +2,7 @@
 reporting, and cross-parallelism determinism."""
 
 import concurrent.futures
+import dataclasses
 import math
 import os
 from pathlib import Path
@@ -92,16 +93,49 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError, match="decreasing"):
             load_config(path)
 
+    # a value other than the default for every key, so a key read and then
+    # dropped shows; a new SweepConfig field fails here until it has one
+    OTHER_VALUES = dict(n1=16, n2=12, n3=8, l1=3.0, l2=5.0, alpha=3.5, dt=1e-3, t_end=0.25,
+                        seed=11, amplitude=0.2, m0=2.0, sample_every=5, mode="h1")
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SweepConfig)
+                                      if f.name != "eps_ladder"])
+    def test_every_field_but_the_ladder_is_a_key(self, tmp_path, name):
+        path = tmp_path / "one.cfg"
+        path.write_text(f"{name} = {self.OTHER_VALUES[name]}\n")
+        value = getattr(load_config(path), name)
+        assert value == self.OTHER_VALUES[name]
+        assert type(value) is type(self.OTHER_VALUES[name])
+
+    def test_ladder_field_is_not_a_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("eps_ladder = 0.1\n")
+        with pytest.raises(ConfigError, match="unknown key 'eps_ladder'"):
+            load_config(path)
+
+    def test_replace_validates(self):
+        # the CLI's --mode override builds its config this way
+        with pytest.raises(ConfigError, match="mode"):
+            dataclasses.replace(SweepConfig(), mode="h3")
+        with pytest.raises(ConfigError, match="alpha"):
+            dataclasses.replace(SweepConfig(alpha=2.0), mode="h1")
+
+    def test_config_is_immutable(self):
+        cfg = SweepConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.dt = -1.0
+        assert cfg.dt == 2e-3
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
-            SweepConfig(mode="h3").validate()
+            SweepConfig(mode="h3")
 
     def test_h1_mode_needs_alpha_above_two(self):
         with pytest.raises(ConfigError, match="alpha"):
-            SweepConfig(alpha=2.0, mode="h1").validate()
+            SweepConfig(alpha=2.0, mode="h1")
 
     def test_alpha_two_valid_outside_h1(self):
-        SweepConfig(alpha=2.0).validate()
+        SweepConfig(alpha=2.0)
 
     @pytest.mark.parametrize(
         "key", ["l1", "l2", "alpha", "dt", "t_end", "amplitude", "m0", "eps"]
@@ -117,7 +151,7 @@ class TestConfigGrammar:
     def test_eps_without_normal_weights_rejected(self, ladder):
         # eps**2 or eps**alpha underflows to a subnormal or zero, or overflows
         with pytest.raises(ConfigError, match="eps"):
-            SweepConfig(alpha=4.0, eps_ladder=ladder, **TINY).validate()
+            SweepConfig(alpha=4.0, eps_ladder=ladder, **TINY)
 
     @pytest.mark.parametrize(
         "key, value", [("seed", "-1"), ("m0", "0"), ("m0", "-2.5"), ("m0", "1e-300"), ("m0", "1e200")]
@@ -139,16 +173,16 @@ class TestConfigGrammar:
 
     @pytest.mark.parametrize("value", [0.0, 0.1, -0.1, 1e8])
     def test_amplitude_zero_or_with_normal_square_accepted(self, value):
-        SweepConfig(amplitude=value, **TINY).validate()
+        SweepConfig(amplitude=value, **TINY)
 
     def test_t_end_not_multiple_of_dt_rejected(self):
         with pytest.raises(ConfigError, match="t_end"):
-            SweepConfig(dt=0.002, t_end=0.0105).validate()
+            SweepConfig(dt=0.002, t_end=0.0105)
 
     def test_enormous_t_end_rejected(self):
         # 5e302 steps: every such t_end looks like a whole number of steps
         with pytest.raises(ConfigError, match="t_end"):
-            SweepConfig(dt=0.002, t_end=1e300).validate()
+            SweepConfig(dt=0.002, t_end=1e300)
 
     def test_step_count_bound_is_half_over_step_tol(self):
         assert STEP_TOL == 1e-9  # so the first count refused is 5e8
@@ -306,7 +340,7 @@ class TestRunSweep:
         assert log.read_text().split() == [str(os.getpid())]
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("exc", [ValueError, RuntimeError, ZeroDivisionError, BlowUpError])
+    @pytest.mark.parametrize("exc", [ValueError, RuntimeError, ZeroDivisionError, MemoryError, BlowUpError])
     def test_failing_cell_is_isolated(self, monkeypatch, tmp_path, jobs, exc):
         def failing_run(s0, params, *args, **kwargs):
             if params.eps == 0.1:
@@ -374,6 +408,17 @@ class TestRunSweep:
         assert [c.summary.status for c in result.cells] == ["ok"] * 3
         assert log.read_text().split() == [str(os.getpid())]
 
+    def test_zero_error_is_named_as_why_no_rate_fits(self):
+        """Zero initial data: every cell succeeds with error 0, which a log-log
+        fit cannot take, and the summary says so instead of blaming the cells."""
+        cfg = SweepConfig(alpha=4.0, eps_ladder=(0.2, 0.1, 0.05), amplitude=0.0, **TINY)
+        result = run_sweep(cfg, jobs=1)
+        assert [c.summary.status for c in result.cells] == ["ok"] * 3
+        assert result.errors == [(0.2, 0.0), (0.1, 0.0), (0.05, 0.0)]
+        assert result.fit is None
+        assert summary_text(result).splitlines()[-1] == (
+            "a successful cell has zero error, which has no logarithm: no rate fit, partial report only")
+
     def test_pehm_blow_up_fails_every_cell(self, monkeypatch):
         def exploding_run(*args, **kwargs):
             raise BlowUpError("non-finite coefficients in field a_h1 at t=0.01")
@@ -384,6 +429,8 @@ class TestRunSweep:
         assert [c.summary.status for c in result.cells] == [
             "blowup:non-finite coefficients in field a_h1 at t=0.01"] * 3
         assert result.fit is None
+        assert summary_text(result).splitlines()[-1] == (
+            "fewer than 2 successful cells: no rate fit, partial report only")
 
 
 class TestPinnedOracle:
