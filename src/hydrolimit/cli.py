@@ -34,7 +34,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    eps = args.eps if args.eps is not None else cfg.eps_ladder[0]
+    if args.eps is not None:
+        cfg = dataclasses.replace(cfg, eps_ladder=(args.eps,))
+    eps = cfg.eps_ladder[0]
     s_eps0, s_lim0 = initial_states(cfg)
     check_out_dir(args.out)
 

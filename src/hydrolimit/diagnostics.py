@@ -30,10 +30,6 @@ def _weighted_sums(f: SpectralField) -> tuple[float, float, float]:
     )
 
 
-def grad_h_norm_sq(f: SpectralField) -> float:
-    return _weighted_sums(f)[1]
-
-
 def _weighted_totals(horizontal, vertical, eps: float, alpha: float) -> tuple[float, float, float]:
     """Energy, anisotropic dissipation rate and squared H1 norm of horizontal
     and vertical components.  A vertical component's energy and H1 terms carry
@@ -80,13 +76,12 @@ def pehm_energy(a_h, b_h) -> float:
 
 
 def pehm_dissipation_rate(a_h, b_h) -> float:
-    return sum(grad_h_norm_sq(f) for f in (*a_h, *b_h))
+    return sum(_weighted_sums(f)[1] for f in (*a_h, *b_h))
 
 
 @dataclass
 class LedgerReport:
     lhs: list[float]
-    rhs: float
     residuals: list[float]
     passed: bool
 
@@ -103,7 +98,7 @@ def energy_ledger(records: list[DiagnosticsRecord], slack: float = 1e-4) -> Ledg
     lhs = [r.e_l2 + 2.0 * r.dissipation_accum for r in records]
     residuals = [(v - rhs) / rhs if rhs > 0 else v - rhs for v in lhs]
     passed = all(v <= rhs * (1.0 + slack) + (0.0 if rhs > 0 else slack) for v in lhs)
-    return LedgerReport(lhs, rhs, residuals, passed)
+    return LedgerReport(lhs, residuals, passed)
 
 
 def trapezoid_accumulate(times, rates) -> list[float]:
@@ -156,7 +151,7 @@ class TrilinearReport:
 def _half_bracket(f: SpectralField) -> float:
     """||f||^(1/2) * (||f||^(1/2) + ||grad_H f||^(1/2))."""
     n = l2_norm(f)
-    gh = float(np.sqrt(grad_h_norm_sq(f)))
+    gh = float(np.sqrt(_weighted_sums(f)[1]))
     return np.sqrt(n) * (np.sqrt(n) + np.sqrt(gh))
 
 

@@ -61,10 +61,6 @@ class GridSpec:
         return (self.n1, self.n2, self.n3 // 2 + 1)
 
     @property
-    def npoints(self) -> int:
-        return self.n1 * self.n2 * self.n3
-
-    @property
     def volume(self) -> float:
         return self.l1 * self.l2 * self.lz
 

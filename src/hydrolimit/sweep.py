@@ -34,15 +34,15 @@ class SweepConfig:
     n1: int = 32
     n2: int = 32
     n3: int = 32
-    l1: float = 2.0 * math.pi
-    l2: float = 2.0 * math.pi
+    l1: float = GridSpec.l1
+    l2: float = GridSpec.l2
     alpha: float = 4.0
     eps_ladder: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
     dt: float = 2e-3
     t_end: float = 0.5
     seed: int = 7
-    amplitude: float = 0.1
-    m0: float = 2.5
+    amplitude: float = SpectrumParams.amplitude
+    m0: float = SpectrumParams.m0
     sample_every: int = 10
     mode: str = "l2"
 
@@ -68,8 +68,6 @@ class SweepConfig:
                 check_eps(eps, self.alpha)
             except ValueError as e:
                 raise ConfigError(f"eps: {e}") from None
-        if self.dt <= 0:
-            raise ConfigError(f"dt: must be positive, got {self.dt}")
         if self.t_end <= 0:
             raise ConfigError(f"t_end: must be positive, got {self.t_end}")
         try:
@@ -368,8 +366,7 @@ def sweep_csv_text(result: SweepResult) -> str:
     lines = ["eps,sup_err_l2,sup_err_h1,status"]
     for cell in result.cells:
         s = cell.summary
-        err_l2 = math.sqrt(s.sup_d_l2) if s.status == "ok" else math.nan
-        err_h1 = math.sqrt(s.sup_d_h1) if s.status == "ok" else math.nan
+        err_l2, err_h1 = math.sqrt(s.sup_d_l2), math.sqrt(s.sup_d_h1)
         lines.append(f"{_fmt(cell.eps)},{_fmt(err_l2)},{_fmt(err_h1)},{s.status}")
     return "\n".join(lines) + "\n"
 

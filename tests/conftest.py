@@ -181,11 +181,11 @@ def full_band_mask(grid: GridSpec) -> np.ndarray:
 
 
 def full_to_physical(grid: GridSpec, c: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(c * grid.npoints).real
+    return np.fft.ifftn(c * (grid.n1 * grid.n2 * grid.n3)).real
 
 
 def full_from_physical(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(values) / grid.npoints
+    return np.fft.fftn(values) / (grid.n1 * grid.n2 * grid.n3)
 
 
 def full_weighted_sums(grid: GridSpec, c: np.ndarray) -> tuple[float, float, float]:

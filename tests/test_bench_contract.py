@@ -1,7 +1,9 @@
 """The benchmark's contract with the package: every function its tracer wraps
-must exist, or its per-layer metric silently reads null, and the tendency
-probe's check must pass through the ``.coeffs`` access the probe uses."""
+must exist, or its per-layer metric silently reads null; every name its
+scripts import must exist; and the tendency probe's check must pass through
+the ``.coeffs`` access the probe uses."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -52,3 +54,30 @@ def test_probe_tendency_check_passes_on_coeffs():
     got_b = [f.coeffs for f in tb.components()]
     ref_a, ref_b = checks.divergence_form_tendency(a, b, cfg.l1, cfg.l2)
     assert checks.check_tendency(got_a, got_b, ref_a, ref_b) <= checks.TENDENCY_RTOL
+
+
+def hydrolimit_imports(path: Path) -> list[tuple[str, str | None]]:
+    """Every ``(module, name)`` that a script imports from ``hydrolimit``, with
+    name None for a plain ``import hydrolimit.x``, imports inside functions
+    included."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hydrolimit":
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names if alias.name.split(".")[0] == "hydrolimit"]
+    return found
+
+
+@pytest.mark.parametrize("script", ["ledger_child.py", "probe.py"])
+def test_every_benchmark_import_resolves(script):
+    """A renamed name crashes the ``ledger-32`` workload, or turns the probe's
+    tendency check into "absent"."""
+    imports = hydrolimit_imports(PERFBENCH / script)
+    assert imports
+    missing = [
+        f"{mod}.{name}" if name else mod for mod, name in imports
+        if importlib.util.find_spec(mod) is None
+        or (name is not None and not hasattr(importlib.import_module(mod), name))
+    ]
+    assert not missing, f"{script} imports names missing from the package: {missing}"

@@ -188,8 +188,12 @@ class TestValidationFailures:
             ("sweep", [], "eps = 0.2\neps = 0.1\neps = 1e-200\n"),  # eps**2 underflows to zero
             ("sweep", [], "eps = 1e160\neps = 0.1\neps = 0.05\n"),  # eps**2 overflows
             ("simulate", ["--eps", "1e-200"], "eps = 0.2\neps = 0.1\neps = 0.05\n"),
+            # --eps replaces the ladder, so the config checks it for PEHM too, whose rows carry it
+            ("simulate", ["--system", "pehm", "--eps", "-5"], "eps = 0.2\neps = 0.1\neps = 0.05\n"),
+            ("simulate", ["--system", "pehm", "--eps", "nan"], "eps = 0.2\neps = 0.1\neps = 0.05\n"),
+            ("simulate", ["--system", "pehm", "--eps", "1e-200"], "eps = 0.2\neps = 0.1\neps = 0.05\n"),
         ],
-        ids=["sweep-tiny", "sweep-huge", "simulate-tiny"],
+        ids=["sweep-tiny", "sweep-huge", "simulate-tiny", "pehm-negative", "pehm-nan", "pehm-tiny"],
     )
     def test_rejects_eps_without_normal_weights(self, tmp_path, capsys, command, flags, ladder):
         path = tmp_path / "eps.cfg"

@@ -201,7 +201,7 @@ class TestInitialData:
     def test_fields_are_real_and_band_limited(self, grid8_2pi):
         a, _ = generate_initial_data(64, SpectrumParams(), grid8_2pi)
         f = a.h1
-        phys = np.fft.ifftn(f.coeffs * grid8_2pi.npoints)
+        phys = np.fft.ifftn(f.coeffs * (grid8_2pi.n1 * grid8_2pi.n2 * grid8_2pi.n3))
         assert np.max(np.abs(phys.imag)) < 1e-13
         assert np.all(f.half[~band_mask(grid8_2pi)] == 0.0)
 

@@ -175,6 +175,12 @@ class TestConfigGrammar:
     def test_amplitude_zero_or_with_normal_square_accepted(self, value):
         SweepConfig(amplitude=value, **TINY)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.002])
+    def test_nonpositive_dt_rejected(self, dt):
+        # by step_count, the function that counts the solvers' steps
+        with pytest.raises(ConfigError, match="^dt: must be positive"):
+            SweepConfig(dt=dt)
+
     def test_t_end_not_multiple_of_dt_rejected(self):
         with pytest.raises(ConfigError, match="t_end"):
             SweepConfig(dt=0.002, t_end=0.0105)
