@@ -5,11 +5,11 @@ import dataclasses
 import os
 import sys
 
-from .shmhd import BlowUpError, ShmhdParams
+from .integrator import BlowUpError
+from .shmhd import ShmhdParams
 from .shmhd import run as shmhd_run
 from .pehm import run as pehm_run
 from .sweep import (
-    ConfigError,
     check_out_dir,
     emit_report,
     initial_states,
@@ -115,7 +115,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, MemoryError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -81,7 +81,6 @@ def pehm_dissipation_rate(a_h, b_h) -> float:
 
 @dataclass
 class LedgerReport:
-    lhs: list[float]
     residuals: list[float]
     passed: bool
 
@@ -98,7 +97,7 @@ def energy_ledger(records: list[DiagnosticsRecord], slack: float = 1e-4) -> Ledg
     lhs = [r.e_l2 + 2.0 * r.dissipation_accum for r in records]
     residuals = [(v - rhs) / rhs if rhs > 0 else v - rhs for v in lhs]
     passed = all(v <= rhs * (1.0 + slack) + (0.0 if rhs > 0 else slack) for v in lhs)
-    return LedgerReport(lhs, residuals, passed)
+    return LedgerReport(residuals, passed)
 
 
 def trapezoid_accumulate(times, rates) -> list[float]:

@@ -49,10 +49,6 @@ class GridSpec:
                 raise ValueError(f"{name}: must be positive with normal squared wavenumbers, got {length}")
 
     @property
-    def lz(self) -> float:
-        return Z_PERIOD
-
-    @property
     def shape(self) -> tuple[int, int, int]:
         return (self.n1, self.n2, self.n3)
 
@@ -62,7 +58,7 @@ class GridSpec:
 
     @property
     def volume(self) -> float:
-        return self.l1 * self.l2 * self.lz
+        return self.l1 * self.l2 * Z_PERIOD
 
     @cached_property
     def modes1(self) -> np.ndarray:
@@ -124,7 +120,7 @@ class GridSpec:
     @cached_property
     def z(self) -> np.ndarray:
         # lattice parameterizes the z-torus from 0; (-1, 1) is the same circle
-        return np.arange(self.n3) * (self.lz / self.n3)
+        return np.arange(self.n3) * (Z_PERIOD / self.n3)
 
     @property
     def dx(self) -> float:
@@ -136,4 +132,4 @@ class GridSpec:
 
     @property
     def dz(self) -> float:
-        return self.lz / self.n3
+        return Z_PERIOD / self.n3

@@ -13,7 +13,7 @@ from .constraints import (EVEN_IN_Z, ODD_IN_Z, VectorState, anisotropic_leray_pr
                           parity_defect, parity_project)
 from .diagnostics import DiagnosticsRecord, shmhd_dissipation_rate, shmhd_energy
 from .grid import normal_powers
-from .integrator import BlowUpError, elsasser_advection  # noqa: F401  (BlowUpError re-exported)
+from .integrator import elsasser_advection
 
 PARITY = (EVEN_IN_Z, EVEN_IN_Z, ODD_IN_Z) * 2
 
@@ -22,7 +22,7 @@ def check_eps(eps: float, alpha: float) -> None:
     """Raise ValueError unless eps > 0 and eps**2 and eps**alpha are normal
     floats, so that every eps weight and its inverse are finite and nonzero."""
     if not normal_powers(eps, 2, alpha):
-        raise ValueError(f"eps must be positive with eps**2 and eps**{alpha:g} normal floats, got {eps}")
+        raise ValueError(f"eps: must be positive with eps**2 and eps**{alpha:g} normal floats, got {eps}")
 
 
 @dataclass
@@ -37,8 +37,6 @@ class ShmhdParams:
         if not self.alpha >= 2:
             raise ValueError(f"alpha must be >= 2, got {self.alpha}")
         check_eps(self.eps, self.alpha)
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
 
 
 @dataclass

@@ -15,10 +15,10 @@ import numpy as np
 from .constraints import SpectrumParams, generate_initial_data
 from .diagnostics import difference_metrics, energy_ledger, gamma_of_alpha, trapezoid_accumulate
 from .grid import GridSpec, normal_powers
-from .integrator import step_count
+from .integrator import BlowUpError, step_count
 from .pehm import PehmState
 from .pehm import run as pehm_run
-from .shmhd import BlowUpError, ElsasserState, ShmhdParams, check_eps
+from .shmhd import ElsasserState, ShmhdParams, check_eps
 from .shmhd import run as shmhd_run
 
 
@@ -67,7 +67,7 @@ class SweepConfig:
             try:
                 check_eps(eps, self.alpha)
             except ValueError as e:
-                raise ConfigError(f"eps: {e}") from None
+                raise ConfigError(str(e)) from None
         if self.t_end <= 0:
             raise ConfigError(f"t_end: must be positive, got {self.t_end}")
         try:
@@ -181,16 +181,12 @@ def initial_states(cfg: SweepConfig) -> tuple[ElsasserState, PehmState]:
     return s_eps, PehmState.from_fields([f.copy() for f in (a.h1, a.h2, b.h1, b.h2)], 0.0)
 
 
-def sweep_inputs(cfg: SweepConfig) -> tuple[list, ElsasserState]:
-    """What every ladder cell shares, as ``run_pair``'s ``(limit, s_eps0)``:
-    the PEHM trajectory (the limit system contains neither eps nor alpha) and
-    the seeded SHMHD state.  The seeded PEHM state is dropped after its run."""
-    s_eps0, s_lim0 = initial_states(cfg)
-    return pehm_run(s_lim0, cfg.dt, cfg.t_end, cfg.sample_every), s_eps0
-
-
 def _failed_cell(eps: float, status: str) -> PairResult:
     return PairResult(eps, [], PairSummary(math.nan, math.nan, False, status))
+
+
+# the failures of a solver run that fail its cells, not the sweep
+_CELL_FAILURES = (ValueError, RuntimeError, ArithmeticError, MemoryError)
 
 
 def _failure_status(e: Exception) -> str:
@@ -199,8 +195,8 @@ def _failure_status(e: Exception) -> str:
 
 def run_pair(cfg: SweepConfig, eps: float, limit: list, s_eps0: ElsasserState) -> PairResult:
     """Run SHMHD from the seeded state ``s_eps0`` and difference it, sample by
-    sample, against the PEHM trajectory ``limit`` (both from ``sweep_inputs``,
-    and both only read)."""
+    sample, against the PEHM trajectory ``limit`` from the same seed (both only
+    read, and shared by every cell of a sweep)."""
     params = ShmhdParams(eps=eps, alpha=cfg.alpha, dt=cfg.dt, t_end=cfg.t_end)
     lim = iter(limit)
 
@@ -248,7 +244,7 @@ class SweepResult:
     errors: list[tuple[float, float]]
 
 
-# The ``sweep_inputs`` every cell shares, set in pool workers by their
+# The ``run_pair`` inputs every cell shares, set in pool workers by their
 # initializer: under the fork start method they inherit them without pickling.
 _pool_inputs: tuple = (None, None)
 
@@ -259,12 +255,11 @@ def _share_inputs(limit: list, s_eps0: ElsasserState) -> None:
 
 
 def _run_cell(cfg: SweepConfig, eps: float, inputs: tuple | None = None) -> PairResult:
-    """One ladder cell; a ValueError, RuntimeError, ArithmeticError or
-    MemoryError fails this cell only, with the status ``error:<type>``
-    (``blowup:<message>``)."""
+    """One ladder cell; a ``_CELL_FAILURES`` exception fails this cell only,
+    with the status ``error:<type>`` (``blowup:<message>``)."""
     try:
         return run_pair(cfg, eps, *(_pool_inputs if inputs is None else inputs))
-    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as e:
+    except _CELL_FAILURES as e:
         return _failed_cell(eps, _failure_status(e))
 
 
@@ -319,22 +314,26 @@ def no_fit_reason(errors: list[tuple[float, float]]) -> str | None:
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
-    """Run all ladder cells (optionally in parallel) and fit the rate."""
+    """Run all ladder cells (optionally in parallel) and fit the rate.  The
+    PEHM trajectory is run once and shared: the limit system contains neither
+    eps nor alpha, so a ``_CELL_FAILURES`` exception there fails every cell."""
     if cfg.alpha <= 2:
         raise ConfigError(f"alpha: must exceed 2 for the convergence study, got {cfg.alpha}")
     if len(cfg.eps_ladder) < 3:
         raise ConfigError("eps: at least 3 ladder points are required for a sweep")
     if jobs < 1:
         raise ConfigError(f"jobs: must be >= 1, got {jobs}")
+    s_eps0, s_lim0 = initial_states(cfg)
     try:
-        inputs = sweep_inputs(cfg)
-    except (ValueError, RuntimeError, ArithmeticError) as e:
+        limit = pehm_run(s_lim0, cfg.dt, cfg.t_end, cfg.sample_every)
+    except _CELL_FAILURES as e:
         cells = [_failed_cell(eps, _failure_status(e)) for eps in cfg.eps_ladder]
     else:
+        del s_lim0  # not held through the cells, nor inherited by forked workers
         if jobs > 1:
-            cells = _pool_cells(cfg, inputs, jobs)
+            cells = _pool_cells(cfg, (limit, s_eps0), jobs)
         else:
-            cells = [_run_cell(cfg, eps, inputs) for eps in cfg.eps_ladder]
+            cells = [_run_cell(cfg, eps, (limit, s_eps0)) for eps in cfg.eps_ladder]
     errors = [(c.eps, math.sqrt(c.summary.sup_d_l2 if cfg.mode == "l2" else c.summary.sup_d_h1))
               for c in cells if c.summary.status == "ok"]
     fit = None

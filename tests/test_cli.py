@@ -201,7 +201,9 @@ class TestValidationFailures:
         code = main([command, "--config", str(path), "--out", str(tmp_path / "o"), *flags])
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
+        # the key is named once, in the ``<key>: `` form of every config message
+        assert len(err) == 1 and err[0].startswith("error: eps: ")
+        assert not err[0].removeprefix("error: eps: ").startswith("eps")
 
     # a negative seed, an m0 whose square is not a normal float, a box length
     # whose spacing l1 / n1 rounds to zero (the CFL guard divided by it), and an

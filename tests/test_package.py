@@ -1,19 +1,36 @@
-"""The package's public surface: every exported name exists, and importing
-the CLI loads no more than a serial run needs."""
+"""The package's shape: each name has one home, the module that defines it, and
+importing the CLI loads no more than a serial run needs."""
 
+import ast
 import os
 from pathlib import Path
 import subprocess
 import sys
 
-import hydrolimit
-
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def test_every_exported_name_resolves():
-    missing = [name for name in hydrolimit.__all__ if not hasattr(hydrolimit, name)]
-    assert not missing, f"names in hydrolimit.__all__ with no definition: {missing}"
+def unread_imports(source: str) -> list[str]:
+    """Every name that an import in source binds and no expression reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # ``import a.b`` binds ``a``
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_imported_name_is_read():
+    """No module imports a name only to re-export it (or not at all): callers
+    import each name from the module that defines it."""
+    unread = [
+        f"{path.name}: {name}"
+        for path in sorted(Path(SRC, "hydrolimit").glob("*.py"))
+        for name in unread_imports(path.read_text())
+    ]
+    assert not unread, f"imported names that their module never reads: {unread}"
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

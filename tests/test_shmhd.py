@@ -17,8 +17,8 @@ from hydrolimit.constraints import (
 )
 from hydrolimit.diagnostics import energy_ledger
 from hydrolimit.grid import GridSpec
+from hydrolimit.integrator import BlowUpError
 from hydrolimit.shmhd import (
-    BlowUpError,
     ElsasserState,
     ShmhdParams,
     nonlinear_tendency,
@@ -217,11 +217,14 @@ class TestStepping:
             ShmhdParams(eps=0.0, alpha=3.0, dt=1e-3, t_end=1.0)
         with pytest.raises(ValueError, match="alpha"):
             ShmhdParams(eps=0.1, alpha=1.5, dt=1e-3, t_end=1.0)
-        with pytest.raises(ValueError, match="dt"):
-            ShmhdParams(eps=0.1, alpha=3.0, dt=0.0, t_end=1.0)
         for eps in (1e-200, 1e-110, 1e160):  # eps**2 or eps**alpha is not a normal float
             with pytest.raises(ValueError, match="eps"):
                 ShmhdParams(eps=eps, alpha=3.0, dt=1e-3, t_end=1.0)
+
+    def test_run_rejects_nonpositive_dt(self, grid8_2pi):
+        p = ShmhdParams(eps=0.1, alpha=3.0, dt=0.0, t_end=1.0)
+        with pytest.raises(ValueError, match="dt"):
+            run(seeded_state(grid8_2pi, 136), p)
 
     @pytest.mark.parametrize("t_end", [math.inf, math.nan, 0.0105])
     def test_run_rejects_t_end_off_the_step_lattice(self, grid8_2pi, t_end):

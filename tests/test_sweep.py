@@ -34,6 +34,13 @@ from hydrolimit.sweep import (
 TINY = dict(n1=8, n2=8, n3=8, dt=2e-3, t_end=0.02, sample_every=5)
 
 
+def shared_inputs(cfg: SweepConfig) -> tuple:
+    """What every cell of a sweep shares, as ``run_pair``'s ``(limit, s_eps0)``:
+    the PEHM trajectory and the seeded SHMHD state."""
+    s_eps0, s_lim0 = initial_states(cfg)
+    return pehm_run(s_lim0, cfg.dt, cfg.t_end, cfg.sample_every), s_eps0
+
+
 class TestConfigGrammar:
     def test_full_round_trip(self, tmp_path):
         path = tmp_path / "sweep.cfg"
@@ -233,7 +240,7 @@ class TestRunPair:
             return out
 
         monkeypatch.setattr(sweep_mod, "shmhd_run", lifted_run)
-        result = run_pair(cfg, 0.1, *sweep_mod.sweep_inputs(cfg))
+        result = run_pair(cfg, 0.1, *shared_inputs(cfg))
         assert result.summary.status == "ok"
         assert result.summary.sup_d_l2 == 0.0
         assert result.summary.sup_d_h1 == 0.0
@@ -241,7 +248,7 @@ class TestRunPair:
 
     def test_real_pair_produces_positive_error(self):
         cfg = SweepConfig(alpha=3.0, **TINY)
-        result = run_pair(cfg, 0.2, *sweep_mod.sweep_inputs(cfg))
+        result = run_pair(cfg, 0.2, *shared_inputs(cfg))
         assert result.summary.status == "ok"
         assert result.summary.sup_d_l2 > 0.0
         assert result.summary.energy_pass
@@ -250,10 +257,10 @@ class TestRunPair:
         """Cells run from one shared seeded state and PEHM trajectory give the
         results of cells that each get fresh ones, and leave both unchanged."""
         cfg = SweepConfig(alpha=4.0, **TINY)
-        limit, s_eps0 = sweep_mod.sweep_inputs(cfg)
+        limit, s_eps0 = shared_inputs(cfg)
         shared = [run_pair(cfg, eps, limit, s_eps0) for eps in (0.2, 0.1)]
-        assert shared == [run_pair(cfg, eps, *sweep_mod.sweep_inputs(cfg)) for eps in (0.2, 0.1)]
-        lim_fresh, fresh = sweep_mod.sweep_inputs(cfg)
+        assert shared == [run_pair(cfg, eps, *shared_inputs(cfg)) for eps in (0.2, 0.1)]
+        lim_fresh, fresh = shared_inputs(cfg)
         for got, want in zip(s_eps0.fields(), fresh.fields()):
             assert np.array_equal(got.coeffs, want.coeffs)
         for got, want in zip(limit, lim_fresh):
@@ -262,7 +269,7 @@ class TestRunPair:
 
     def test_smaller_eps_gives_smaller_error(self):
         cfg = SweepConfig(alpha=4.0, **TINY)
-        limit, s_eps0 = sweep_mod.sweep_inputs(cfg)
+        limit, s_eps0 = shared_inputs(cfg)
         big = run_pair(cfg, 0.2, limit, s_eps0).summary.sup_d_l2
         small = run_pair(cfg, 0.05, limit, s_eps0).summary.sup_d_l2
         assert small < big
@@ -425,15 +432,20 @@ class TestRunSweep:
         assert summary_text(result).splitlines()[-1] == (
             "a successful cell has zero error, which has no logarithm: no rate fit, partial report only")
 
-    def test_pehm_blow_up_fails_every_cell(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("exc", [BlowUpError, ValueError, MemoryError])
+    def test_pehm_blow_up_fails_every_cell(self, monkeypatch, jobs, exc):
+        """The shared PEHM run fails every cell, whatever the failure's type,
+        and the sweep still reports."""
         def exploding_run(*args, **kwargs):
-            raise BlowUpError("non-finite coefficients in field a_h1 at t=0.01")
+            raise exc("non-finite coefficients in field a_h1 at t=0.01")
 
         monkeypatch.setattr(sweep_mod, "pehm_run", exploding_run)
         cfg = SweepConfig(alpha=4.0, eps_ladder=(0.2, 0.1, 0.05), **TINY)
-        result = run_sweep(cfg)
-        assert [c.summary.status for c in result.cells] == [
-            "blowup:non-finite coefficients in field a_h1 at t=0.01"] * 3
+        result = run_sweep(cfg, jobs=jobs)
+        status = ("blowup:non-finite coefficients in field a_h1 at t=0.01" if exc is BlowUpError
+                  else f"error:{exc.__name__}")
+        assert [c.summary.status for c in result.cells] == [status] * 3
         assert result.fit is None
         assert summary_text(result).splitlines()[-1] == (
             "fewer than 2 successful cells: no rate fit, partial report only")
