@@ -163,17 +163,16 @@ class SpectrumParams:
 
 
 def _random_even_scalar(rng: np.random.Generator, grid: GridSpec, spectrum: SpectrumParams) -> SpectralField:
-    shape = grid.shape
-    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    m3 = np.fft.fftfreq(grid.n3, 1.0 / grid.n3).astype(np.int64).reshape(1, 1, -1)
-    env = spectrum.amplitude * np.exp(-(grid.modes1**2 + grid.modes2**2 + m3**2) / spectrum.m0**2)
-    c = c * env
-    # real field: hermitian symmetrization coeff(-m) = conj(coeff(m)) of the
-    # full-layout draws, then its band block
-    r3 = (-np.arange(grid.n3)) % grid.n3
-    c = 0.5 * (c + np.conj(c[grid.reflect_xy][:, :, r3]))
+    # both full-lattice draws, in order, fix the seeded stream; only the band
+    # block and its mirror (-m1, -m2, -m3) are read from them
+    real, imag = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
     i1, i2, k3 = grid.band
-    return parity_project(from_band(grid, c[i1[:, None], i2, :k3]), EVEN_IN_Z)
+    m3 = np.arange(k3)
+    env = spectrum.amplitude * np.exp(-(grid.modes1[i1]**2 + grid.modes2[:, i2]**2 + m3**2) / spectrum.m0**2)
+    block, mirror = np.ix_(i1, i2, m3), np.ix_(-i1 % grid.n1, -i2 % grid.n2, -m3 % grid.n3)
+    c, r = ((real[ix] + 1j * imag[ix]) * env for ix in (block, mirror))
+    # real field: hermitian symmetrization coeff(-m) = conj(coeff(m))
+    return parity_project(from_band(grid, 0.5 * (c + np.conj(r))), EVEN_IN_Z)
 
 
 def generate_initial_data(seed: int, spectrum: SpectrumParams, grid: GridSpec) -> tuple[VectorState, VectorState]:

@@ -9,6 +9,10 @@ diffusion factor (Leray and barotropic projections act mode by mode; parity
 pairs m3 with -m3, where the symbol is equal), so this equals projecting the
 tendencies, to rounding.
 
+A step frees each temporary at its last use, so its peak is the corrector's
+tendency: the state, t1, the predictor and the six physical fields it builds,
+about 30 fields for SHMHD.
+
 A state exposes ``t``, ``grid``, ``FIELD_NAMES``, ``fields()`` (its spectral
 components in that order) and ``from_fields(fields, t)``.
 """
@@ -65,6 +69,7 @@ def elsasser_advection(a, b, n_advected: int) -> tuple[list[SpectralField], floa
                 t_a[i] = t_a[i] + k[j] * prod
             if j < n_advected:
                 t_b[j] = t_b[j] + k[i] * prod
+    del a_phys, b_phys
     return [from_band(grid, -1j * t) for t in (*t_a, *t_b)], max_speed
 
 
@@ -103,7 +108,9 @@ def imex_heun(s, tendency, enforce, decay, gain, dt: float):
         t1 = [g.half for g in t1]
         pred = enforce(_rebuild(s, [decay * x + gain * (g + g) for x, g in zip(c, t1)], t_new))
         t2 = [g.half for g in tendency(pred)[0]]
+        del pred
         new = [decay * x + gain * (g1 + g2) for x, g1, g2 in zip(c, t1, t2)]
+        del t1, t2
     s_new = enforce(_rebuild(s, new, t_new))
     check_finite(s_new)
     return s_new

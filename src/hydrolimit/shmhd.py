@@ -70,11 +70,11 @@ def nonlinear_tendency(s: ElsasserState) -> tuple[VectorState, VectorState]:
 
 
 def _enforce(s: ElsasserState, eps: float) -> ElsasserState:
-    """Constraint enforcement: divergence first, then parity."""
-    a = anisotropic_leray_project(s.a, eps)
-    b = anisotropic_leray_project(s.b, eps)
-    fields = [*a.components(), *b.components()]
-    return ElsasserState.from_fields([parity_project(f, c) for f, c in zip(fields, PARITY)], s.t)
+    """Constraint enforcement: divergence, then parity, one Elsaesser family at a time."""
+    fields = []
+    for g in (s.a, s.b):
+        fields += [parity_project(f, c) for f, c in zip(anisotropic_leray_project(g, eps).components(), PARITY)]
+    return ElsasserState.from_fields(fields, s.t)
 
 
 def _record(s: ElsasserState, p: ShmhdParams, diss_accum: float) -> DiagnosticsRecord:

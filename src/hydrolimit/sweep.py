@@ -173,12 +173,10 @@ def record_row(cfg: SweepConfig, system: str, eps: float, r, diff=(None, None, N
 
 
 def initial_states(cfg: SweepConfig) -> tuple[ElsasserState, PehmState]:
-    """Seed-deterministic shared initial data, lifted to both systems.  Both
-    hold copies: made after the generator's temporaries are freed, they leave
-    the parent, and so every pool worker forked from it, less resident heap."""
+    """Seed-deterministic shared initial data, lifted to both systems, which
+    share its horizontal arrays: no solver writes into an array it was given."""
     a, b = generate_initial_data(cfg.seed, cfg.spectrum, cfg.grid)
-    s_eps = ElsasserState.from_fields([f.copy() for f in (*a.components(), *b.components())], 0.0)
-    return s_eps, PehmState.from_fields([f.copy() for f in (a.h1, a.h2, b.h1, b.h2)], 0.0)
+    return ElsasserState(a, b, 0.0), PehmState((a.h1, a.h2), (b.h1, b.h2), 0.0)
 
 
 def _failed_cell(eps: float, status: str) -> PairResult:
@@ -329,7 +327,6 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     except _CELL_FAILURES as e:
         cells = [_failed_cell(eps, _failure_status(e)) for eps in cfg.eps_ladder]
     else:
-        del s_lim0  # not held through the cells, nor inherited by forked workers
         if jobs > 1:
             cells = _pool_cells(cfg, (limit, s_eps0), jobs)
         else:

@@ -21,7 +21,7 @@ from hydrolimit.constraints import (
     parity_project,
 )
 from hydrolimit.grid import GridSpec
-from hydrolimit.spectral import l2_norm, to_physical, zero_field
+from hydrolimit.spectral import from_band, l2_norm, to_physical, zero_field
 from conftest import band_mask, field_from_lattice, random_spectral_field, random_vector
 
 
@@ -209,6 +209,33 @@ class TestInitialData:
         a, b = generate_initial_data(65, SpectrumParams(amplitude=0.0), grid8_2pi)
         for f in (*a.components(), *b.components()):
             assert l2_norm(f) == 0.0
+
+    @staticmethod
+    def full_lattice_scalar(rng, grid, spectrum):
+        """The generator's earlier form, the oracle: envelope and Hermitian
+        symmetrization over the whole (n1, n2, n3) lattice, then the band block."""
+        shape = grid.shape
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m3 = np.fft.fftfreq(grid.n3, 1.0 / grid.n3).astype(np.int64).reshape(1, 1, -1)
+        env = spectrum.amplitude * np.exp(-(grid.modes1**2 + grid.modes2**2 + m3**2) / spectrum.m0**2)
+        c = c * env
+        r3 = (-np.arange(grid.n3)) % grid.n3
+        c = 0.5 * (c + np.conj(c[grid.reflect_xy][:, :, r3]))
+        i1, i2, k3 = grid.band
+        return parity_project(from_band(grid, c[i1[:, None], i2, :k3]), EVEN_IN_Z)
+
+    @pytest.mark.parametrize("shape", [(16, 24, 32), (48, 20, 12), (4, 6, 4)])
+    @pytest.mark.parametrize("spectrum", [SpectrumParams(), SpectrumParams(amplitude=0.3, m0=1.7)])
+    @pytest.mark.parametrize("seed", [0, 99])
+    def test_band_only_draw_matches_full_lattice_oracle(self, shape, spectrum, seed):
+        grid = GridSpec(*shape, 3.0, 9.0)
+        rng = np.random.default_rng(seed)
+        a_h = barotropic_project([self.full_lattice_scalar(rng, grid, spectrum) for _ in range(2)])
+        b_h = barotropic_project([self.full_lattice_scalar(rng, grid, spectrum) for _ in range(2)])
+        expected = [*a_h, hydrostatic_reconstruct(a_h), *b_h, hydrostatic_reconstruct(b_h)]
+        a, b = generate_initial_data(seed, spectrum, grid)
+        for f, e in zip((*a.components(), *b.components()), expected):
+            assert f.half.tobytes() == e.half.tobytes()
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))
