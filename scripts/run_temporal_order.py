@@ -31,14 +31,14 @@ def main() -> int:
     args = parser.parse_args()
 
     grid = GridSpec(8, 8, 8, 1.0, 1.0)
-    x = grid.x.reshape(-1, 1, 1)
+    x = np.arange(grid.n1).reshape(-1, 1, 1) * grid.dx
     f = from_physical(grid, np.sin(2 * np.pi * x) * np.ones(grid.shape))
     exact = math.exp(-4 * np.pi**2 * args.t_end)
 
     def shmhd_error(dt):
         s = ElsasserState(
-            VectorState(zero_field(grid), f.copy(), zero_field(grid)),
-            VectorState(zero_field(grid), f.copy(), zero_field(grid)),
+            VectorState(zero_field(grid), f, zero_field(grid)),
+            VectorState(zero_field(grid), f, zero_field(grid)),
             0.0,
         )
         p = ShmhdParams(eps=0.1, alpha=3.0, dt=dt, t_end=args.t_end, advect=False)
@@ -46,7 +46,7 @@ def main() -> int:
         return l2_norm(final.a.h2 - exact * f)
 
     def pehm_error(dt):
-        s = PehmState((zero_field(grid), f.copy()), (zero_field(grid), f.copy()), 0.0)
+        s = PehmState((zero_field(grid), f), (zero_field(grid), f), 0.0)
         final = pehm_run(s, dt, args.t_end, sample_every=10**6, advect=False)[-1].state
         return l2_norm(final.a_h[1] - exact * f)
 

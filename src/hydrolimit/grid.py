@@ -109,19 +109,6 @@ class GridSpec:
         """Open-mesh index taking c(m1, m2, .) to c(-m1, -m2, .) (Nyquist maps to itself)."""
         return np.ix_((-np.arange(self.n1)) % self.n1, (-np.arange(self.n2)) % self.n2)
 
-    @cached_property
-    def x(self) -> np.ndarray:
-        return np.arange(self.n1) * (self.l1 / self.n1)
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        return np.arange(self.n2) * (self.l2 / self.n2)
-
-    @cached_property
-    def z(self) -> np.ndarray:
-        # lattice parameterizes the z-torus from 0; (-1, 1) is the same circle
-        return np.arange(self.n3) * (Z_PERIOD / self.n3)
-
     @property
     def dx(self) -> float:
         return self.l1 / self.n1

@@ -87,7 +87,8 @@ def imex_heun(s, tendency, enforce, decay, gain, dt: float):
     """Advance s by one step dt.
 
     ``tendency(state)`` returns the advection tendencies, one per field, and
-    the largest velocity component; ``None`` steps the diffusion alone.
+    the largest velocity component, which the CFL guard reads at both stages;
+    ``None`` steps the diffusion alone.
     ``enforce(state)`` projects a state onto the constraints.  With diffusion
     symbol lam and h = dt/2, a field c with advection tendencies t1, t2 becomes
     decay * c + gain * (t1 + t2), where decay = (1 - h lam) / (1 + h lam) and
@@ -98,19 +99,20 @@ def imex_heun(s, tendency, enforce, decay, gain, dt: float):
     if tendency is None:
         new = [decay * x for x in c]
     else:
-        t1, max_speed = tendency(s)
+        t1, speed1 = tendency(s)
+        t1 = [g.half for g in t1]
+        pred = enforce(_rebuild(s, [decay * x + gain * (g + g) for x, g in zip(c, t1)], t_new))
+        t2, speed2 = tendency(pred)
+        t2 = [g.half for g in t2]
+        del pred
+        new = [decay * x + gain * (g1 + g2) for x, g1, g2 in zip(c, t1, t2)]
+        del t1, t2
         grid = s.grid
-        cfl = dt * max_speed / min(grid.dx, grid.dy, grid.dz)
+        cfl = dt * max(speed1, speed2) / min(grid.dx, grid.dy, grid.dz)
         if cfl >= CFL_LIMIT:
             warnings.warn(
                 f"CFL guard exceeded: dt*max|u|/min(dx) = {cfl:.3f} >= {CFL_LIMIT}", stacklevel=3
             )
-        t1 = [g.half for g in t1]
-        pred = enforce(_rebuild(s, [decay * x + gain * (g + g) for x, g in zip(c, t1)], t_new))
-        t2 = [g.half for g in tendency(pred)[0]]
-        del pred
-        new = [decay * x + gain * (g1 + g2) for x, g1, g2 in zip(c, t1, t2)]
-        del t1, t2
     s_new = enforce(_rebuild(s, new, t_new))
     check_finite(s_new)
     return s_new
@@ -120,11 +122,6 @@ def imex_heun(s, tendency, enforce, decay, gain, dt: float):
 class Sample:
     state: object
     record: DiagnosticsRecord
-
-
-def keep_state(state, record: DiagnosticsRecord) -> Sample:
-    """The default per-sample hook of ``run``: a copy of the state and its record."""
-    return Sample(_rebuild(state, [f.half.copy() for f in state.fields()], state.t), record)
 
 
 def step_count(t0: float, t_end: float, dt: float) -> int:
@@ -150,10 +147,13 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
 
 
 def run(s0, t_end: float, sample_every: int, *, tendency, enforce, lam, dt: float,
-        dissipation_rate, record, sample=keep_state) -> list:
+        dissipation_rate, record, sample=Sample) -> list:
     """Step s0 to t_end and return ``sample(state, record(state, dissipation))``
-    taken every sample_every steps and at the end.  ``lam`` is the diffusion
-    symbol; its IMEX factors (see ``imex_heun``) are built once here.
+    taken at s0, every sample_every steps and at the end.  ``lam`` is the
+    diffusion symbol; its IMEX factors (see ``imex_heun``) are built once here.
+
+    A sample gets the state itself, not a copy (no step writes into an array it
+    did not create), so it shares that state's arrays, s0's included.
 
     The dissipation integral is accumulated per step at the midpoint state, so
     the linear (advection off) energy balance closes to rounding.

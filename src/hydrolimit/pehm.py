@@ -5,7 +5,7 @@ vertical components diagnosed from the incompressibility constraints.
 Scheme: the shared IMEX-Heun step of ``integrator``.  The surface pressure
 gradient is a kz = 0 horizontal gradient, which the barotropic projection of
 the predictor and the new state removes exactly, so the step never solves for
-the pressure; ``surface_pressure`` recovers it as a diagnostic.
+the pressure.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,6 @@ from . import integrator
 from .constraints import (
     EVEN_IN_Z,
     barotropic_defect,
-    barotropic_potential,
     barotropic_project,
     hydrostatic_reconstruct,
     parity_defect,
@@ -22,9 +21,7 @@ from .constraints import (
 )
 from .diagnostics import DiagnosticsRecord, pehm_dissipation_rate, pehm_energy
 from .integrator import elsasser_advection
-from .spectral import SpectralField, l2_norm, zero_field
-
-PRESSURE_CONSISTENCY_TOL = 1e-6
+from .spectral import SpectralField
 
 
 @dataclass
@@ -47,36 +44,11 @@ class PehmState:
         return cls(tuple(fields[:2]), tuple(fields[2:]), t)
 
 
-def diagnose_vertical(s: PehmState) -> tuple[SpectralField, SpectralField]:
-    """Vertical components from the hydrostatic integrals of div_H."""
-    return hydrostatic_reconstruct(s.a_h), hydrostatic_reconstruct(s.b_h)
-
-
 def _tendency(s: PehmState):
     """Negated 3D advection of the horizontal pairs, with diagnosed verticals
     inside the advecting fields."""
-    a3, b3 = diagnose_vertical(s)
+    a3, b3 = hydrostatic_reconstruct(s.a_h), hydrostatic_reconstruct(s.b_h)
     return elsasser_advection((*s.a_h, a3), (*s.b_h, b3), 2)
-
-
-def surface_pressure(s: PehmState) -> tuple[SpectralField, float]:
-    """z-independent pressure p = -i phi from the vertically averaged horizontal
-    momentum equation, phi being the ``barotropic_potential`` of the A-equation
-    tendency, and its relative discrepancy from the pressure sourced from the
-    B equation.  A discrepancy above PRESSURE_CONSISTENCY_TOL signals broken
-    incompressibility and raises RuntimeError."""
-    t, _ = _tendency(s)
-    p_a, p_b = zero_field(s.grid), zero_field(s.grid)
-    p_a.half[:, :, 0] = -1j * barotropic_potential(t[:2])
-    p_b.half[:, :, 0] = -1j * barotropic_potential(t[2:])
-    scale = l2_norm(p_a)
-    rel = l2_norm(p_a - p_b) / scale if scale > 0 else 0.0
-    if rel > PRESSURE_CONSISTENCY_TOL:
-        raise RuntimeError(
-            f"surface-pressure consistency broken: relative discrepancy "
-            f"{rel:.3e} exceeds {PRESSURE_CONSISTENCY_TOL:.0e}"
-        )
-    return p_a, rel
 
 
 def _enforce(s: PehmState) -> PehmState:
@@ -101,7 +73,7 @@ def run(
     t_end: float,
     sample_every: int = 1,
     advect: bool = True,
-    sample=integrator.keep_state,
+    sample=integrator.Sample,
 ) -> list:
     """Repeated stepping with diagnostics every sample_every steps; each
     sample is ``sample(state, record)``, by default an ``integrator.Sample``."""

@@ -88,7 +88,7 @@ def _record(s: ElsasserState, p: ShmhdParams, diss_accum: float) -> DiagnosticsR
 
 
 def run(s0: ElsasserState, p: ShmhdParams, sample_every: int = 1,
-        sample=integrator.keep_state) -> list:
+        sample=integrator.Sample) -> list:
     """Repeated stepping with diagnostics every sample_every steps; each
     sample is ``sample(state, record)``, by default an ``integrator.Sample``."""
     return integrator.run(

@@ -40,9 +40,6 @@ class SpectralField:
         full.flags.writeable = False
         return full
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.half.copy())
-
     def __add__(self, other: "SpectralField") -> "SpectralField":
         return SpectralField(self.grid, self.half + other.half)
 

@@ -55,8 +55,11 @@ class SweepConfig:
             raise ConfigError(f"eps: all ladder values must be finite, got {self.eps_ladder}")
         if not self.eps_ladder:
             raise ConfigError("eps: ladder must be nonempty")
-        if any(a <= b for a, b in zip(self.eps_ladder, self.eps_ladder[1:])):
-            raise ConfigError("eps: ladder must be strictly decreasing")
+        for a, b in zip(self.eps_ladder, self.eps_ladder[1:]):
+            if a <= b:
+                raise ConfigError("eps: ladder must be strictly decreasing")
+            if f"{a:g}" == f"{b:g}":  # run ids and summary lines print eps with :g
+                raise ConfigError(f"eps: ladder values {a!r} and {b!r} both print as {a:g}")
         if self.mode not in ("l2", "h1"):
             raise ConfigError(f"mode: must be 'l2' or 'h1', got {self.mode!r}")
         if self.alpha < 2:

@@ -92,7 +92,8 @@ def random_vector(grid: GridSpec, seed: int) -> VectorState:
 
 def field_from_lattice(grid: GridSpec, func) -> SpectralField:
     """Spectral field from a callable on the (x, y, z) lattice."""
-    x, y, z = np.meshgrid(grid.x, grid.y, grid.z, indexing="ij")
+    x, y, z = np.meshgrid(np.arange(grid.n1) * grid.dx, np.arange(grid.n2) * grid.dy,
+                          np.arange(grid.n3) * grid.dz, indexing="ij")
     return from_physical(grid, func(x, y, z))
 
 

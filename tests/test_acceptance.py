@@ -98,8 +98,8 @@ def test_criterion_4_temporal_order(capsys):
 
     def shmhd_error(dt):
         s = ElsasserState(
-            VectorState(zero_field(grid), f.copy(), zero_field(grid)),
-            VectorState(zero_field(grid), f.copy(), zero_field(grid)),
+            VectorState(zero_field(grid), f, zero_field(grid)),
+            VectorState(zero_field(grid), f, zero_field(grid)),
             0.0,
         )
         params = ShmhdParams(eps=0.1, alpha=3.0, dt=dt, t_end=t_end, advect=False)
@@ -107,7 +107,7 @@ def test_criterion_4_temporal_order(capsys):
         return l2_norm(final.a.h2 - exact * f)
 
     def pehm_error(dt):
-        s = PehmState((zero_field(grid), f.copy()), (zero_field(grid), f.copy()), 0.0)
+        s = PehmState((zero_field(grid), f), (zero_field(grid), f), 0.0)
         final = pehm_run(s, dt, t_end, sample_every=10**6, advect=False)[-1].state
         return l2_norm(final.a_h[1] - exact * f)
 

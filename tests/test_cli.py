@@ -205,6 +205,19 @@ class TestValidationFailures:
         assert len(err) == 1 and err[0].startswith("error: eps: ")
         assert not err[0].removeprefix("error: eps: ").startswith("eps")
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_rejects_ladder_values_that_print_alike(self, tmp_path, capsys, command):
+        """Two cells would share a run id in runs.csv and a line in summary.txt."""
+        path = tmp_path / "alike.cfg"
+        ladder = "alpha = 4.0\neps = 0.1000002\neps = 0.1000001\neps = 0.05\n"
+        path.write_text(TINY_CFG.replace("alpha = 3.0\neps = 0.2\neps = 0.1\neps = 0.05\n", ladder))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: eps: ")
+        assert "0.1000002" in err[0] and "0.1000001" in err[0]
+        assert not (tmp_path / "o").exists()
+
     # a negative seed, an m0 whose square is not a normal float, a box length
     # whose spacing l1 / n1 rounds to zero (the CFL guard divided by it), and an
     # amplitude whose square overflows (the run blew up at step 0)

@@ -24,7 +24,7 @@ from hydrolimit.diagnostics import (
 from hydrolimit.grid import GridSpec
 from hydrolimit.pehm import PehmState
 from hydrolimit.shmhd import ElsasserState
-from hydrolimit.spectral import l2_norm, to_physical, zero_field
+from hydrolimit.spectral import SpectralField, l2_norm, to_physical, zero_field
 from conftest import (
     derivative_difference_metrics,
     derivative_dissipation_rate,
@@ -142,7 +142,8 @@ class TestDifferenceMetrics:
     def _states(grid, seed):
         a, b = generate_initial_data(seed, SpectrumParams(), grid)
         s_eps = ElsasserState(a, b, 0.0)
-        s_lim = PehmState((a.h1.copy(), a.h2.copy()), (b.h1.copy(), b.h2.copy()), 0.0)
+        h = [SpectralField(grid, f.half.copy()) for f in (a.h1, a.h2, b.h1, b.h2)]  # tests write into s_eps
+        s_lim = PehmState((h[0], h[1]), (h[2], h[3]), 0.0)
         return s_eps, s_lim
 
     def test_identical_states_give_zero(self, grid8_2pi):

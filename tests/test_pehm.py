@@ -1,6 +1,6 @@
-"""Hydrostatic-limit stepper: vertical diagnosis, the surface-pressure solve
-and its consistency guard, constraint preservation, energy identity, and the
-manufactured-solution order study."""
+"""Hydrostatic-limit stepper: vertical diagnosis, the advection tendency,
+constraint preservation, energy identity, and the manufactured-solution order
+study."""
 
 import math
 
@@ -13,37 +13,32 @@ from hydrolimit.constraints import (
     SpectrumParams,
     barotropic_defect,
     generate_initial_data,
+    hydrostatic_reconstruct,
     parity_defect,
 )
 from hydrolimit.diagnostics import energy_ledger
 from hydrolimit.grid import GridSpec
-from hydrolimit.pehm import (
-    PehmState,
-    _tendency,
-    diagnose_vertical,
-    run,
-    surface_pressure,
-)
+from hydrolimit.pehm import PehmState, _tendency, run
 from hydrolimit.spectral import l2_norm, zero_field
-from conftest import assert_rel_close, convective_advection, field_from_lattice, partial_derivative
+from conftest import assert_rel_close, convective_advection, field_from_lattice
 
 
 def seeded_state(grid, seed) -> PehmState:
     a, b = generate_initial_data(seed, SpectrumParams(), grid)
-    return PehmState((a.h1.copy(), a.h2.copy()), (b.h1.copy(), b.h2.copy()), 0.0)
+    return PehmState((a.h1, a.h2), (b.h1, b.h2), 0.0)
 
 
 class TestVerticalDiagnosis:
     def test_matches_seeded_verticals(self, grid8_2pi):
         a, b = generate_initial_data(140, SpectrumParams(), grid8_2pi)
         s = PehmState((a.h1, a.h2), (b.h1, b.h2), 0.0)
-        a3, b3 = diagnose_vertical(s)
+        a3, b3 = hydrostatic_reconstruct(s.a_h), hydrostatic_reconstruct(s.b_h)
         assert np.max(np.abs(a3.coeffs - a.v.coeffs)) < 1e-14
         assert np.max(np.abs(b3.coeffs - b.v.coeffs)) < 1e-14
 
     def test_diagnosed_verticals_are_odd(self, grid8_2pi):
         s = seeded_state(grid8_2pi, 141)
-        a3, b3 = diagnose_vertical(s)
+        a3, b3 = hydrostatic_reconstruct(s.a_h), hydrostatic_reconstruct(s.b_h)
         scale = max(l2_norm(f) for f in s.a_h)
         assert parity_defect(a3, ODD_IN_Z) < 1e-13 * scale
         assert parity_defect(b3, ODD_IN_Z) < 1e-13 * scale
@@ -55,31 +50,10 @@ class TestTendency:
         """The divergence-form products equal the convective advection of the
         horizontal pairs, with the diagnosed verticals in the advecting fields."""
         s = seeded_state(GridSpec(n, n, n), 142)
-        a3, b3 = diagnose_vertical(s)
+        a3, b3 = hydrostatic_reconstruct(s.a_h), hydrostatic_reconstruct(s.b_h)
         got, _ = _tendency(s)
         assert_rel_close(got[:2], convective_advection((*s.b_h, b3), s.a_h), 1e-13)
         assert_rel_close(got[2:], convective_advection((*s.a_h, a3), s.b_h), 1e-13)
-
-
-class TestSurfacePressure:
-    def test_pressure_is_z_independent(self, grid8_2pi):
-        s = seeded_state(grid8_2pi, 150)
-        p, _ = surface_pressure(s)
-        assert l2_norm(partial_derivative(p, "z")) == 0.0
-
-    def test_both_sources_agree(self, grid8_2pi):
-        s = seeded_state(grid8_2pi, 151)
-        assert surface_pressure(s)[1] < 1e-12
-
-    def test_single_mode_closed_form(self):
-        # a = b = (0, cos(2 pi x), 0): the advection of a by b is
-        # -(b . grad) a = 0 since b is y-directed and a is x-dependent only,
-        # so the surface pressure vanishes.
-        g = GridSpec(8, 8, 8, 1.0, 1.0)
-        f = field_from_lattice(g, lambda x, y, z: np.cos(2 * np.pi * x))
-        s = PehmState((zero_field(g), f), (zero_field(g), f.copy()), 0.0)
-        p, _ = surface_pressure(s)
-        assert l2_norm(p) < 1e-14
 
 
 class TestStepping:
@@ -119,9 +93,7 @@ class TestStepping:
         exact = math.exp(-4 * np.pi**2 * t_end)
 
         def error(dt):
-            s = PehmState(
-                (zero_field(g), f.copy()), (zero_field(g), f.copy()), 0.0
-            )
+            s = PehmState((zero_field(g), f), (zero_field(g), f), 0.0)
             final = run(s, dt, t_end, sample_every=1000, advect=False)[-1].state
             return l2_norm(final.a_h[1] - exact * f)
 

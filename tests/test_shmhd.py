@@ -17,7 +17,7 @@ from hydrolimit.constraints import (
 )
 from hydrolimit.diagnostics import energy_ledger
 from hydrolimit.grid import GridSpec
-from hydrolimit.integrator import BlowUpError
+from hydrolimit.integrator import BlowUpError, imex_heun
 from hydrolimit.shmhd import (
     ElsasserState,
     ShmhdParams,
@@ -150,7 +150,7 @@ class TestStepping:
         f = field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * x))
         s = ElsasserState(
             VectorState(zero_field(g), f, zero_field(g)),
-            VectorState(zero_field(g), f.copy(), zero_field(g)),
+            VectorState(zero_field(g), f, zero_field(g)),
             0.0,
         )
         dt = 1e-2
@@ -186,8 +186,8 @@ class TestStepping:
 
         def error(dt):
             s = ElsasserState(
-                VectorState(zero_field(g), f.copy(), zero_field(g)),
-                VectorState(zero_field(g), f.copy(), zero_field(g)),
+                VectorState(zero_field(g), f, zero_field(g)),
+                VectorState(zero_field(g), f, zero_field(g)),
                 0.0,
             )
             p = ShmhdParams(eps=0.1, alpha=3.0, dt=dt, t_end=t_end, advect=False)
@@ -211,6 +211,18 @@ class TestStepping:
             with pytest.warns(UserWarning, match="CFL"):
                 run(s, p)
         assert exc_info.value.step_index is not None
+
+    def test_cfl_guard_reads_the_predictor_stage(self, grid8_2pi):
+        """A speed that only the corrector's tendency, taken at the predictor,
+        reaches still trips the guard."""
+        s = seeded_state(grid8_2pi, 134)
+        speeds = iter([0.0, 1e9])
+
+        def tendency(state):
+            return [zero_field(state.grid) for _ in state.fields()], next(speeds)
+
+        with pytest.warns(UserWarning, match="CFL"):
+            imex_heun(s, tendency, lambda state: state, 1.0, 0.0, 1e-3)
 
     def test_invalid_params_raise(self):
         with pytest.raises(ValueError, match="eps"):

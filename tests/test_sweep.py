@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 import hydrolimit.sweep as sweep_mod
-from hydrolimit.constraints import VectorState
-from hydrolimit.pehm import diagnose_vertical
+from hydrolimit.constraints import VectorState, hydrostatic_reconstruct
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.integrator import STEP_TOL, BlowUpError, step_count
 from hydrolimit.shmhd import ElsasserState
@@ -98,6 +97,14 @@ class TestConfigGrammar:
         path = tmp_path / "bad.cfg"
         path.write_text("eps = 0.1\neps = 0.2\neps = 0.05\n")
         with pytest.raises(ConfigError, match="decreasing"):
+            load_config(path)
+
+    def test_ladder_values_that_print_alike(self, tmp_path):
+        """Run ids and summary lines print eps with ``:g``, so two ladder values
+        with one printed form would give two cells one run id."""
+        path = tmp_path / "alike.cfg"
+        path.write_text("n1 = 8\nn2 = 8\nn3 = 8\nalpha = 4.0\neps = 0.1000002\neps = 0.1000001\neps = 0.05\n")
+        with pytest.raises(ConfigError, match=r"^eps: .*0\.1000002.*0\.1000001"):
             load_config(path)
 
     # a value other than the default for every key, so a key read and then
@@ -230,7 +237,7 @@ class TestRunPair:
             _, s_lim0 = initial_states(cfg)
             out = []
             for smp in pehm_run(s_lim0, params.dt, params.t_end, sample_every):
-                a3, b3 = diagnose_vertical(smp.state)
+                a3, b3 = hydrostatic_reconstruct(smp.state.a_h), hydrostatic_reconstruct(smp.state.b_h)
                 state = ElsasserState(
                     VectorState(smp.state.a_h[0], smp.state.a_h[1], a3),
                     VectorState(smp.state.b_h[0], smp.state.b_h[1], b3),
