@@ -11,6 +11,7 @@ from .shmhd import run as shmhd_run
 from .pehm import run as pehm_run
 from .sweep import (
     check_out_dir,
+    check_sweep,
     emit_report,
     initial_states,
     load_config,
@@ -62,6 +63,7 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.mode is not None:
         cfg = dataclasses.replace(cfg, mode=args.mode)
+    check_sweep(cfg, args.jobs)
     check_out_dir(args.out)
     result = run_sweep(cfg, jobs=args.jobs)
     emit_report(result, args.out)

@@ -99,10 +99,17 @@ class GridSpec:
         """The 2/3 band, the modes with 3*|m_i| < n_i on every axis, in the
         half-spectrum: the FFT-order indices ``i1`` of its x modes and ``i2`` of
         its y modes, and the count ``k3`` of its vertical modes 0, ..., k3 - 1.
-        ``half[i1[:, None], i2, :k3]`` is the band block."""
+        ``half[band_index]`` is the band block."""
         i1, i2, i3 = (np.flatnonzero(3 * np.abs(m.ravel()) < n)
                       for m, n in ((self.modes1, self.n1), (self.modes2, self.n2), (self.modes3, self.n3)))
         return i1, i2, i3.size
+
+    @cached_property
+    def band_index(self) -> tuple:
+        """``half[i1[:, None], i2, :k3]``: the band block, shaped (len(i1), len(i2), k3),
+        of a half-spectrum array, or (len(i1), len(i2), 1) of an (n1, n2, 1) table."""
+        i1, i2, k3 = self.band
+        return i1[:, None], i2, slice(k3)
 
     @cached_property
     def reflect_xy(self) -> tuple[np.ndarray, np.ndarray]:

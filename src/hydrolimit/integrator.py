@@ -9,9 +9,12 @@ diffusion factor (Leray and barotropic projections act mode by mode; parity
 pairs m3 with -m3, where the symbol is equal), so this equals projecting the
 tendencies, to rounding.
 
-A step frees each temporary at its last use, so its peak is the corrector's
-tendency: the state, t1, the predictor and the six physical fields it builds,
-about 30 fields for SHMHD.
+States keep the half-spectrum layout, but the tendency returns band blocks
+(``GridSpec.band_index``, about 0.3 of a field each) and both IMEX updates run
+on band blocks, each field's embedded once.  A step frees each temporary at its
+last use, so its peak is the corrector's tendency: the state, the blocks of t1,
+the predictor and the four lattice fields alive in the advection (all of b, one
+component of a), about 25 fields for SHMHD and 20 for PEHM.
 
 A state exposes ``t``, ``grid``, ``FIELD_NAMES``, ``fields()`` (its spectral
 components in that order) and ``from_fields(fields, t)``.
@@ -38,7 +41,7 @@ class BlowUpError(RuntimeError):
         self.step_index = step_index
 
 
-def elsasser_advection(a, b, n_advected: int) -> tuple[list[SpectralField], float]:
+def elsasser_advection(a, b, n_advected: int) -> tuple[list[np.ndarray], float]:
     """Negated advection of the first n_advected components of the Elsaesser
     field a by b and of b by a, given all three components of each.
 
@@ -48,29 +51,32 @@ def elsasser_advection(a, b, n_advected: int) -> tuple[list[SpectralField], floa
     vertical components enter only when those are advected.  Both fields hold
     only band modes, so by the 2/3 rule each product aliases only onto modes
     the forward transform drops, and k_j F(a_i b_j) is formed on the band block.
+    b is lifted to the lattice whole, each a_i only for its own row of products.
 
-    Returns the tendencies (a's first) and the largest physical velocity
-    component, for the CFL guard.
+    Returns the tendencies (a's first) as band blocks (``GridSpec.band_index``)
+    and the largest physical velocity component, for the CFL guard.
     """
     grid = a[0].grid
-    a_phys = [to_physical(f) for f in a]
     b_phys = [to_physical(f) for f in b]
-    max_speed = max(float(np.max(np.abs(c))) for c in (*a_phys, *b_phys))
     i1, i2, k3 = grid.band
     k = (grid.kx[i1], grid.ky[:, i2], grid.kz[:, :, :k3])
     t_a = [0.0] * n_advected
     t_b = [0.0] * n_advected
+    speeds = []
     for i in range(3):
+        a_i = to_physical(a[i])
+        speeds.append(float(np.max(np.abs(a_i))))
         for j in range(3):
             if i >= n_advected and j >= n_advected:
                 continue
-            prod = band_from_physical(grid, a_phys[i] * b_phys[j])
+            prod = band_from_physical(grid, a_i * b_phys[j])
             if i < n_advected:
                 t_a[i] = t_a[i] + k[j] * prod
             if j < n_advected:
                 t_b[j] = t_b[j] + k[i] * prod
-    del a_phys, b_phys
-    return [from_band(grid, -1j * t) for t in (*t_a, *t_b)], max_speed
+    speeds += [float(np.max(np.abs(c))) for c in b_phys]
+    del a_i, b_phys
+    return [-1j * t for t in (*t_a, *t_b)], max(speeds)
 
 
 def _rebuild(like, arrays, t):
@@ -86,34 +92,39 @@ def check_finite(s) -> None:
 def imex_heun(s, tendency, enforce, decay, gain, dt: float):
     """Advance s by one step dt.
 
-    ``tendency(state)`` returns the advection tendencies, one per field, and
-    the largest velocity component, which the CFL guard reads at both stages;
-    ``None`` steps the diffusion alone.
+    ``tendency(state)`` returns the advection tendencies as band blocks, one
+    per field, and the largest velocity component, which the CFL guard reads at
+    both stages; ``None`` steps the diffusion alone.
     ``enforce(state)`` projects a state onto the constraints.  With diffusion
     symbol lam and h = dt/2, a field c with advection tendencies t1, t2 becomes
     decay * c + gain * (t1 + t2), where decay = (1 - h lam) / (1 + h lam) and
-    gain = h / (1 + h lam).
+    gain = h / (1 + h lam), both given on the band block.  Both updates run on
+    the band blocks of the fields, gathered at each use, and each field's
+    update is embedded in the half-spectrum as it is formed, before ``enforce``,
+    so one block is alive at a time.
     """
     t_new = s.t + dt
-    c = [f.half for f in s.fields()]
+    grid = s.grid
+    band = grid.band_index
+
+    def embed(blocks):
+        return type(s).from_fields([from_band(grid, c) for c in blocks], t_new)
+
     if tendency is None:
-        new = [decay * x for x in c]
+        new = embed(decay * f.half[band] for f in s.fields())
     else:
         t1, speed1 = tendency(s)
-        t1 = [g.half for g in t1]
-        pred = enforce(_rebuild(s, [decay * x + gain * (g + g) for x, g in zip(c, t1)], t_new))
+        pred = enforce(embed(decay * f.half[band] + gain * (g + g) for f, g in zip(s.fields(), t1)))
         t2, speed2 = tendency(pred)
-        t2 = [g.half for g in t2]
         del pred
-        new = [decay * x + gain * (g1 + g2) for x, g1, g2 in zip(c, t1, t2)]
+        new = embed(decay * f.half[band] + gain * (g1 + g2) for f, g1, g2 in zip(s.fields(), t1, t2))
         del t1, t2
-        grid = s.grid
         cfl = dt * max(speed1, speed2) / min(grid.dx, grid.dy, grid.dz)
         if cfl >= CFL_LIMIT:
             warnings.warn(
                 f"CFL guard exceeded: dt*max|u|/min(dx) = {cfl:.3f} >= {CFL_LIMIT}", stacklevel=3
             )
-    s_new = enforce(_rebuild(s, new, t_new))
+    s_new = enforce(new)
     check_finite(s_new)
     return s_new
 
@@ -150,7 +161,8 @@ def run(s0, t_end: float, sample_every: int, *, tendency, enforce, lam, dt: floa
         dissipation_rate, record, sample=Sample) -> list:
     """Step s0 to t_end and return ``sample(state, record(state, dissipation))``
     taken at s0, every sample_every steps and at the end.  ``lam`` is the
-    diffusion symbol; its IMEX factors (see ``imex_heun``) are built once here.
+    diffusion symbol; its IMEX factors (see ``imex_heun``) are built once here,
+    on the band block.
 
     A sample gets the state itself, not a copy (no step writes into an array it
     did not create), so it shares that state's arrays, s0's included.
@@ -159,9 +171,10 @@ def run(s0, t_end: float, sample_every: int, *, tendency, enforce, lam, dt: floa
     the linear (advection off) energy balance closes to rounding.
     """
     n_steps = step_count(s0.t, t_end, dt)
+    lam = lam[s0.grid.band_index]  # a caller's fresh full-grid symbol is freed here
     h = 0.5 * dt
     decay, gain = (1.0 - h * lam) / (1.0 + h * lam), h / (1.0 + h * lam)
-    del lam  # a caller's fresh full-grid symbol is freed here, not held through the run
+    del lam
     samples = [sample(s0, record(s0, 0.0))]
     s = s0
     diss = 0.0

@@ -14,6 +14,7 @@ from .constraints import (EVEN_IN_Z, ODD_IN_Z, VectorState, anisotropic_leray_pr
 from .diagnostics import DiagnosticsRecord, shmhd_dissipation_rate, shmhd_energy
 from .grid import normal_powers
 from .integrator import elsasser_advection
+from .spectral import from_band
 
 PARITY = (EVEN_IN_Z, EVEN_IN_Z, ODD_IN_Z) * 2
 
@@ -65,7 +66,7 @@ def _tendency(s: ElsasserState):
 
 def nonlinear_tendency(s: ElsasserState) -> tuple[VectorState, VectorState]:
     """Negated advection terms: the A-family is advected by B and vice versa."""
-    t, _ = _tendency(s)
+    t = [from_band(s.grid, c) for c in _tendency(s)[0]]
     return VectorState(*t[:3]), VectorState(*t[3:])
 
 

@@ -71,7 +71,7 @@ def to_physical(f: SpectralField) -> np.ndarray:
     g = f.grid
     i1, i2, k3 = g.band
     lines = np.zeros((g.n1, i2.size, k3), dtype=np.complex128)
-    lines[i1] = f.half[i1[:, None], i2, :k3]
+    lines[i1] = f.half[g.band_index]
     planes = np.zeros(g.half_shape, dtype=np.complex128)
     planes[:, i2, :k3] = np.fft.ifft(lines, axis=0, norm="forward")
     kept = planes[:, :, :k3]
@@ -98,9 +98,8 @@ def band_from_physical(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 def from_band(grid: GridSpec, block: np.ndarray) -> SpectralField:
     """The field whose band block is ``block``."""
-    i1, i2, k3 = grid.band
     half = np.zeros(grid.half_shape, dtype=np.complex128)
-    half[i1[:, None], i2, :k3] = block
+    half[grid.band_index] = block
     return SpectralField(grid, half)
 
 

@@ -314,16 +314,21 @@ def no_fit_reason(errors: list[tuple[float, float]]) -> str | None:
     return None
 
 
-def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
-    """Run all ladder cells (optionally in parallel) and fit the rate.  The
-    PEHM trajectory is run once and shared: the limit system contains neither
-    eps nor alpha, so a ``_CELL_FAILURES`` exception there fails every cell."""
+def check_sweep(cfg: SweepConfig, jobs: int) -> None:
+    """Raise ConfigError unless cfg and jobs can run a convergence sweep."""
     if cfg.alpha <= 2:
         raise ConfigError(f"alpha: must exceed 2 for the convergence study, got {cfg.alpha}")
     if len(cfg.eps_ladder) < 3:
         raise ConfigError("eps: at least 3 ladder points are required for a sweep")
     if jobs < 1:
         raise ConfigError(f"jobs: must be >= 1, got {jobs}")
+
+
+def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
+    """Run all ladder cells (optionally in parallel) and fit the rate.  The
+    PEHM trajectory is run once and shared: the limit system contains neither
+    eps nor alpha, so a ``_CELL_FAILURES`` exception there fails every cell."""
+    check_sweep(cfg, jobs)
     s_eps0, s_lim0 = initial_states(cfg)
     try:
         limit = pehm_run(s_lim0, cfg.dt, cfg.t_end, cfg.sample_every)

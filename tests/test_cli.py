@@ -264,12 +264,23 @@ class TestValidationFailures:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "o").exists()
 
-    def test_sweep_rejects_alpha_two(self, tmp_path):
-        path = tmp_path / "a2.cfg"
-        path.write_text(TINY_CFG.replace("alpha = 3.0", "alpha = 2.0"))
+    @staticmethod
+    def sweep_rejects_before_making_out(tmp_path, capsys, cfg_text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(cfg_text)
         code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_rejects_alpha_two(self, tmp_path, capsys):
+        self.sweep_rejects_before_making_out(tmp_path, capsys, TINY_CFG.replace("alpha = 3.0", "alpha = 2.0"))
+
+    def test_sweep_rejects_two_point_ladder(self, tmp_path, capsys):
+        self.sweep_rejects_before_making_out(tmp_path, capsys, TINY_CFG.replace("eps = 0.05\n", ""))
 
     @pytest.mark.parametrize("argv", [["simulate", "--out", "o"], ["verify"], ["sweep", "--jobs", "2", "--out", "o"]],
                              ids=["simulate", "verify", "sweep-jobs2"])

@@ -6,7 +6,8 @@ the rest get fields of the 2/3 band, the only fields there are.  On the same
 boxes, every incompressibility operator built on the k . c kernel equals the
 derivative-chain arithmetic bit for bit.  Every operator and solver output
 stays inside the 2/3 band: the field invariant the pair and the single
-wavenumber tables rest on."""
+wavenumber tables rest on.  A step on band blocks equals the same step on the
+half-spectrum bit for bit."""
 
 import numpy as np
 import pytest
@@ -29,12 +30,15 @@ from hydrolimit.constraints import (
 )
 from hydrolimit.diagnostics import _weighted_sums
 from hydrolimit.grid import GridSpec
+from hydrolimit.integrator import imex_heun
 from hydrolimit.pehm import run as pehm_run
+from hydrolimit.pehm import _enforce as pehm_enforce
 from hydrolimit.pehm import _tendency as pehm_tendency
 from hydrolimit.shmhd import ShmhdParams
+from hydrolimit.shmhd import _enforce as shmhd_enforce
 from hydrolimit.shmhd import _tendency as shmhd_tendency
 from hydrolimit.shmhd import run as shmhd_run
-from hydrolimit.spectral import from_physical, l2_norm, to_physical
+from hydrolimit.spectral import SpectralField, from_band, from_physical, l2_norm, to_physical
 from hydrolimit.sweep import SweepConfig, initial_states
 from conftest import (
     band_mask,
@@ -252,9 +256,11 @@ class TestBandPrecondition:
         ])
 
     def test_tendencies(self, shape):
+        """The tendencies are band blocks, so they hold no mode outside the band."""
         s0, p0 = initial_states(SweepConfig(*shape, l1=2.0, l2=3.0))
-        self.assert_in_band(shmhd_tendency(s0)[0])
-        self.assert_in_band(pehm_tendency(p0)[0])
+        i1, i2, k3 = s0.grid.band
+        for s, tendency in ((s0, shmhd_tendency), (p0, pehm_tendency)):
+            assert [t.shape for t in tendency(s)[0]] == [(i1.size, i2.size, k3)] * len(s.fields())
 
     def test_shmhd_states(self, shape):
         cfg = SweepConfig(*shape, l1=2.0, l2=3.0)
@@ -272,3 +278,52 @@ class TestBandPrecondition:
         for sample in samples:
             s = sample.state
             self.assert_in_band([*s.fields(), hydrostatic_reconstruct(s.a_h), hydrostatic_reconstruct(s.b_h)])
+
+
+def half_layout_step(s, tendency, enforce, decay, gain, dt):
+    """The IMEX-Heun step on the whole half-spectrum, without the CFL guard:
+    full-half factors, each tendency block embedded by ``from_band``."""
+    def rebuild(arrays, t):
+        return type(s).from_fields([SpectralField(s.grid, c) for c in arrays], t)
+
+    def halves(state):
+        return [from_band(state.grid, t).half for t in tendency(state)[0]]
+
+    t_new = s.t + dt
+    c = [f.half for f in s.fields()]
+    if tendency is None:
+        return enforce(rebuild([decay * x for x in c], t_new))
+    t1 = halves(s)
+    pred = enforce(rebuild([decay * x + gain * (g + g) for x, g in zip(c, t1)], t_new))
+    t2 = halves(pred)
+    return enforce(rebuild([decay * x + gain * (g1 + g2) for x, g1, g2 in zip(c, t1, t2)], t_new))
+
+
+@pytest.mark.parametrize("advect", [True, False], ids=["advect", "linear"])
+@pytest.mark.parametrize("system", ["shmhd", "pehm"])
+@pytest.mark.parametrize("shape, lengths", [((16, 16, 16), (2.0 * np.pi, 2.0 * np.pi)), ((24, 16, 12), (2.0, 3.0))],
+                         ids=["16^3", "24x16x12"])
+def test_band_step_equals_the_half_layout_step(shape, lengths, system, advect):
+    """One ``imex_heun`` step, with the factors of ``integrator.run`` on the
+    band block, is bit-identical to the half-spectrum step with the factors of
+    the same symbol on the whole half."""
+    cfg = SweepConfig(*shape, l1=lengths[0], l2=lengths[1])
+    s0, p0 = initial_states(cfg)
+    g = s0.grid
+    if system == "shmhd":
+        eps, alpha = 0.1, 3.0
+        s, tendency, lam = s0, shmhd_tendency, g.k2h + eps ** (alpha - 2.0) * g.kz**2
+        enforce = lambda state: shmhd_enforce(state, eps)
+    else:
+        s, tendency, enforce, lam = p0, pehm_tendency, pehm_enforce, g.k2h
+    tendency = tendency if advect else None
+    i1, i2, k3 = g.band
+    h = 0.5 * cfg.dt
+
+    def factors(symbol):
+        return (1.0 - h * symbol) / (1.0 + h * symbol), h / (1.0 + h * symbol)
+
+    got = imex_heun(s, tendency, enforce, *factors(lam[i1[:, None], i2, :k3]), cfg.dt)
+    want = half_layout_step(s, tendency, enforce, *factors(lam), cfg.dt)
+    assert got.t == want.t
+    assert all(np.array_equal(f.half, w.half) for f, w in zip(got.fields(), want.fields(), strict=True))
