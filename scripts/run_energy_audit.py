@@ -55,4 +55,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except ValueError as e:  # bad input, a config error included: one line, exit 2 as in the CLI
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(2)

@@ -29,6 +29,8 @@ def main() -> int:
     parser.add_argument("--dt0", type=float, default=4e-3)
     parser.add_argument("--t-end", type=float, default=0.02)
     args = parser.parse_args()
+    if not args.t_end > 0:  # at t = 0 every error is 0 and no order exists
+        raise ValueError(f"--t-end: must be positive, got {args.t_end}")
 
     grid = GridSpec(8, 8, 8, 1.0, 1.0)
     x = np.arange(grid.n1).reshape(-1, 1, 1) * grid.dx
@@ -60,4 +62,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except ValueError as e:  # bad input, a config error included: one line, exit 2 as in the CLI
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(2)

@@ -10,17 +10,17 @@ pairs m3 with -m3, where the symbol is equal), so this equals projecting the
 tendencies, to rounding.
 
 States keep the half-spectrum layout, but the tendency returns band blocks
-(``GridSpec.band_index``, about 0.3 of a field each) and both IMEX updates run
-on band blocks, each field's embedded once.  A step frees each temporary at its
-last use, so its peak is the corrector's tendency: the state, the blocks of t1,
-the predictor and the four lattice fields alive in the advection (all of b, one
-component of a), about 25 fields for SHMHD and 20 for PEHM.
+(``GridSpec.band_index``, about 0.3 of a field each), both IMEX updates run on
+band blocks, and a ``Sample`` keeps only blocks.  A step frees each temporary
+at its last use, so its peak is the corrector's tendency: the state, the blocks
+of t1, the predictor and the four lattice fields alive in the advection (all of
+b, one component of a), about 25 fields for SHMHD and 20 for PEHM.
 
 A state exposes ``t``, ``grid``, ``FIELD_NAMES``, ``fields()`` (its spectral
 components in that order) and ``from_fields(fields, t)``.
 """
 
-from dataclasses import dataclass
+import ctypes
 import math
 import warnings
 
@@ -31,6 +31,23 @@ from .spectral import SpectralField, band_from_physical, from_band, to_physical
 
 CFL_LIMIT = 0.5
 STEP_TOL = 1e-9
+
+
+def _keep_heap_pages() -> None:
+    """Have glibc serve every array of a step from the heap (its mmap threshold
+    at the 32 MiB maximum) and never trim the heap top, so a step reuses the
+    pages of the last one instead of faulting fresh ones in.  Set once, at
+    import; skipped where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
+_keep_heap_pages()
 
 
 class BlowUpError(RuntimeError):
@@ -129,10 +146,18 @@ def imex_heun(s, tendency, enforce, decay, gain, dt: float):
     return s_new
 
 
-@dataclass
 class Sample:
-    state: object
-    record: DiagnosticsRecord
+    """A sampled state and its record.  Every field is zero outside the band, so
+    the sample keeps only each field's band block, and ``state`` rebuilds the
+    half-spectrum state from them, bit-identical to the one sampled."""
+
+    def __init__(self, state, record: DiagnosticsRecord):
+        self.record, self.kind, self.grid, self.t = record, type(state), state.grid, state.t
+        self.blocks = [f.half[state.grid.band_index] for f in state.fields()]
+
+    @property
+    def state(self):
+        return self.kind.from_fields([from_band(self.grid, c) for c in self.blocks], self.t)
 
 
 def step_count(t0: float, t_end: float, dt: float) -> int:
@@ -164,8 +189,8 @@ def run(s0, t_end: float, sample_every: int, *, tendency, enforce, lam, dt: floa
     diffusion symbol; its IMEX factors (see ``imex_heun``) are built once here,
     on the band block.
 
-    A sample gets the state itself, not a copy (no step writes into an array it
-    did not create), so it shares that state's arrays, s0's included.
+    The default ``Sample`` keeps the band block of each field of the state, a
+    copy that no later step can change.
 
     The dissipation integral is accumulated per step at the midpoint state, so
     the linear (advection off) energy balance closes to rounding.

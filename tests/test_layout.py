@@ -262,21 +262,23 @@ class TestBandPrecondition:
         for s, tendency in ((s0, shmhd_tendency), (p0, pehm_tendency)):
             assert [t.shape for t in tendency(s)[0]] == [(i1.size, i2.size, k3)] * len(s.fields())
 
+    # The stepped states themselves: a default sample rebuilds its state from
+    # band blocks, so it is in band by construction.
     def test_shmhd_states(self, shape):
         cfg = SweepConfig(*shape, l1=2.0, l2=3.0)
         s0, _ = initial_states(cfg)
-        samples = shmhd_run(s0, ShmhdParams(eps=0.1, alpha=4.0, dt=cfg.dt, t_end=4 * cfg.dt))
-        assert len(samples) == 5
-        for sample in samples:
-            self.assert_in_band(sample.state.fields())
+        states = shmhd_run(s0, ShmhdParams(eps=0.1, alpha=4.0, dt=cfg.dt, t_end=4 * cfg.dt),
+                           sample=lambda s, r: s)
+        assert len(states) == 5
+        for s in states:
+            self.assert_in_band(s.fields())
 
     def test_pehm_states_and_their_verticals(self, shape):
         cfg = SweepConfig(*shape, l1=2.0, l2=3.0)
         _, p0 = initial_states(cfg)
-        samples = pehm_run(p0, cfg.dt, 4 * cfg.dt)
-        assert len(samples) == 5
-        for sample in samples:
-            s = sample.state
+        states = pehm_run(p0, cfg.dt, 4 * cfg.dt, sample=lambda s, r: s)
+        assert len(states) == 5
+        for s in states:
             self.assert_in_band([*s.fields(), hydrostatic_reconstruct(s.a_h), hydrostatic_reconstruct(s.b_h)])
 
 

@@ -1,7 +1,12 @@
 """Memory of a run: the working set of a step counted in fields, the
-initial arrays that both systems of a sweep share, and the arrays that samples
-share with the states they record."""
+initial arrays that both systems of a sweep share, the band blocks that
+samples keep of the states they record, and the heap pages that a run reuses."""
 
+import ctypes
+import os
+from pathlib import Path
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +15,8 @@ import pytest
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.shmhd import ShmhdParams, run as shmhd_run
 from hydrolimit.sweep import SweepConfig, initial_states
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _drop(state, record):
@@ -59,16 +66,71 @@ def test_runs_leave_the_shared_initial_arrays_unchanged():
         assert np.array_equal(f.half, b)
 
 
+def _complex_bytes(obj) -> int:
+    """Bytes of the complex arrays reachable from obj through object attributes,
+    lists and tuples, whatever the classes that hold them."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes if obj.dtype.kind == "c" else 0
+    if isinstance(obj, (list, tuple)):
+        children = obj
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        children = vars(obj).values()
+    else:
+        return 0
+    return sum(_complex_bytes(c) for c in children)
+
+
 @pytest.mark.parametrize("system", ["shmhd", "pehm"])
-def test_samples_share_the_arrays_of_the_states_they_record(system):
-    """With the default hook, the first sample holds s0's own arrays, and no
-    later step writes into an array that a sample holds."""
+def test_samples_keep_band_blocks_of_the_states_they_record(system):
+    """With the default hook, every sample's state equals the state as it was
+    when sampled, and the sample holds at most 0.3 of that state's half-spectrum
+    bytes: one band block per field (75 of 320 modes at 8^3)."""
     cfg = SweepConfig(8, 8, 8)
     s0, p0 = initial_states(cfg)
-    start = s0 if system == "shmhd" else p0
     samples = _run(system, cfg, s0, p0, 3)
-    assert all(f.half is g.half for f, g in zip(samples[0].state.fields(), start.fields(), strict=True))
     as_sampled = _run(system, cfg, s0, p0, 3, sample=_copy)
     for smp, arrays in zip(samples, as_sampled, strict=True):
-        for f, a in zip(smp.state.fields(), arrays, strict=True):
+        state = smp.state
+        for f, a in zip(state.fields(), arrays, strict=True):
             assert np.array_equal(f.half, a)
+        assert _complex_bytes(smp) <= 0.3 * sum(f.half.nbytes for f in state.fields())
+
+
+HEAP_PROBE = """
+import resource, sys
+from hydrolimit.pehm import run as pehm_run
+from hydrolimit.shmhd import ShmhdParams, run as shmhd_run
+from hydrolimit.sweep import SweepConfig, initial_states
+
+cfg = SweepConfig(32, 32, 32)
+s0, p0 = initial_states(cfg)
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    if sys.argv[1] == "shmhd":
+        shmhd_run(s0, ShmhdParams(eps=0.1, alpha=3.0, dt=cfg.dt, t_end=4 * cfg.dt))
+    else:
+        pehm_run(p0, cfg.dt, 4 * cfg.dt)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 4)
+"""
+
+
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    return True
+
+
+# Without the heap policy glibc trims the heap top after a step and the next
+# step faults its pages back in: about 1.1k minor faults per 32^3 step.
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+@pytest.mark.parametrize("system", ["shmhd", "pehm"])
+def test_a_run_reuses_the_heap_pages_of_the_last(system):
+    """The second of two 4-step 32^3 runs in a fresh process takes fewer than
+    100 minor page faults per step."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", HEAP_PROBE, system],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 100
