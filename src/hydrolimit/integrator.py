@@ -4,17 +4,17 @@ Diffusion is implicit-trapezoidal; advection is a Heun (explicit trapezoidal)
 predictor-corrector.  A system supplies its tendency, its constraint
 enforcement, its diffusion symbol (whose IMEX factors ``run`` builds once) and
 its dissipation rate.  Constraints are enforced on the predictor and on the
-new state, not on the tendencies: every projection commutes with the diagonal
-diffusion factor (Leray and barotropic projections act mode by mode; parity
-pairs m3 with -m3, where the symbol is equal), so this equals projecting the
-tendencies, to rounding.
+new state, not on the tendencies: the Leray and barotropic projections act mode
+by mode, so they commute with the diagonal diffusion factor and this equals
+projecting the tendencies, to rounding.  Parity in z is an invariant of every
+operator of the step, not enforced, so a recorded parity defect measures drift.
 
 States keep the half-spectrum layout, but the tendency returns band blocks
 (``GridSpec.band_index``, about 0.3 of a field each), both IMEX updates run on
 band blocks, and a ``Sample`` keeps only blocks.  A step frees each temporary
 at its last use, so its peak is the corrector's tendency: the state, the blocks
 of t1, the predictor and the four lattice fields alive in the advection (all of
-b, one component of a), about 25 fields for SHMHD and 20 for PEHM.
+b, one component of a), about 23 fields for SHMHD and 20 for PEHM.
 
 A state exposes ``t``, ``grid``, ``FIELD_NAMES``, ``fields()`` (its spectral
 components in that order) and ``from_fields(fields, t)``.
@@ -36,8 +36,8 @@ STEP_TOL = 1e-9
 def _keep_heap_pages() -> None:
     """Have glibc serve every array of a step from the heap (its mmap threshold
     at the 32 MiB maximum) and never trim the heap top, so a step reuses the
-    pages of the last one instead of faulting fresh ones in.  Set once, at
-    import; skipped where the C library has no ``mallopt``."""
+    pages of the last one instead of faulting fresh ones in.  Set by ``run``,
+    not at import; skipped where the C library has no ``mallopt``."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
@@ -45,9 +45,6 @@ def _keep_heap_pages() -> None:
         mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD
     except (OSError, AttributeError, TypeError):
         pass
-
-
-_keep_heap_pages()
 
 
 class BlowUpError(RuntimeError):
@@ -195,6 +192,7 @@ def run(s0, t_end: float, sample_every: int, *, tendency, enforce, lam, dt: floa
     The dissipation integral is accumulated per step at the midpoint state, so
     the linear (advection off) energy balance closes to rounding.
     """
+    _keep_heap_pages()
     n_steps = step_count(s0.t, t_end, dt)
     lam = lam[s0.grid.band_index]  # a caller's fresh full-grid symbol is freed here
     h = 0.5 * dt

@@ -5,7 +5,8 @@ vertical components diagnosed from the incompressibility constraints.
 Scheme: the shared IMEX-Heun step of ``integrator``.  The surface pressure
 gradient is a kz = 0 horizontal gradient, which the barotropic projection of
 the predictor and the new state removes exactly, so the step never solves for
-the pressure.
+the pressure.  The horizontal pairs stay even in z without a projection: the
+hydrostatic reconstruction makes the verticals odd, and the advection keeps both.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ from .constraints import (
     barotropic_project,
     hydrostatic_reconstruct,
     parity_defect,
-    parity_project,
 )
 from .diagnostics import DiagnosticsRecord, pehm_dissipation_rate, pehm_energy
 from .integrator import elsasser_advection
@@ -52,9 +52,8 @@ def _tendency(s: PehmState):
 
 
 def _enforce(s: PehmState) -> PehmState:
-    """Constraint enforcement: barotropic projection, then even parity."""
-    fields = [*barotropic_project(s.a_h), *barotropic_project(s.b_h)]
-    return PehmState.from_fields([parity_project(f, EVEN_IN_Z) for f in fields], s.t)
+    """Barotropic projection of each horizontal pair; the step keeps them even in z."""
+    return PehmState(barotropic_project(s.a_h), barotropic_project(s.b_h), s.t)
 
 
 def _record(s: PehmState, diss_accum: float) -> DiagnosticsRecord:

@@ -3,14 +3,15 @@ the fixed periodic box, with anisotropic diffusion and weighted pressure
 projection.
 
 Scheme: the shared IMEX-Heun step of ``integrator``; the pressure is enforced
-exactly by the weighted Leray projection of the predictor and the new state.
+exactly by the weighted Leray projection of the predictor and the new state,
+and the z parities ``PARITY`` are kept by every operator of the step.
 """
 
 from dataclasses import dataclass
 
 from . import integrator
 from .constraints import (EVEN_IN_Z, ODD_IN_Z, VectorState, anisotropic_leray_project, divergence_defect,
-                          parity_defect, parity_project)
+                          parity_defect)
 from .diagnostics import DiagnosticsRecord, shmhd_dissipation_rate, shmhd_energy
 from .grid import normal_powers
 from .integrator import elsasser_advection
@@ -71,11 +72,8 @@ def nonlinear_tendency(s: ElsasserState) -> tuple[VectorState, VectorState]:
 
 
 def _enforce(s: ElsasserState, eps: float) -> ElsasserState:
-    """Constraint enforcement: divergence, then parity, one Elsaesser family at a time."""
-    fields = []
-    for g in (s.a, s.b):
-        fields += [parity_project(f, c) for f, c in zip(anisotropic_leray_project(g, eps).components(), PARITY)]
-    return ElsasserState.from_fields(fields, s.t)
+    """Weighted Leray projection of each Elsaesser family; the step keeps ``PARITY``."""
+    return ElsasserState(anisotropic_leray_project(s.a, eps), anisotropic_leray_project(s.b, eps), s.t)
 
 
 def _record(s: ElsasserState, p: ShmhdParams, diss_accum: float) -> DiagnosticsRecord:

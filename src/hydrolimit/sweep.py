@@ -9,6 +9,7 @@ are errors.
 from dataclasses import dataclass, fields
 import math
 import os
+import tempfile
 
 import numpy as np
 
@@ -452,10 +453,8 @@ def check_out_dir(out_dir) -> None:
     raises OSError naming the directory otherwise."""
     try:
         os.makedirs(out_dir, exist_ok=True)
-        probe = os.path.join(out_dir, ".write_probe")
-        with open(probe, "w"):
+        with tempfile.TemporaryFile(dir=out_dir):
             pass
-        os.remove(probe)
     except OSError as e:
         raise OSError(f"output directory not writable: {out_dir} ({e})") from e
 

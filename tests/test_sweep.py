@@ -549,3 +549,12 @@ class TestReporting:
         target.write_text("a plain file occupies the output path")
         with pytest.raises(OSError, match="not writable"):
             emit_report(result, target)
+
+    def test_write_check_leaves_every_existing_file(self, tmp_path):
+        """The write check of ``--out`` uses no fixed file name, so a file of
+        the user's that has the name an earlier probe used keeps its content."""
+        probe = tmp_path / ".write_probe"
+        probe.write_text("the user's own file")
+        sweep_mod.check_out_dir(tmp_path)
+        assert probe.read_text() == "the user's own file"
+        assert [p.name for p in tmp_path.iterdir()] == [".write_probe"]
