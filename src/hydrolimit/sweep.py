@@ -155,18 +155,15 @@ class RunRow:
 
 
 @dataclass
-class PairSummary:
-    sup_d_l2: float
-    sup_d_h1: float
-    energy_pass: bool
-    status: str
-
-
-@dataclass
 class PairResult:
+    """One ladder cell: its runs.csv rows and its sweep.csv line, the sup over
+    the cell's samples of each error norm (NaN unless ``status`` is ok)."""
     eps: float
     rows: list[RunRow]
-    summary: PairSummary
+    sup_err_l2: float
+    sup_err_h1: float
+    energy_pass: bool
+    status: str
 
 
 def record_row(cfg: SweepConfig, system: str, eps: float, r, diff=(None, None, None)) -> RunRow:
@@ -184,7 +181,7 @@ def initial_states(cfg: SweepConfig) -> tuple[ElsasserState, PehmState]:
 
 
 def _failed_cell(eps: float, status: str) -> PairResult:
-    return PairResult(eps, [], PairSummary(math.nan, math.nan, False, status))
+    return PairResult(eps, [], math.nan, math.nan, False, status)
 
 
 # the failures of a solver run that fail its cells, not the sweep
@@ -210,9 +207,8 @@ def run_pair(cfg: SweepConfig, eps: float, limit: list, s_eps0: ElsasserState) -
     rows = [record_row(cfg, "shmhd", eps, r, (d.d_l2, accum, d.d_h1))
             for r, d, accum in zip(records, diffs, accums)]
     rows += [record_row(cfg, "pehm", eps, sl.record) for sl in limit]
-    summary = PairSummary(max(d.d_l2 for d in diffs), max(d.d_h1 for d in diffs),
-                          energy_ledger(records).passed, "ok")
-    return PairResult(eps, rows, summary)
+    return PairResult(eps, rows, math.sqrt(max(d.d_l2 for d in diffs)),
+                      math.sqrt(max(d.d_h1 for d in diffs)), energy_ledger(records).passed, "ok")
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +336,7 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
             cells = _pool_cells(cfg, (limit, s_eps0), jobs)
         else:
             cells = [_run_cell(cfg, eps, (limit, s_eps0)) for eps in cfg.eps_ladder]
-    errors = [(c.eps, math.sqrt(c.summary.sup_d_l2 if cfg.mode == "l2" else c.summary.sup_d_h1))
-              for c in cells if c.summary.status == "ok"]
+    errors = [(c.eps, c.sup_err_l2 if cfg.mode == "l2" else c.sup_err_h1) for c in cells if c.status == "ok"]
     fit = None
     if no_fit_reason(errors) is None:
         fit = fit_rate([e for e, _ in errors], [v for _, v in errors], gamma_of_alpha(cfg.alpha) / 2.0)
@@ -370,9 +365,7 @@ def runs_csv_text(rows: list[RunRow]) -> str:
 def sweep_csv_text(result: SweepResult) -> str:
     lines = ["eps,sup_err_l2,sup_err_h1,status"]
     for cell in result.cells:
-        s = cell.summary
-        err_l2, err_h1 = math.sqrt(s.sup_d_l2), math.sqrt(s.sup_d_h1)
-        lines.append(f"{_fmt(cell.eps)},{_fmt(err_l2)},{_fmt(err_h1)},{s.status}")
+        lines.append(f"{_fmt(cell.eps)},{_fmt(cell.sup_err_l2)},{_fmt(cell.sup_err_h1)},{cell.status}")
     return "\n".join(lines) + "\n"
 
 
@@ -381,14 +374,11 @@ def summary_text(result: SweepResult) -> str:
     lines = [f"sweep: alpha={cfg.alpha:g} mode={cfg.mode} seed={cfg.seed} "
              f"grid={cfg.n1}x{cfg.n2}x{cfg.n3} dt={cfg.dt:g} t_end={cfg.t_end:g}"]
     for cell in result.cells:
-        s = cell.summary
-        if s.status == "ok":
-            lines.append(
-                f"eps={cell.eps:g}: err_l2={math.sqrt(s.sup_d_l2):.6e} "
-                f"err_h1={math.sqrt(s.sup_d_h1):.6e} energy={'PASS' if s.energy_pass else 'FAIL'}"
-            )
+        if cell.status == "ok":
+            lines.append(f"eps={cell.eps:g}: err_l2={cell.sup_err_l2:.6e} err_h1={cell.sup_err_h1:.6e} "
+                         f"energy={'PASS' if cell.energy_pass else 'FAIL'}")
         else:
-            lines.append(f"eps={cell.eps:g}: {s.status}")
+            lines.append(f"eps={cell.eps:g}: {cell.status}")
     if result.fit is not None:
         f = result.fit
         lines.append(

@@ -12,6 +12,7 @@ from hydrolimit.constraints import SpectrumParams, VectorState, generate_initial
 from hydrolimit.diagnostics import (
     DiagnosticsRecord,
     _weighted_sums,
+    _weighted_totals,
     difference_metrics,
     energy_ledger,
     gamma_of_alpha,
@@ -23,7 +24,9 @@ from hydrolimit.diagnostics import (
 )
 from hydrolimit.grid import GridSpec
 from hydrolimit.pehm import PehmState
-from hydrolimit.shmhd import ElsasserState
+from hydrolimit.pehm import run as pehm_run
+from hydrolimit.shmhd import ElsasserState, ShmhdParams
+from hydrolimit.shmhd import run as shmhd_run
 from hydrolimit.spectral import SpectralField, l2_norm, to_physical, zero_field
 from conftest import (
     derivative_difference_metrics,
@@ -201,6 +204,22 @@ class TestEnergies:
         g = GridSpec(8, 8, 8, 1.0, 1.0)
         f = field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * x))
         assert pehm_energy((f, f), (f, zero_field(g))) == pytest.approx(3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_record_energy_is_the_difference_metrics_energy(self, seed):
+        """The records' energies (z marginal only) and ``_weighted_totals``'s
+        energy (both marginals) are two codings of one eps-weighted functional,
+        compared on stepped states."""
+        g = GridSpec(16, 16, 16)
+        a, b = generate_initial_data(seed, SpectrumParams(amplitude=0.5), g)
+        lim = pehm_run(PehmState((a.h1, a.h2), (b.h1, b.h2), 0.0), 2e-3, 1e-2, 5)[-1].state
+        assert pehm_energy(lim.a_h, lim.b_h) == pytest.approx(
+            sum(_weighted_sums(f)[0] for f in lim.fields()), rel=1e-14)
+        for eps in (0.2, 0.025):
+            s = shmhd_run(ElsasserState(a, b, 0.0), ShmhdParams(eps, 4.0, 2e-3, 1e-2), 5)[-1].state
+            assert s.t == lim.t == pytest.approx(1e-2)
+            assert shmhd_energy(s.a, s.b, eps) == pytest.approx(
+                _weighted_totals((s.a.h1, s.a.h2, s.b.h1, s.b.h2), (s.a.v, s.b.v), eps, 4.0)[0], rel=1e-14)
 
 
 class TestTrilinear:

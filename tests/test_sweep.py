@@ -248,17 +248,17 @@ class TestRunPair:
 
         monkeypatch.setattr(sweep_mod, "shmhd_run", lifted_run)
         result = run_pair(cfg, 0.1, *shared_inputs(cfg))
-        assert result.summary.status == "ok"
-        assert result.summary.sup_d_l2 == 0.0
-        assert result.summary.sup_d_h1 == 0.0
+        assert result.status == "ok"
+        assert result.sup_err_l2 == 0.0
+        assert result.sup_err_h1 == 0.0
         assert all(r.d_diss_accum == 0.0 for r in result.rows if r.system == "shmhd")
 
     def test_real_pair_produces_positive_error(self):
         cfg = SweepConfig(alpha=3.0, **TINY)
         result = run_pair(cfg, 0.2, *shared_inputs(cfg))
-        assert result.summary.status == "ok"
-        assert result.summary.sup_d_l2 > 0.0
-        assert result.summary.energy_pass
+        assert result.status == "ok"
+        assert result.sup_err_l2 > 0.0
+        assert result.energy_pass
 
     def test_shared_inputs_match_self_seeded_cells(self):
         """Cells run from one shared seeded state and PEHM trajectory give the
@@ -277,8 +277,8 @@ class TestRunPair:
     def test_smaller_eps_gives_smaller_error(self):
         cfg = SweepConfig(alpha=4.0, **TINY)
         limit, s_eps0 = shared_inputs(cfg)
-        big = run_pair(cfg, 0.2, limit, s_eps0).summary.sup_d_l2
-        small = run_pair(cfg, 0.05, limit, s_eps0).summary.sup_d_l2
+        big = run_pair(cfg, 0.2, limit, s_eps0).sup_err_l2
+        small = run_pair(cfg, 0.05, limit, s_eps0).sup_err_l2
         assert small < big
 
 
@@ -356,7 +356,7 @@ class TestRunSweep:
         monkeypatch.setattr(sweep_mod, "pehm_run", logged_run)
         cfg = SweepConfig(alpha=4.0, eps_ladder=(0.2, 0.1, 0.05), **TINY)
         result = run_sweep(cfg, jobs=jobs)
-        assert [c.summary.status for c in result.cells] == ["ok"] * 3
+        assert [c.status for c in result.cells] == ["ok"] * 3
         assert log.read_text().split() == [str(os.getpid())]
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -371,7 +371,7 @@ class TestRunSweep:
         cfg = SweepConfig(alpha=4.0, eps_ladder=(0.2, 0.1, 0.05), **TINY)
         result = run_sweep(cfg, jobs=jobs)
         status = "blowup:injected failure" if exc is BlowUpError else f"error:{exc.__name__}"
-        assert [c.summary.status for c in result.cells] == ["ok", status, "ok"]
+        assert [c.status for c in result.cells] == ["ok", status, "ok"]
         assert [e for e, _ in result.errors] == [0.2, 0.05]
         emit_report(result, tmp_path / "report")
         assert f"0.1,nan,nan,{status}" in (tmp_path / "report" / "sweep.csv").read_text()
@@ -387,7 +387,7 @@ class TestRunSweep:
         monkeypatch.setattr(sweep_mod, "shmhd_run", dying_run)
         cfg = SweepConfig(alpha=4.0, eps_ladder=(0.2, 0.1, 0.05), **TINY)
         result = run_sweep(cfg, jobs=2)
-        assert [c.summary.status for c in result.cells] == ["ok", "error:WorkerDied", "ok"]
+        assert [c.status for c in result.cells] == ["ok", "error:WorkerDied", "ok"]
         assert result.fit is not None
         emit_report(result, tmp_path / "report")
         assert "0.1,nan,nan,error:WorkerDied" in (tmp_path / "report" / "sweep.csv").read_text()
@@ -425,7 +425,7 @@ class TestRunSweep:
         monkeypatch.setattr(sweep_mod, "initial_states", logged_initial_states)
         cfg = SweepConfig(alpha=4.0, eps_ladder=(0.2, 0.1, 0.05), **TINY)
         result = run_sweep(cfg, jobs=jobs)
-        assert [c.summary.status for c in result.cells] == ["ok"] * 3
+        assert [c.status for c in result.cells] == ["ok"] * 3
         assert log.read_text().split() == [str(os.getpid())]
 
     def test_zero_error_is_named_as_why_no_rate_fits(self):
@@ -433,7 +433,7 @@ class TestRunSweep:
         fit cannot take, and the summary says so instead of blaming the cells."""
         cfg = SweepConfig(alpha=4.0, eps_ladder=(0.2, 0.1, 0.05), amplitude=0.0, **TINY)
         result = run_sweep(cfg, jobs=1)
-        assert [c.summary.status for c in result.cells] == ["ok"] * 3
+        assert [c.status for c in result.cells] == ["ok"] * 3
         assert result.errors == [(0.2, 0.0), (0.1, 0.0), (0.05, 0.0)]
         assert result.fit is None
         assert summary_text(result).splitlines()[-1] == (
@@ -452,7 +452,7 @@ class TestRunSweep:
         result = run_sweep(cfg, jobs=jobs)
         status = ("blowup:non-finite coefficients in field a_h1 at t=0.01" if exc is BlowUpError
                   else f"error:{exc.__name__}")
-        assert [c.summary.status for c in result.cells] == [status] * 3
+        assert [c.status for c in result.cells] == [status] * 3
         assert result.fit is None
         assert summary_text(result).splitlines()[-1] == (
             "fewer than 2 successful cells: no rate fit, partial report only")
@@ -470,9 +470,9 @@ class TestPinnedOracle:
     def test_quick_smoke_matches_pinned_values(self):
         cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "quick_smoke.cfg")
         result = run_sweep(cfg)
-        assert [c.summary.status for c in result.cells] == ["ok"] * 3
-        got_l2 = [math.sqrt(c.summary.sup_d_l2) for c in result.cells]
-        got_h1 = [math.sqrt(c.summary.sup_d_h1) for c in result.cells]
+        assert [c.status for c in result.cells] == ["ok"] * 3
+        got_l2 = [c.sup_err_l2 for c in result.cells]
+        got_h1 = [c.sup_err_h1 for c in result.cells]
         assert got_l2 == pytest.approx(self.SUP_ERR_L2, rel=1e-8)
         assert got_h1 == pytest.approx(self.SUP_ERR_H1, rel=1e-8)
         assert result.fit.slope == pytest.approx(self.SLOPE, rel=1e-6)
@@ -498,7 +498,7 @@ class TestReporting:
         for line, cell in zip(lines[1:], result.cells):
             eps, err_l2, err_h1, status = line.split(",")
             assert float(eps) == cell.eps
-            assert float(err_l2) == pytest.approx(math.sqrt(cell.summary.sup_d_l2))
+            assert float(err_l2) == pytest.approx(cell.sup_err_l2)
             assert status == "ok"
 
     def test_runs_csv_schema(self):
