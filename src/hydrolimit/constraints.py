@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec
-from .spectral import SpectralField, from_band, l2_norm, parseval_sum, partner
+from .spectral import SpectralField, from_band, gather, l2_norm, parseval_sum, partner
 
 EVEN_IN_Z = "even_in_z"
 ODD_IN_Z = "odd_in_z"
@@ -33,7 +33,7 @@ class VectorState:
 def parity_project(f: SpectralField, cls: str) -> SpectralField:
     """Project onto the even or odd part in z (symmetrization of m3 and -m3,
     whose coefficient is the conjugate partner of the stored one)."""
-    refl = partner(f.half, f.grid)
+    refl = partner(f.half)
     if cls == EVEN_IN_Z:
         return SpectralField(f.grid, 0.5 * (f.half + refl))
     if cls == ODD_IN_Z:
@@ -46,14 +46,14 @@ def parity_defect(f: SpectralField, cls: str) -> float:
     return l2_norm(f - parity_project(f, cls))
 
 
-def k_dot(cs, z=slice(None)) -> np.ndarray:
-    """k . c = sum_j k_j c_j per mode on the vertical planes z, for components cs
-    along x, y (and z): the spectral divergence i k . c without its factor i."""
-    grid = cs[0].grid
+def k_dot(grid: GridSpec, cs, z=slice(None)) -> np.ndarray:
+    """k . c = sum_j k_j c_j per mode on the vertical planes z, for the band
+    blocks cs of components along x, y (and z): the spectral divergence
+    i k . c without its factor i."""
     ks = (grid.kx, grid.ky, grid.kz)
-    out = ks[0][:, :, z] * cs[0].half[:, :, z]
+    out = ks[0][:, :, z] * cs[0][:, :, z]
     for k, c in zip(ks[1:], cs[1:]):
-        out += k[:, :, z] * c.half[:, :, z]
+        out += k[:, :, z] * c[:, :, z]
     return out
 
 
@@ -67,50 +67,44 @@ def _solve(kc: np.ndarray, denom: np.ndarray) -> np.ndarray:
 
 def divergence_defect(g: VectorState) -> float:
     """Max spectral divergence coefficient, for use against a state scale."""
-    return float(np.max(np.abs(k_dot(g.components()))))
+    return float(np.max(np.abs(k_dot(g.grid, gather(g.components())))))
 
 
-def leray_potential(g: VectorState, eps: float) -> np.ndarray:
-    """phi = k . c / (kx^2 + ky^2 + kz^2 / eps^2): the weighted Poisson solve whose
-    gradient (k_H phi, eps^-2 kz phi) is the gradient part of g, i.e. the
+def leray_potential(grid: GridSpec, c, eps: float) -> np.ndarray:
+    """phi = k . c / (kx^2 + ky^2 + kz^2 / eps^2) for the band blocks c of a
+    vector field: the weighted Poisson solve whose gradient
+    (k_H phi, eps^-2 kz phi) is the gradient part of the field, i.e. the
     spectrum of (grad_H p, eps^-2 dz p) for the potential p = -i phi."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    grid = g.grid
-    return _solve(k_dot(g.components()), grid.k2h + grid.kz**2 / eps**2)
+    return _solve(k_dot(grid, c), grid.k2h + grid.kz**2 / eps**2)
 
 
-def anisotropic_leray_project(g: VectorState, eps: float) -> VectorState:
+def anisotropic_leray_project(grid: GridSpec, c, eps: float) -> list[np.ndarray]:
     """Remove the gradient part (grad_H p, eps^-2 dz p) of the weighted elliptic
-    operator Delta_H + eps^-2 dzz, c_j - w_j k_j phi with w = (1, 1, eps^-2),
-    leaving zero discrete divergence."""
-    grid = g.grid
-    phi = leray_potential(g, eps)
-    return VectorState(
-        SpectralField(grid, g.h1.half - grid.kx * phi),
-        SpectralField(grid, g.h2.half - grid.ky * phi),
-        SpectralField(grid, g.v.half - grid.kz * phi * (1.0 / eps**2)),
-    )
+    operator Delta_H + eps^-2 dzz from the band blocks c of a vector field,
+    c_j - w_j k_j phi with w = (1, 1, eps^-2), leaving zero discrete divergence."""
+    phi = leray_potential(grid, c, eps)
+    return [c[0] - grid.kx * phi, c[1] - grid.ky * phi, c[2] - grid.kz * phi * (1.0 / eps**2)]
 
 
-def z_trace(f: SpectralField) -> np.ndarray:
-    """(x, y) spectrum of f(x, y, 0): the sum over every vertical mode m3 of the
-    full spectrum, that is the m3 = 0 and Nyquist planes plus each plane
-    0 < m3 < n3/2 and its conjugate partner."""
-    c = f.half
-    inner = c[:, :, 1:-1].sum(axis=2)
-    return c[:, :, 0] + c[:, :, -1] + inner + partner(inner, f.grid)
+def z_trace(c: np.ndarray) -> np.ndarray:
+    """(x, y) spectrum of f(x, y, 0) for the band block c of f: the sum over
+    every vertical mode m3 of the full spectrum, that is the m3 = 0 plane plus
+    each plane 0 < m3 < k3 and its conjugate partner."""
+    inner = c[:, :, 1:].sum(axis=2)
+    return c[:, :, 0] + inner + partner(inner)
 
 
-def hydrostatic_reconstruct(h: tuple[SpectralField, SpectralField]) -> SpectralField:
-    """Vertical component from v(z) = -int_0^z div_H h dxi, pinned by v(.,0) = 0.
+def hydrostatic_reconstruct(grid: GridSpec, h) -> np.ndarray:
+    """Band block of the vertical component v(z) = -int_0^z div_H h dxi of the
+    horizontal pair of band blocks h, pinned by v(., 0) = 0.
 
     Requires the z-mean of div_H h to vanish (barotropic compatibility), else
     the reconstruction is not z-periodic.
     """
-    grid = h[0].grid
-    kc = k_dot(h)  # the source -div_H h is -i kc
-    scale = float(np.sqrt(parseval_sum(SpectralField(grid, kc))))
+    kc = k_dot(grid, h)  # the source -div_H h is -i kc
+    scale = float(np.sqrt(parseval_sum(kc, grid.zweights)))
     mean_defect = float(np.max(np.abs(kc[:, :, 0])))
     if scale > 0 and mean_defect > 1e-10 * scale:
         raise ValueError(
@@ -121,37 +115,35 @@ def hydrostatic_reconstruct(h: tuple[SpectralField, SpectralField]) -> SpectralF
     kz = grid.kz.reshape(-1)
     minus_inv_kz = np.zeros(kz.size)
     minus_inv_kz[1:] = -1.0 / kz[1:]
-    v = SpectralField(grid, kc * minus_inv_kz)
+    v = kc * minus_inv_kz
     # kz = 0 mode (zero so far) fixed by the trace condition v(x, y, 0) = 0
-    v.half[:, :, 0] = -z_trace(v)
+    v[:, :, 0] = -z_trace(v)
     return v
 
 
-def barotropic_potential(h: tuple[SpectralField, SpectralField]) -> np.ndarray:
-    """phi = k_H . h / |k_H|^2 on the kz = 0 plane (0 where |k_H| = 0): the
-    ``leray_potential`` restricted to kz = 0, where eps drops out; k_H phi, the
-    spectrum of grad_H p for p = -i phi, is the gradient part of the vertical mean of h."""
-    grid = h[0].grid
-    return _solve(k_dot(h, 0), grid.k2h[:, :, 0])
+def barotropic_potential(grid: GridSpec, h) -> np.ndarray:
+    """phi = k_H . h / |k_H|^2 on the kz = 0 plane (0 where |k_H| = 0) for a
+    horizontal pair of band blocks h: the ``leray_potential`` restricted to
+    kz = 0, where eps drops out; k_H phi, the spectrum of grad_H p for
+    p = -i phi, is the gradient part of the vertical mean of h."""
+    return _solve(k_dot(grid, h, 0), grid.k2h[:, :, 0])
 
 
-def barotropic_project(
-    h: tuple[SpectralField, SpectralField]
-) -> tuple[SpectralField, SpectralField]:
-    """2D Leray projection of the vertical-mean (kz = 0) part of h, h - grad_H phi;
-    all kz != 0 content passes through unchanged."""
-    grid = h[0].grid
-    phi = barotropic_potential(h)
-    c1 = h[0].half.copy()
-    c2 = h[1].half.copy()
+def barotropic_project(grid: GridSpec, h) -> tuple[np.ndarray, np.ndarray]:
+    """2D Leray projection of the vertical-mean (kz = 0) part of the horizontal
+    pair of band blocks h, h - grad_H phi; all kz != 0 content passes through
+    unchanged."""
+    phi = barotropic_potential(grid, h)
+    c1 = h[0].copy()
+    c2 = h[1].copy()
     c1[:, :, 0] -= grid.kx[:, :, 0] * phi
     c2[:, :, 0] -= grid.ky[:, :, 0] * phi
-    return (SpectralField(grid, c1), SpectralField(grid, c2))
+    return c1, c2
 
 
 def barotropic_defect(h: tuple[SpectralField, SpectralField]) -> float:
     """Max coefficient of div_H of the vertical mean of h."""
-    return float(np.max(np.abs(k_dot(h, 0))))
+    return float(np.max(np.abs(k_dot(h[0].grid, gather(h), 0))))
 
 
 @dataclass
@@ -162,7 +154,7 @@ class SpectrumParams:
     m0: float = 2.5
 
 
-def _random_even_scalar(rng: np.random.Generator, grid: GridSpec, spectrum: SpectrumParams) -> SpectralField:
+def _random_even_scalar(rng: np.random.Generator, grid: GridSpec, spectrum: SpectrumParams) -> np.ndarray:
     # both full-lattice draws, in order, fix the seeded stream; only the band
     # block and its mirror (-m1, -m2, -m3) are read from them
     real, imag = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
@@ -172,7 +164,8 @@ def _random_even_scalar(rng: np.random.Generator, grid: GridSpec, spectrum: Spec
     block, mirror = np.ix_(i1, i2, m3), np.ix_(-i1 % grid.n1, -i2 % grid.n2, -m3 % grid.n3)
     c, r = ((real[ix] + 1j * imag[ix]) * env for ix in (block, mirror))
     # real field: hermitian symmetrization coeff(-m) = conj(coeff(m))
-    return parity_project(from_band(grid, 0.5 * (c + np.conj(r))), EVEN_IN_Z)
+    even = parity_project(from_band(grid, 0.5 * (c + np.conj(r))), EVEN_IN_Z)
+    return even.half[grid.band_index]
 
 
 def generate_initial_data(seed: int, spectrum: SpectrumParams, grid: GridSpec) -> tuple[VectorState, VectorState]:
@@ -180,8 +173,7 @@ def generate_initial_data(seed: int, spectrum: SpectrumParams, grid: GridSpec) -
     horizontal pairs A and B with vertical components reconstructed
     hydrostatically."""
     rng = np.random.default_rng(seed)
-    a_h = (_random_even_scalar(rng, grid, spectrum), _random_even_scalar(rng, grid, spectrum))
-    b_h = (_random_even_scalar(rng, grid, spectrum), _random_even_scalar(rng, grid, spectrum))
-    a_h = barotropic_project(a_h)
-    b_h = barotropic_project(b_h)
-    return VectorState(*a_h, hydrostatic_reconstruct(a_h)), VectorState(*b_h, hydrostatic_reconstruct(b_h))
+    draws = [_random_even_scalar(rng, grid, spectrum) for _ in range(4)]
+    a_h, b_h = barotropic_project(grid, draws[:2]), barotropic_project(grid, draws[2:])
+    return tuple(VectorState(*(from_band(grid, c) for c in (*h, hydrostatic_reconstruct(grid, h))))
+                 for h in (a_h, b_h))

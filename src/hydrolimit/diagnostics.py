@@ -8,35 +8,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import VectorState, hydrostatic_reconstruct
-from .spectral import SpectralField, l2_norm, to_physical
+from .grid import GridSpec
+from .spectral import SpectralField, gather, l2_norm, to_physical
 
 
-def _weighted_sums(f: SpectralField) -> tuple[float, float, float]:
-    """||f||^2, ||grad_H f||^2 and ||dz f||^2 as Parseval sums
-    volume * sum_k w(k) |c_k|^2 with w = 1, kx^2 + ky^2 and kz^2; over the
-    stored half-spectrum each weight also carries ``zweights``.  The weights
-    are separable, so |c|^2 is reduced to its (x, y) and z marginals before it
-    is weighted."""
-    g = f.grid
+def _weighted_sums(grid: GridSpec, c: np.ndarray) -> tuple[float, float, float]:
+    """||f||^2, ||grad_H f||^2 and ||dz f||^2 of the field whose band block is
+    c, as Parseval sums volume * sum_k w(k) |c_k|^2 with w = 1, kx^2 + ky^2
+    and kz^2; each weight also carries ``zweights``.  The weights are
+    separable, so |c|^2 is reduced to its (x, y) and z marginals before it is
+    weighted."""
     # hypot is 4x faster here than squaring the strided .real and .imag views
-    p = np.abs(f.half) ** 2
+    p = np.abs(c) ** 2
     # plain reductions, never BLAS (dot, vdot, @): OpenBLAS threads spin on the other core
-    p_xy = 2.0 * p.sum(axis=2) - p[:, :, 0] - p[:, :, -1]  # the zweights sum over m3
-    p_z = g.zweights * p.sum(axis=(0, 1))
+    p_xy = 2.0 * p.sum(axis=2) - p[:, :, 0]  # the zweights sum over m3
+    p_z = grid.zweights * p.sum(axis=(0, 1))
     return (
-        g.volume * float(p_z.sum()),
-        g.volume * float(np.sum(g.k2h[:, :, 0] * p_xy)),
-        g.volume * float(np.sum(g.kz[0, 0] ** 2 * p_z)),
+        grid.volume * float(p_z.sum()),
+        grid.volume * float(np.sum(grid.k2h[:, :, 0] * p_xy)),
+        grid.volume * float(np.sum(grid.kz[0, 0] ** 2 * p_z)),
     )
 
 
-def _weighted_totals(horizontal, vertical, eps: float, alpha: float) -> tuple[float, float, float]:
-    """Energy, anisotropic dissipation rate and squared H1 norm of horizontal
-    and vertical components.  A vertical component's energy and H1 terms carry
-    eps^2; the dissipation weighs dz by eps^(alpha-2) on horizontal components,
-    and grad_H by eps^2 and dz by eps^alpha on vertical ones."""
-    h = np.sum([_weighted_sums(f) for f in horizontal], axis=0)
-    v = np.sum([_weighted_sums(f) for f in vertical], axis=0)
+def _weighted_totals(grid: GridSpec, horizontal, vertical, eps: float, alpha: float) -> tuple[float, float, float]:
+    """Energy, anisotropic dissipation rate and squared H1 norm of the band
+    blocks of horizontal and vertical components.  A vertical component's
+    energy and H1 terms carry eps^2; the dissipation weighs dz by eps^(alpha-2)
+    on horizontal components, and grad_H by eps^2 and dz by eps^alpha on
+    vertical ones."""
+    h = np.sum([_weighted_sums(grid, c) for c in horizontal], axis=0)
+    v = np.sum([_weighted_sums(grid, c) for c in vertical], axis=0)
     energy = h[0] + eps**2 * v[0]
     diss = h[1] + eps ** (alpha - 2.0) * h[2] + eps**2 * v[1] + eps**alpha * v[2]
     return float(energy), float(diss), float(h.sum() + eps**2 * v.sum())
@@ -66,17 +67,19 @@ def shmhd_energy(a: VectorState, b: VectorState, eps: float) -> float:
     return pehm_energy((a.h1, a.h2), (b.h1, b.h2)) + eps**2 * (l2_norm(a.v) ** 2 + l2_norm(b.v) ** 2)
 
 
-def shmhd_dissipation_rate(a: VectorState, b: VectorState, eps: float, alpha: float) -> float:
-    """Instantaneous integrand of the anisotropically weighted dissipation."""
-    return _weighted_totals((a.h1, a.h2, b.h1, b.h2), (a.v, b.v), eps, alpha)[1]
+def shmhd_dissipation_rate(grid: GridSpec, a, b, eps: float, alpha: float) -> float:
+    """Instantaneous integrand of the anisotropically weighted dissipation of
+    the Elsaesser fields whose components have the band blocks a and b."""
+    return _weighted_totals(grid, (a[0], a[1], b[0], b[1]), (a[2], b[2]), eps, alpha)[1]
 
 
 def pehm_energy(a_h, b_h) -> float:
     return sum(l2_norm(f) ** 2 for f in (*a_h, *b_h))
 
 
-def pehm_dissipation_rate(a_h, b_h) -> float:
-    return sum(_weighted_sums(f)[1] for f in (*a_h, *b_h))
+def pehm_dissipation_rate(grid: GridSpec, a_h, b_h) -> float:
+    """Horizontal dissipation of the pairs whose band blocks are a_h and b_h."""
+    return sum(_weighted_sums(grid, c)[1] for c in (*a_h, *b_h))
 
 
 @dataclass
@@ -114,26 +117,21 @@ def trapezoid_accumulate(times, rates) -> list[float]:
 
 @dataclass
 class DiffRecord:
-    t: float
     d_l2: float
     d_diss_rate: float
     d_h1: float
 
 
-def difference_metrics(s_eps, s_lim, eps: float, alpha: float) -> DiffRecord:
+def difference_metrics(grid: GridSpec, c_eps, c_lim, eps: float, alpha: float) -> DiffRecord:
     """Weighted norms of the difference between an SHMHD state and a PEHM
-    state with diagnosed vertical components: the vertical parts carry the
-    eps weights of the energy functional."""
-    if s_eps.a.grid is not s_lim.a_h[0].grid and s_eps.a.grid != s_lim.a_h[0].grid:
-        raise ValueError("grid mismatch between states")
-    if abs(s_eps.t - s_lim.t) > 1e-12 * max(1.0, abs(s_eps.t)):
-        raise ValueError(f"time mismatch: {s_eps.t} vs {s_lim.t}")
-    # generators: each difference field is formed once and freed after its sums
-    horizontal = (f - g for f, g in zip((s_eps.a.h1, s_eps.a.h2, s_eps.b.h1, s_eps.b.h2),
-                                        (*s_lim.a_h, *s_lim.b_h)))
-    vertical = (v - hydrostatic_reconstruct(h) for v, h in ((s_eps.a.v, s_lim.a_h), (s_eps.b.v, s_lim.b_h)))
-    d_l2, d_diss_rate, d_h1 = _weighted_totals(horizontal, vertical, eps, alpha)
-    return DiffRecord(s_eps.t, d_l2, d_diss_rate, d_h1)
+    state with diagnosed vertical components, given the band blocks c_eps of
+    the six SHMHD fields and c_lim of the four PEHM fields, in ``FIELD_NAMES``
+    order: the vertical parts carry the eps weights of the energy functional."""
+    a_h, b_h = c_lim[:2], c_lim[2:]
+    # generators: each difference block is formed once and freed after its sums
+    horizontal = (f - g for f, g in zip((*c_eps[0:2], *c_eps[3:5]), (*a_h, *b_h)))
+    vertical = (v - hydrostatic_reconstruct(grid, h) for v, h in ((c_eps[2], a_h), (c_eps[5], b_h)))
+    return DiffRecord(*_weighted_totals(grid, horizontal, vertical, eps, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +148,7 @@ class TrilinearReport:
 def _half_bracket(f: SpectralField) -> float:
     """||f||^(1/2) * (||f||^(1/2) + ||grad_H f||^(1/2))."""
     n = l2_norm(f)
-    gh = float(np.sqrt(_weighted_sums(f)[1]))
+    gh = float(np.sqrt(_weighted_sums(f.grid, f.half[f.grid.band_index])[1]))
     return np.sqrt(n) * (np.sqrt(n) + np.sqrt(gh))
 
 
@@ -162,10 +160,9 @@ def trilinear_check(f: SpectralField, g: SpectralField, h: SpectralField) -> Tri
     values taken pointwise; no dealiasing is involved.
     """
     grid = f.grid
-    fa = np.abs(to_physical(f))
-    gh_prod = np.abs(to_physical(g) * to_physical(h))
-    int_f = np.sum(fa, axis=2) * grid.dz
-    int_gh = np.sum(gh_prod, axis=2) * grid.dz
+    fa, ga, ha = (to_physical(grid, c) for c in gather((f, g, h)))
+    int_f = np.sum(np.abs(fa), axis=2) * grid.dz
+    int_gh = np.sum(np.abs(ga * ha), axis=2) * grid.dz
     lhs = float(np.sum(int_f * int_gh) * grid.dx * grid.dy)
     rhs_a = _half_bracket(f) * l2_norm(h) * _half_bracket(g)
     rhs_b = l2_norm(f) * _half_bracket(g) * _half_bracket(h)

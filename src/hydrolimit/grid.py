@@ -26,10 +26,13 @@ def normal_powers(x: float, *powers: float) -> bool:
 class GridSpec:
     """Mode counts and horizontal box lengths of the periodic domain.
 
-    Tables follow the ``rfftn`` half-spectrum layout (n1, n2, n3//2 + 1): FFT
-    mode order (0, 1, ..., n/2-1, -n/2, ..., -1) in x and y, and vertical modes
-    0, ..., n3/2 only.  Fields hold only the 2/3 band (``band``), which has no
-    Nyquist mode, so one wavenumber table per axis serves every derivative.
+    A stored field is an ``rfftn`` half-spectrum (n1, n2, n3//2 + 1): FFT mode
+    order (0, 1, ..., n/2-1, -n/2, ..., -1) in x and y, and vertical modes 0,
+    ..., n3/2 only; ``modes1/2/3`` index it.  Fields hold only the 2/3 band
+    (``band``), and every operator works on band blocks, so the wavenumber
+    tables ``kx``, ``ky``, ``kz``, ``k2h`` and the z-weights ``zweights`` are
+    the band block's.  The band has no Nyquist mode, so one wavenumber table
+    per axis serves every derivative.
     """
 
     n1: int
@@ -73,22 +76,27 @@ class GridSpec:
         return np.arange(self.n3 // 2 + 1, dtype=np.int64).reshape(1, 1, -1)
 
     @cached_property
-    def zweights(self) -> np.ndarray:
-        """Parseval weights (1, 2, ..., 2, 1) of the vertical modes 0, ..., n3/2:
+    def half_zweights(self) -> np.ndarray:
+        """Parseval weights (1, 2, ..., 2, 1) of the stored vertical modes 0, ..., n3/2:
         every plane but m3 = 0 and the Nyquist plane also counts its partner -m3."""
         return np.r_[1.0, np.full(self.n3 // 2 - 1, 2.0), 1.0]
 
     @cached_property
+    def zweights(self) -> np.ndarray:
+        """Parseval weights (1, 2, ..., 2) of the band's vertical modes 0, ..., k3 - 1."""
+        return np.r_[1.0, np.full(self.band[2] - 1, 2.0)]
+
+    @cached_property
     def kx(self) -> np.ndarray:
-        return 2.0 * np.pi * self.modes1 / self.l1
+        return 2.0 * np.pi * self.modes1[self.band[0]] / self.l1
 
     @cached_property
     def ky(self) -> np.ndarray:
-        return 2.0 * np.pi * self.modes2 / self.l2
+        return 2.0 * np.pi * self.modes2[:, self.band[1]] / self.l2
 
     @cached_property
     def kz(self) -> np.ndarray:
-        return np.pi * self.modes3.astype(np.float64)
+        return np.pi * self.modes3[:, :, : self.band[2]].astype(np.float64)
 
     @cached_property
     def k2h(self) -> np.ndarray:
@@ -99,7 +107,8 @@ class GridSpec:
         """The 2/3 band, the modes with 3*|m_i| < n_i on every axis, in the
         half-spectrum: the FFT-order indices ``i1`` of its x modes and ``i2`` of
         its y modes, and the count ``k3`` of its vertical modes 0, ..., k3 - 1.
-        ``half[band_index]`` is the band block."""
+        ``half[band_index]`` is the band block.  Its x and y modes are in FFT
+        order themselves, (0, 1, ..., K, -K, ..., -1)."""
         i1, i2, i3 = (np.flatnonzero(3 * np.abs(m.ravel()) < n)
                       for m, n in ((self.modes1, self.n1), (self.modes2, self.n2), (self.modes3, self.n3)))
         return i1, i2, i3.size
@@ -107,14 +116,9 @@ class GridSpec:
     @cached_property
     def band_index(self) -> tuple:
         """``half[i1[:, None], i2, :k3]``: the band block, shaped (len(i1), len(i2), k3),
-        of a half-spectrum array, or (len(i1), len(i2), 1) of an (n1, n2, 1) table."""
+        of a half-spectrum array."""
         i1, i2, k3 = self.band
         return i1[:, None], i2, slice(k3)
-
-    @cached_property
-    def reflect_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        """Open-mesh index taking c(m1, m2, .) to c(-m1, -m2, .) (Nyquist maps to itself)."""
-        return np.ix_((-np.arange(self.n1)) % self.n1, (-np.arange(self.n2)) % self.n2)
 
     @property
     def dx(self) -> float:

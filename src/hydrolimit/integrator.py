@@ -9,12 +9,15 @@ by mode, so they commute with the diagonal diffusion factor and this equals
 projecting the tendencies, to rounding.  Parity in z is an invariant of every
 operator of the step, not enforced, so a recorded parity defect measures drift.
 
-States keep the half-spectrum layout, but the tendency returns band blocks
-(``GridSpec.band_index``, about 0.3 of a field each), both IMEX updates run on
-band blocks, and a ``Sample`` keeps only blocks.  A step frees each temporary
-at its last use, so its peak is the corrector's tendency: the state, the blocks
-of t1, the predictor and the four lattice fields alive in the advection (all of
-b, one component of a), about 23 fields for SHMHD and 20 for PEHM.
+A step works on band blocks (``GridSpec.band_index``, about 0.3 of a field
+each) from one gather to one embed: it gathers each field's block of the stored
+half-spectrum state where it is used, runs both tendencies, both IMEX updates
+and both enforcements on blocks, and embeds each field of the new state once;
+the predictor is blocks only.  The midpoint dissipation is formed on blocks
+too, and a ``Sample`` keeps only blocks.  A step frees each temporary at its
+last use, so its peak is the corrector's tendency: the state, the blocks of t1
+and of the predictor, and the four lattice fields alive in the advection (all
+of b, one component of a), about 19 fields for SHMHD and 15 for PEHM.
 
 A state exposes ``t``, ``grid``, ``FIELD_NAMES``, ``fields()`` (its spectral
 components in that order) and ``from_fields(fields, t)``.
@@ -27,7 +30,7 @@ import warnings
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
-from .spectral import SpectralField, band_from_physical, from_band, to_physical
+from .spectral import band_from_physical, from_band, gather, to_physical
 
 CFL_LIMIT = 0.5
 STEP_TOL = 1e-9
@@ -55,9 +58,10 @@ class BlowUpError(RuntimeError):
         self.step_index = step_index
 
 
-def elsasser_advection(a, b, n_advected: int) -> tuple[list[np.ndarray], float]:
+def elsasser_advection(grid, a, b, n_advected: int) -> tuple[list[np.ndarray], float]:
     """Negated advection of the first n_advected components of the Elsaesser
-    field a by b and of b by a, given all three components of each.
+    field a by b and of b by a, given the band blocks of all three components
+    of each.
 
     Both fields are divergence-free, so (b . grad) a_i = d_j(a_i b_j) and
     (a . grad) b_i = d_j(a_j b_i): each product a_i b_j is formed and
@@ -67,18 +71,16 @@ def elsasser_advection(a, b, n_advected: int) -> tuple[list[np.ndarray], float]:
     the forward transform drops, and k_j F(a_i b_j) is formed on the band block.
     b is lifted to the lattice whole, each a_i only for its own row of products.
 
-    Returns the tendencies (a's first) as band blocks (``GridSpec.band_index``)
-    and the largest physical velocity component, for the CFL guard.
+    Returns the tendencies (a's first) as band blocks and the largest physical
+    velocity component, for the CFL guard.
     """
-    grid = a[0].grid
-    b_phys = [to_physical(f) for f in b]
-    i1, i2, k3 = grid.band
-    k = (grid.kx[i1], grid.ky[:, i2], grid.kz[:, :, :k3])
+    b_phys = [to_physical(grid, c) for c in b]
+    k = (grid.kx, grid.ky, grid.kz)
     t_a = [0.0] * n_advected
     t_b = [0.0] * n_advected
     speeds = []
     for i in range(3):
-        a_i = to_physical(a[i])
+        a_i = to_physical(grid, a[i])
         speeds.append(float(np.max(np.abs(a_i))))
         for j in range(3):
             if i >= n_advected and j >= n_advected:
@@ -93,64 +95,55 @@ def elsasser_advection(a, b, n_advected: int) -> tuple[list[np.ndarray], float]:
     return [-1j * t for t in (*t_a, *t_b)], max(speeds)
 
 
-def _rebuild(like, arrays, t):
-    return type(like).from_fields([SpectralField(like.grid, c) for c in arrays], t)
-
-
-def check_finite(s) -> None:
-    for name, f in zip(s.FIELD_NAMES, s.fields()):
-        if not np.all(np.isfinite(f.half)):
-            raise BlowUpError(f"non-finite coefficients in field {name} at t={s.t:.6g}")
-
-
 def imex_heun(s, tendency, enforce, decay, gain, dt: float):
     """Advance s by one step dt.
 
-    ``tendency(state)`` returns the advection tendencies as band blocks, one
-    per field, and the largest velocity component, which the CFL guard reads at
-    both stages; ``None`` steps the diffusion alone.
-    ``enforce(state)`` projects a state onto the constraints.  With diffusion
-    symbol lam and h = dt/2, a field c with advection tendencies t1, t2 becomes
-    decay * c + gain * (t1 + t2), where decay = (1 - h lam) / (1 + h lam) and
-    gain = h / (1 + h lam), both given on the band block.  Both updates run on
-    the band blocks of the fields, gathered at each use, and each field's
-    update is embedded in the half-spectrum as it is formed, before ``enforce``,
-    so one block is alive at a time.
+    ``tendency(grid, blocks)`` returns the advection tendencies of the state
+    whose fields have the band blocks ``blocks``, as band blocks, one per
+    field, and the largest velocity component, which the CFL guard reads at
+    both stages; ``None`` steps the diffusion alone.  ``enforce(grid, blocks)``
+    returns the band blocks of the projection onto the constraints.  With
+    diffusion symbol lam and h = dt/2, a field c with advection tendencies t1,
+    t2 becomes decay * c + gain * (t1 + t2), where decay = (1 - h lam) /
+    (1 + h lam) and gain = h / (1 + h lam), both given on the band block.
+    Each field's block of s is gathered where it is used, and each field of
+    the new state is checked finite and embedded in the half-spectrum once,
+    after ``enforce``.
     """
-    t_new = s.t + dt
     grid = s.grid
-    band = grid.band_index
 
-    def embed(blocks):
-        return type(s).from_fields([from_band(grid, c) for c in blocks], t_new)
+    def blocks():
+        return (f.half[grid.band_index] for f in s.fields())
 
     if tendency is None:
-        new = embed(decay * f.half[band] for f in s.fields())
+        new = enforce(grid, [decay * c for c in blocks()])
     else:
-        t1, speed1 = tendency(s)
-        pred = enforce(embed(decay * f.half[band] + gain * (g + g) for f, g in zip(s.fields(), t1)))
-        t2, speed2 = tendency(pred)
+        t1, speed1 = tendency(grid, gather(s.fields()))
+        pred = enforce(grid, [decay * c + gain * (g + g) for c, g in zip(blocks(), t1)])
+        t2, speed2 = tendency(grid, pred)
         del pred
-        new = embed(decay * f.half[band] + gain * (g1 + g2) for f, g1, g2 in zip(s.fields(), t1, t2))
+        new = enforce(grid, [decay * c + gain * (g1 + g2) for c, g1, g2 in zip(blocks(), t1, t2)])
         del t1, t2
         cfl = dt * max(speed1, speed2) / min(grid.dx, grid.dy, grid.dz)
         if cfl >= CFL_LIMIT:
             warnings.warn(
                 f"CFL guard exceeded: dt*max|u|/min(dx) = {cfl:.3f} >= {CFL_LIMIT}", stacklevel=3
             )
-    s_new = enforce(new)
-    check_finite(s_new)
-    return s_new
+    t_new = s.t + dt
+    for name, c in zip(s.FIELD_NAMES, new):
+        if not np.all(np.isfinite(c)):
+            raise BlowUpError(f"non-finite coefficients in field {name} at t={t_new:.6g}")
+    return type(s).from_fields([from_band(grid, c) for c in new], t_new)
 
 
 class Sample:
     """A sampled state and its record.  Every field is zero outside the band, so
-    the sample keeps only each field's band block, and ``state`` rebuilds the
-    half-spectrum state from them, bit-identical to the one sampled."""
+    the sample keeps only each field's band block, ``blocks``, and ``state``
+    rebuilds the half-spectrum state from them, bit-identical to the one sampled."""
 
     def __init__(self, state, record: DiagnosticsRecord):
         self.record, self.kind, self.grid, self.t = record, type(state), state.grid, state.t
-        self.blocks = [f.half[state.grid.band_index] for f in state.fields()]
+        self.blocks = gather(state.fields())
 
     @property
     def state(self):
@@ -183,23 +176,23 @@ def run(s0, t_end: float, sample_every: int, *, tendency, enforce, lam, dt: floa
         dissipation_rate, record, sample=Sample) -> list:
     """Step s0 to t_end and return ``sample(state, record(state, dissipation))``
     taken at s0, every sample_every steps and at the end.  ``lam`` is the
-    diffusion symbol; its IMEX factors (see ``imex_heun``) are built once here,
-    on the band block.
+    diffusion symbol on the band block; its IMEX factors (see ``imex_heun``)
+    are built once here.
 
     The default ``Sample`` keeps the band block of each field of the state, a
     copy that no later step can change.
 
-    The dissipation integral is accumulated per step at the midpoint state, so
-    the linear (advection off) energy balance closes to rounding.
+    The dissipation integral is accumulated per step at the midpoint state,
+    ``dissipation_rate(grid, blocks)`` of its band blocks, so the linear
+    (advection off) energy balance closes to rounding.
     """
     _keep_heap_pages()
     n_steps = step_count(s0.t, t_end, dt)
-    lam = lam[s0.grid.band_index]  # a caller's fresh full-grid symbol is freed here
     h = 0.5 * dt
     decay, gain = (1.0 - h * lam) / (1.0 + h * lam), h / (1.0 + h * lam)
-    del lam
     samples = [sample(s0, record(s0, 0.0))]
     s = s0
+    band = s0.grid.band_index
     diss = 0.0
     for i in range(n_steps):
         try:
@@ -207,9 +200,9 @@ def run(s0, t_end: float, sample_every: int, *, tendency, enforce, lam, dt: floa
         except BlowUpError as e:
             e.step_index = i
             raise
-        mid = [0.5 * (f.half + g.half) for f, g in zip(s.fields(), s_new.fields())]
-        diss += dt * dissipation_rate(_rebuild(s, mid, s.t))
-        del mid  # a midpoint kept alive through the next step raises the peak memory by a state
+        mid = [0.5 * (f.half[band] + g.half[band]) for f, g in zip(s.fields(), s_new.fields())]
+        diss += dt * dissipation_rate(s.grid, mid)
+        del mid  # a midpoint kept alive through the next step raises its peak by a state's blocks
         s = s_new
         if (i + 1) % sample_every == 0 or i + 1 == n_steps:
             samples.append(sample(s, record(s, diss)))

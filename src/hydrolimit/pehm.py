@@ -44,16 +44,18 @@ class PehmState:
         return cls(tuple(fields[:2]), tuple(fields[2:]), t)
 
 
-def _tendency(s: PehmState):
-    """Negated 3D advection of the horizontal pairs, with diagnosed verticals
-    inside the advecting fields."""
-    a3, b3 = hydrostatic_reconstruct(s.a_h), hydrostatic_reconstruct(s.b_h)
-    return elsasser_advection((*s.a_h, a3), (*s.b_h, b3), 2)
+def _tendency(grid, c):
+    """Negated 3D advection of the horizontal pairs whose band blocks are c,
+    with diagnosed verticals inside the advecting fields."""
+    a_h, b_h = c[:2], c[2:]
+    a3, b3 = hydrostatic_reconstruct(grid, a_h), hydrostatic_reconstruct(grid, b_h)
+    return elsasser_advection(grid, (*a_h, a3), (*b_h, b3), 2)
 
 
-def _enforce(s: PehmState) -> PehmState:
-    """Barotropic projection of each horizontal pair; the step keeps them even in z."""
-    return PehmState(barotropic_project(s.a_h), barotropic_project(s.b_h), s.t)
+def _enforce(grid, c) -> list:
+    """Barotropic projection of the band blocks c of each horizontal pair; the
+    step keeps them even in z."""
+    return [*barotropic_project(grid, c[:2]), *barotropic_project(grid, c[2:])]
 
 
 def _record(s: PehmState, diss_accum: float) -> DiagnosticsRecord:
@@ -80,9 +82,9 @@ def run(
         s0, t_end, sample_every,
         tendency=_tendency if advect else None,
         enforce=_enforce,
-        lam=s0.grid.k2h,  # horizontal diffusion only: (n1, n2, 1), broadcasts
+        lam=s0.grid.k2h,  # horizontal diffusion only: one (m1, m2) plane, broadcasts
         dt=dt,
-        dissipation_rate=lambda s: pehm_dissipation_rate(s.a_h, s.b_h),
+        dissipation_rate=lambda grid, c: pehm_dissipation_rate(grid, c[:2], c[2:]),
         record=_record,
         sample=sample,
     )

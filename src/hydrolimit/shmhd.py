@@ -15,7 +15,7 @@ from .constraints import (EVEN_IN_Z, ODD_IN_Z, VectorState, anisotropic_leray_pr
 from .diagnostics import DiagnosticsRecord, shmhd_dissipation_rate, shmhd_energy
 from .grid import normal_powers
 from .integrator import elsasser_advection
-from .spectral import from_band
+from .spectral import from_band, gather
 
 PARITY = (EVEN_IN_Z, EVEN_IN_Z, ODD_IN_Z) * 2
 
@@ -61,19 +61,21 @@ class ElsasserState:
         return cls(VectorState(*fields[:3]), VectorState(*fields[3:]), t)
 
 
-def _tendency(s: ElsasserState):
-    return elsasser_advection(s.a.components(), s.b.components(), 3)
+def _tendency(grid, c):
+    """Negated advection of the Elsaesser fields whose components have the band blocks c."""
+    return elsasser_advection(grid, c[:3], c[3:], 3)
 
 
 def nonlinear_tendency(s: ElsasserState) -> tuple[VectorState, VectorState]:
     """Negated advection terms: the A-family is advected by B and vice versa."""
-    t = [from_band(s.grid, c) for c in _tendency(s)[0]]
+    t = [from_band(s.grid, c) for c in _tendency(s.grid, gather(s.fields()))[0]]
     return VectorState(*t[:3]), VectorState(*t[3:])
 
 
-def _enforce(s: ElsasserState, eps: float) -> ElsasserState:
-    """Weighted Leray projection of each Elsaesser family; the step keeps ``PARITY``."""
-    return ElsasserState(anisotropic_leray_project(s.a, eps), anisotropic_leray_project(s.b, eps), s.t)
+def _enforce(grid, c, eps: float) -> list:
+    """Weighted Leray projection of the band blocks c of each Elsaesser family;
+    the step keeps ``PARITY``."""
+    return [*anisotropic_leray_project(grid, c[:3], eps), *anisotropic_leray_project(grid, c[3:], eps)]
 
 
 def _record(s: ElsasserState, p: ShmhdParams, diss_accum: float) -> DiagnosticsRecord:
@@ -93,10 +95,10 @@ def run(s0: ElsasserState, p: ShmhdParams, sample_every: int = 1,
     return integrator.run(
         s0, p.t_end, sample_every,
         tendency=_tendency if p.advect else None,
-        enforce=lambda s: _enforce(s, p.eps),
+        enforce=lambda grid, c: _enforce(grid, c, p.eps),
         lam=s0.grid.k2h + p.eps ** (p.alpha - 2.0) * s0.grid.kz**2,  # |k_H|^2 + eps^(alpha-2) kz^2
         dt=p.dt,
-        dissipation_rate=lambda s: shmhd_dissipation_rate(s.a, s.b, p.eps, p.alpha),
+        dissipation_rate=lambda grid, c: shmhd_dissipation_rate(grid, c[:3], c[3:], p.eps, p.alpha),
         record=lambda s, diss: _record(s, p, diss),
         sample=sample,
     )

@@ -4,13 +4,16 @@ Every field is real, so it keeps only its ``rfftn`` half-spectrum, with z the
 halved last axis; the modes -m3 it drops are c(m1, m2, -m3) = conj(c(-m1, -m2, m3)).
 The forward transform divides by the lattice size, so coeff(0,0,0) is the
 mean of the field and Parseval reads integral |f|^2 dOmega = volume * sum
-|coeff|^2 over the full spectrum, = volume * sum zweights |coeff|^2 over the half.
+|coeff|^2 over the full spectrum, = volume * sum half_zweights |coeff|^2 over the half.
 
 Field invariant: every ``SpectralField`` is zero outside the 2/3 band
-(``GridSpec.band``, the modes with 3*|m_i| < n_i on every axis).  The forward
-transform truncates to the band, the inverse reads only the band, and every
-operator maps band fields to band fields.  3*|m| < n excludes the unpaired
-Nyquist mode n/2 of each axis, so no field holds one.
+(``GridSpec.band``, the modes with 3*|m_i| < n_i on every axis), so its band
+block ``half[grid.band_index]``, about 0.3 of the half, holds all of it.
+3*|m| < n excludes the unpaired Nyquist mode n/2 of each axis, so no field
+holds one.  The forward transform truncates to the band, and the inverse and
+every operator of the step take and return band blocks; code that holds
+``SpectralField``s gathers their blocks with ``gather`` (``half[grid.band_index]``)
+and embeds blocks with ``from_band``.
 """
 
 from dataclasses import dataclass
@@ -36,7 +39,7 @@ class SpectralField:
         g = self.grid
         full = np.empty(g.shape, dtype=np.complex128)
         full[:, :, : g.n3 // 2 + 1] = self.half
-        full[:, :, g.n3 // 2 + 1 :] = partner(self.half[:, :, g.n3 // 2 - 1 : 0 : -1], g)
+        full[:, :, g.n3 // 2 + 1 :] = partner(self.half[:, :, g.n3 // 2 - 1 : 0 : -1])
         full.flags.writeable = False
         return full
 
@@ -52,9 +55,12 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-def partner(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """conj(c(-m1, -m2, m3)): for a real field, the coefficient of (m1, m2, -m3)."""
-    refl = c[grid.reflect_xy]
+def partner(c: np.ndarray) -> np.ndarray:
+    """conj(c(-m1, -m2, m3)): for a real field, the coefficient of (m1, m2, -m3).
+    A half-spectrum and a band block both hold their x and y modes in FFT
+    order, so -m sits at index -j modulo the axis length (Nyquist maps to itself)."""
+    n1, n2 = c.shape[:2]
+    refl = c[np.ix_(-np.arange(n1) % n1, -np.arange(n2) % n2)]
     return np.conjugate(refl, out=refl)
 
 
@@ -62,21 +68,20 @@ def zero_field(grid: GridSpec) -> SpectralField:
     return SpectralField(grid, np.zeros(grid.half_shape, dtype=np.complex128))
 
 
-def to_physical(f: SpectralField) -> np.ndarray:
-    """Real values on the collocation lattice x_j = j*l1/n1, etc.: ``irfftn``'s
-    three 1-D passes in its axis order (x, y, z), skipping the lines that the
-    band leaves zero.  x runs on the band's (m2, m3) lines only, y, in place, on
-    its m3 planes only, and z on every (x, y) line.  Coefficients outside the
-    band are ignored."""
-    g = f.grid
-    i1, i2, k3 = g.band
-    lines = np.zeros((g.n1, i2.size, k3), dtype=np.complex128)
-    lines[i1] = f.half[g.band_index]
-    planes = np.zeros(g.half_shape, dtype=np.complex128)
+def to_physical(grid: GridSpec, c: np.ndarray) -> np.ndarray:
+    """Real values on the collocation lattice x_j = j*l1/n1, etc., of the field
+    whose band block is c: ``irfftn``'s three 1-D passes in its axis order
+    (x, y, z), skipping the lines that the band leaves zero.  x runs on the
+    band's (m2, m3) lines only, y, in place, on its m3 planes only, and z on
+    every (x, y) line."""
+    i1, i2, k3 = grid.band
+    lines = np.zeros((grid.n1, i2.size, k3), dtype=np.complex128)
+    lines[i1] = c
+    planes = np.zeros(grid.half_shape, dtype=np.complex128)
     planes[:, i2, :k3] = np.fft.ifft(lines, axis=0, norm="forward")
     kept = planes[:, :, :k3]
     np.fft.ifft(kept, axis=1, norm="forward", out=kept)
-    return np.fft.irfft(planes, n=g.n3, axis=2, norm="forward")
+    return np.fft.irfft(planes, n=grid.n3, axis=2, norm="forward")
 
 
 def from_physical(grid: GridSpec, values: np.ndarray) -> SpectralField:
@@ -103,12 +108,18 @@ def from_band(grid: GridSpec, block: np.ndarray) -> SpectralField:
     return SpectralField(grid, half)
 
 
-def parseval_sum(f: SpectralField) -> float:
-    """sum |coeff|^2 over the full spectrum: the half's |c|^2, reduced to its
-    z marginal (plain sums, never BLAS), weighted by ``zweights``."""
-    return float(np.sum(f.grid.zweights * (np.abs(f.half) ** 2).sum(axis=(0, 1))))
+def gather(fields) -> list[np.ndarray]:
+    """The band block of each field."""
+    return [f.half[f.grid.band_index] for f in fields]
+
+
+def parseval_sum(c: np.ndarray, zweights: np.ndarray) -> float:
+    """sum |coeff|^2 over the full spectrum of stored coefficients c: |c|^2,
+    reduced to its z marginal (plain sums, never BLAS), weighted by the
+    z-weights of c's layout (``GridSpec.half_zweights`` or ``zweights``)."""
+    return float(np.sum(zweights * (np.abs(c) ** 2).sum(axis=(0, 1))))
 
 
 def l2_norm(f: SpectralField) -> float:
     """Parseval-exact L2 norm over Omega (volume 2*l1*l2)."""
-    return float(np.sqrt(f.grid.volume * parseval_sum(f)))
+    return float(np.sqrt(f.grid.volume * parseval_sum(f.half, f.grid.half_zweights)))

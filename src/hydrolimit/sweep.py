@@ -21,6 +21,7 @@ from .pehm import PehmState
 from .pehm import run as pehm_run
 from .shmhd import ElsasserState, ShmhdParams, check_eps
 from .shmhd import run as shmhd_run
+from .spectral import gather
 
 
 class ConfigError(ValueError):
@@ -200,10 +201,13 @@ def run_pair(cfg: SweepConfig, eps: float, limit: list, s_eps0: ElsasserState) -
     lim = iter(limit)
 
     def compare(state, record):
-        return difference_metrics(state, next(lim).state, eps, cfg.alpha), record
+        smp = next(lim)
+        if abs(state.t - smp.t) > 1e-12 * max(1.0, abs(state.t)):
+            raise ValueError(f"time mismatch: {state.t} vs {smp.t}")
+        return difference_metrics(state.grid, gather(state.fields()), smp.blocks, eps, cfg.alpha), record
 
     diffs, records = zip(*shmhd_run(s_eps0, params, cfg.sample_every, sample=compare))
-    accums = trapezoid_accumulate([d.t for d in diffs], [d.d_diss_rate for d in diffs])
+    accums = trapezoid_accumulate([r.t for r in records], [d.d_diss_rate for d in diffs])
     rows = [record_row(cfg, "shmhd", eps, r, (d.d_l2, accum, d.d_h1))
             for r, d, accum in zip(records, diffs, accums)]
     rows += [record_row(cfg, "pehm", eps, sl.record) for sl in limit]

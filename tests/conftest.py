@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from hydrolimit.constraints import VectorState, hydrostatic_reconstruct, leray_potential, z_trace
+from hydrolimit.constraints import (VectorState, anisotropic_leray_project, barotropic_project,
+                                   hydrostatic_reconstruct, leray_potential, z_trace)
+from hydrolimit.diagnostics import _weighted_sums, difference_metrics
 from hydrolimit.grid import GridSpec
-from hydrolimit.spectral import SpectralField, from_physical, l2_norm, to_physical
+from hydrolimit.spectral import SpectralField, from_band, from_physical, gather, l2_norm, to_physical
 
 
 @pytest.fixture
@@ -16,6 +18,60 @@ def grid8():
 @pytest.fixture
 def grid8_2pi():
     return GridSpec(8, 8, 8, 2.0 * np.pi, 2.0 * np.pi)
+
+
+# ---------------------------------------------------------------------------
+# the band-block operators on spectral fields: gather each field's band block,
+# apply the operator, embed the blocks it returns
+
+def physical(f: SpectralField) -> np.ndarray:
+    """Lattice values of f: ``to_physical`` of its band block."""
+    return to_physical(f.grid, f.half[f.grid.band_index])
+
+
+def embed(grid: GridSpec, blocks) -> list[SpectralField]:
+    return [from_band(grid, c) for c in blocks]
+
+
+def embed_plane(grid: GridSpec, plane: np.ndarray) -> np.ndarray:
+    """The (n1, n2) FFT-ordered plane whose band (m1, m2) block is ``plane``."""
+    i1, i2, _ = grid.band
+    out = np.zeros((grid.n1, grid.n2), dtype=plane.dtype)
+    out[i1[:, None], i2] = plane
+    return out
+
+
+def leray(g: VectorState, eps: float) -> VectorState:
+    return VectorState(*embed(g.grid, anisotropic_leray_project(g.grid, gather(g.components()), eps)))
+
+
+def potential(g: VectorState, eps: float) -> np.ndarray:
+    """The half-spectrum of ``leray_potential``."""
+    return from_band(g.grid, leray_potential(g.grid, gather(g.components()), eps)).half
+
+
+def barotropic(h) -> tuple[SpectralField, SpectralField]:
+    grid = h[0].grid
+    return tuple(embed(grid, barotropic_project(grid, gather(h))))
+
+
+def hydrostatic(h) -> SpectralField:
+    grid = h[0].grid
+    return from_band(grid, hydrostatic_reconstruct(grid, gather(h)))
+
+
+def trace(f: SpectralField) -> np.ndarray:
+    """The (n1, n2) spectrum of f(x, y, 0) from ``z_trace``."""
+    return embed_plane(f.grid, z_trace(f.half[f.grid.band_index]))
+
+
+def weighted_sums(f: SpectralField) -> tuple[float, float, float]:
+    return _weighted_sums(f.grid, f.half[f.grid.band_index])
+
+
+def state_difference_metrics(s_eps, s_lim, eps: float, alpha: float):
+    """``difference_metrics`` of an SHMHD state against a PEHM state."""
+    return difference_metrics(s_eps.grid, gather(s_eps.fields()), gather(s_lim.fields()), eps, alpha)
 
 
 def random_real_field(grid: GridSpec, seed: int) -> np.ndarray:
@@ -61,12 +117,18 @@ def dealias(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, f.half * band_mask(f.grid))
 
 
+def half_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half-spectrum (kx, ky, kz), the Nyquist modes kept: the tables the
+    operators read before they moved to the band block."""
+    return (2.0 * np.pi * grid.modes1 / grid.l1, 2.0 * np.pi * grid.modes2 / grid.l2,
+            np.pi * grid.modes3.astype(np.float64))
+
+
 def derivative_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Half-spectrum (kx, ky, kz) with the unpaired Nyquist modes zeroed, so a
     derivative of any real field stays real."""
     return tuple(np.where(np.abs(m) == n // 2, 0.0, k) for m, n, k in
-                 ((grid.modes1, grid.n1, grid.kx), (grid.modes2, grid.n2, grid.ky),
-                  (grid.modes3, grid.n3, grid.kz)))
+                 zip((grid.modes1, grid.modes2, grid.modes3), grid.shape, half_wavenumbers(grid)))
 
 
 def partial_derivative(f: SpectralField, axis: str) -> SpectralField:
@@ -100,10 +162,10 @@ def field_from_lattice(grid: GridSpec, func) -> SpectralField:
 def convective_advection(adv, fields) -> list[SpectralField]:
     """Reference tendencies -(w . grad) f in convective form, for each field f
     advected by the three components adv of w, dealiased by the 2/3 rule."""
-    w = [to_physical(c) for c in adv]
+    w = [physical(c) for c in adv]
     out = []
     for f in fields:
-        prod = -sum(wj * to_physical(partial_derivative(f, axis)) for wj, axis in zip(w, "xyz"))
+        prod = -sum(wj * physical(partial_derivative(f, axis)) for wj, axis in zip(w, "xyz"))
         out.append(dealias(from_physical(f.grid, prod)))
     return out
 
@@ -139,7 +201,7 @@ def derivative_difference_metrics(s_eps, s_lim, eps: float, alpha: float) -> tup
     hydrostatically lifted PEHM state, from derivative arrays."""
     horizontal = [f - g for f, g in zip((s_eps.a.h1, s_eps.a.h2, s_eps.b.h1, s_eps.b.h2),
                                         (*s_lim.a_h, *s_lim.b_h))]
-    vertical = [s_eps.a.v - hydrostatic_reconstruct(s_lim.a_h), s_eps.b.v - hydrostatic_reconstruct(s_lim.b_h)]
+    vertical = [s_eps.a.v - hydrostatic(s_lim.a_h), s_eps.b.v - hydrostatic(s_lim.b_h)]
     d_l2 = d_h1 = 0.0
     for f in horizontal:
         n, gh, dz = derivative_norms(f)
@@ -269,7 +331,7 @@ def chain_leray_project(g: VectorState, eps: float) -> VectorState:
 def poisson_potential(g: VectorState, eps: float) -> SpectralField:
     """The zero-mean solution p of (Delta_H + eps^-2 dzz) p = div g: -i times
     the kernel's ``leray_potential``, as ``chain_poisson_solve`` returns it."""
-    return SpectralField(g.grid, -1j * leray_potential(g, eps))
+    return SpectralField(g.grid, -1j * potential(g, eps))
 
 
 def chain_barotropic_defect(h) -> float:
@@ -281,9 +343,99 @@ def chain_hydrostatic_reconstruct(h) -> SpectralField:
     """v = source / (i kz) from the source -div_H h, with v(x, y, 0) = 0."""
     grid = h[0].grid
     source = (-1.0 * horizontal_divergence(h)).half
-    kz = grid.kz.reshape(-1)
+    kz = half_wavenumbers(grid)[2].reshape(-1)
     inv_ikz = np.zeros(kz.size, dtype=np.complex128)
     inv_ikz[1:] = 1.0 / (1j * kz[1:])
     v = SpectralField(grid, source * inv_ikz)
-    v.half[:, :, 0] = -z_trace(v)
+    v.half[:, :, 0] = -trace(v)
     return v
+
+
+# ---------------------------------------------------------------------------
+# half-spectrum references: the Leray, barotropic and hydrostatic operators as
+# they ran on the whole stored half-spectrum before they moved to band blocks
+
+def half_partner(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """conj(c(-m1, -m2, m3)) of a half-spectrum array."""
+    refl = c[np.ix_((-np.arange(grid.n1)) % grid.n1, (-np.arange(grid.n2)) % grid.n2)]
+    return np.conjugate(refl, out=refl)
+
+
+def half_k_dot(cs, z=slice(None)) -> np.ndarray:
+    ks = half_wavenumbers(cs[0].grid)
+    out = ks[0][:, :, z] * cs[0].half[:, :, z]
+    for k, c in zip(ks[1:], cs[1:]):
+        out += k[:, :, z] * c.half[:, :, z]
+    return out
+
+
+def half_solve(kc: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    kernel = denom == 0.0
+    phi = kc / np.where(kernel, 1.0, denom)
+    phi[kernel] = 0.0
+    return phi
+
+
+def half_leray_project(g: VectorState, eps: float) -> VectorState:
+    kx, ky, kz = half_wavenumbers(g.grid)
+    phi = half_solve(half_k_dot(g.components()), kx**2 + ky**2 + kz**2 / eps**2)
+    return VectorState(
+        SpectralField(g.grid, g.h1.half - kx * phi),
+        SpectralField(g.grid, g.h2.half - ky * phi),
+        SpectralField(g.grid, g.v.half - kz * phi * (1.0 / eps**2)),
+    )
+
+
+def half_barotropic_project(h) -> tuple[SpectralField, SpectralField]:
+    grid = h[0].grid
+    kx, ky, _ = half_wavenumbers(grid)
+    phi = half_solve(half_k_dot(h, 0), (kx**2 + ky**2)[:, :, 0])
+    c1 = h[0].half.copy()
+    c2 = h[1].half.copy()
+    c1[:, :, 0] -= kx[:, :, 0] * phi
+    c2[:, :, 0] -= ky[:, :, 0] * phi
+    return (SpectralField(grid, c1), SpectralField(grid, c2))
+
+
+def half_z_trace(f: SpectralField) -> np.ndarray:
+    """The m3 = 0 and Nyquist planes plus each plane 0 < m3 < n3/2 and its partner."""
+    c = f.half
+    inner = c[:, :, 1:-1].sum(axis=2)
+    return c[:, :, 0] + c[:, :, -1] + inner + half_partner(inner, f.grid)
+
+
+def half_hydrostatic_reconstruct(h) -> SpectralField:
+    grid = h[0].grid
+    kc = half_k_dot(h)
+    kz = half_wavenumbers(grid)[2].reshape(-1)
+    minus_inv_kz = np.zeros(kz.size)
+    minus_inv_kz[1:] = -1.0 / kz[1:]
+    v = SpectralField(grid, kc * minus_inv_kz)
+    v.half[:, :, 0] = -half_z_trace(v)
+    return v
+
+
+def half_weighted_sums(f: SpectralField) -> tuple[float, float, float]:
+    """||f||^2, ||grad_H f||^2 and ||dz f||^2 from the whole half-spectrum."""
+    g = f.grid
+    kx, ky, kz = half_wavenumbers(g)
+    p = np.abs(f.half) ** 2
+    p_xy = 2.0 * p.sum(axis=2) - p[:, :, 0] - p[:, :, -1]
+    p_z = g.half_zweights * p.sum(axis=(0, 1))
+    return (
+        g.volume * float(p_z.sum()),
+        g.volume * float(np.sum((kx**2 + ky**2)[:, :, 0] * p_xy)),
+        g.volume * float(np.sum(kz[0, 0] ** 2 * p_z)),
+    )
+
+
+def half_difference_metrics(s_eps, s_lim, eps: float, alpha: float) -> tuple[float, float, float]:
+    """(d_l2, d_diss_rate, d_h1) of an SHMHD state against a PEHM state with
+    hydrostatic verticals, from the whole half-spectrum."""
+    horizontal = [f - g for f, g in zip((s_eps.a.h1, s_eps.a.h2, s_eps.b.h1, s_eps.b.h2), (*s_lim.a_h, *s_lim.b_h))]
+    vertical = [s_eps.a.v - half_hydrostatic_reconstruct(s_lim.a_h),
+                s_eps.b.v - half_hydrostatic_reconstruct(s_lim.b_h)]
+    h = np.sum([half_weighted_sums(f) for f in horizontal], axis=0)
+    v = np.sum([half_weighted_sums(f) for f in vertical], axis=0)
+    diss = h[1] + eps ** (alpha - 2.0) * h[2] + eps**2 * v[1] + eps**alpha * v[2]
+    return float(h[0] + eps**2 * v[0]), float(diss), float(h.sum() + eps**2 * v.sum())

@@ -11,18 +11,16 @@ from hydrolimit.constraints import (
     ODD_IN_Z,
     SpectrumParams,
     VectorState,
-    anisotropic_leray_project,
     barotropic_defect,
-    barotropic_project,
     divergence_defect,
     generate_initial_data,
-    hydrostatic_reconstruct,
     parity_defect,
     parity_project,
 )
 from hydrolimit.grid import GridSpec
-from hydrolimit.spectral import from_band, l2_norm, to_physical, zero_field
-from conftest import band_mask, field_from_lattice, random_spectral_field, random_vector
+from hydrolimit.spectral import from_band, l2_norm, zero_field
+from conftest import (band_mask, barotropic, field_from_lattice, hydrostatic, leray, physical, random_spectral_field,
+                      random_vector)
 
 
 class TestParity:
@@ -47,7 +45,7 @@ class TestParity:
 
     def test_even_field_reflects_in_physical_space(self, grid8):
         f = parity_project(random_spectral_field(grid8, 23), EVEN_IN_Z)
-        vals = to_physical(f)
+        vals = physical(f)
         # z-lattice reflection z -> -z is index j -> -j (mod n3)
         refl = vals[:, :, (-np.arange(grid8.n3)) % grid8.n3]
         assert np.max(np.abs(vals - refl)) < 1e-13
@@ -66,13 +64,13 @@ class TestParity:
 class TestLerayProjection:
     def test_output_is_divergence_free(self, grid8_2pi):
         g = random_vector(grid8_2pi, 30)
-        proj = anisotropic_leray_project(g, eps=0.1)
+        proj = leray(g, eps=0.1)
         assert divergence_defect(proj) < 1e-12 * max(l2_norm(f) for f in g.components())
 
     def test_idempotent(self, grid8_2pi):
         g = random_vector(grid8_2pi, 31)
-        once = anisotropic_leray_project(g, 0.2)
-        twice = anisotropic_leray_project(once, 0.2)
+        once = leray(g, 0.2)
+        twice = leray(once, 0.2)
         for a, b in zip(once.components(), twice.components()):
             assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
 
@@ -82,7 +80,7 @@ class TestLerayProjection:
         grid = GridSpec(8, 8, 8, 1.0, 1.0)
         eps = 0.3
         g = random_vector(grid, 32)
-        proj = anisotropic_leray_project(g, eps)
+        proj = leray(g, eps)
         w = np.diag([1.0, 1.0, eps**-2])
         worst = 0.0
         for m1 in range(-2, 3):
@@ -105,7 +103,7 @@ class TestLerayProjection:
         eps-weighted inner product, so the weighted energies add."""
         eps = 0.15
         g = random_vector(grid8_2pi, 33)
-        p = anisotropic_leray_project(g, eps)
+        p = leray(g, eps)
 
         def energy(v):
             return (
@@ -123,7 +121,7 @@ class TestHydrostatic:
         # v = -int_0^z div_H = -2 cos(2 pi x) sin(pi z).
         g = GridSpec(8, 8, 8, 1.0, 1.0)
         h1 = field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * x) * np.cos(np.pi * z))
-        v = hydrostatic_reconstruct((h1, zero_field(g)))
+        v = hydrostatic((h1, zero_field(g)))
         expected = field_from_lattice(
             g, lambda x, y, z: -2.0 * np.cos(2 * np.pi * x) * np.sin(np.pi * z)
         )
@@ -131,27 +129,27 @@ class TestHydrostatic:
 
     def test_closes_the_divergence(self, grid8_2pi):
         a, _ = generate_initial_data(40, SpectrumParams(), grid8_2pi)
-        v = hydrostatic_reconstruct((a.h1, a.h2))
+        v = hydrostatic((a.h1, a.h2))
         state = VectorState(a.h1, a.h2, v)
         scale = max(l2_norm(f) for f in (a.h1, a.h2))
         assert divergence_defect(state) < 1e-13 * scale
 
     def test_trace_vanishes_at_z_zero(self, grid8_2pi):
         _, b = generate_initial_data(41, SpectrumParams(), grid8_2pi)
-        v = hydrostatic_reconstruct((b.h1, b.h2))
+        v = hydrostatic((b.h1, b.h2))
         # v(x, y, 0) is the sum of coefficients over all vertical modes
         trace = np.sum(v.coeffs, axis=2)
         assert np.max(np.abs(trace)) < 1e-15
 
     def test_odd_parity_of_reconstruction(self, grid8_2pi):
         a, _ = generate_initial_data(42, SpectrumParams(), grid8_2pi)
-        v = hydrostatic_reconstruct((a.h1, a.h2))
+        v = hydrostatic((a.h1, a.h2))
         assert parity_defect(v, ODD_IN_Z) < 1e-13
 
     def test_rejects_non_barotropic_input(self, grid8_2pi):
         h = (random_spectral_field(grid8_2pi, 43), random_spectral_field(grid8_2pi, 44))
         with pytest.raises(ValueError, match="barotropic"):
-            hydrostatic_reconstruct(h)
+            hydrostatic(h)
 
 
 class TestBarotropic:
@@ -159,19 +157,19 @@ class TestBarotropic:
         h = (random_spectral_field(grid8_2pi, 50), random_spectral_field(grid8_2pi, 51))
         scale = max(l2_norm(f) for f in h)
         assert barotropic_defect(h) > 1e-6 * scale  # generic input is not compatible
-        proj = barotropic_project(h)
+        proj = barotropic(h)
         assert barotropic_defect(proj) < 1e-13 * scale
 
     def test_leaves_nonzero_vertical_modes_alone(self, grid8_2pi):
         h = (random_spectral_field(grid8_2pi, 52), random_spectral_field(grid8_2pi, 53))
-        proj = barotropic_project(h)
+        proj = barotropic(h)
         for orig, new in zip(h, proj):
             assert np.array_equal(orig.coeffs[:, :, 1:], new.coeffs[:, :, 1:])
 
     def test_idempotent(self, grid8_2pi):
         h = (random_spectral_field(grid8_2pi, 54), random_spectral_field(grid8_2pi, 55))
-        once = barotropic_project(h)
-        twice = barotropic_project(once)
+        once = barotropic(h)
+        twice = barotropic(once)
         for a, b in zip(once, twice):
             assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-15
 
@@ -220,7 +218,8 @@ class TestInitialData:
         env = spectrum.amplitude * np.exp(-(grid.modes1**2 + grid.modes2**2 + m3**2) / spectrum.m0**2)
         c = c * env
         r3 = (-np.arange(grid.n3)) % grid.n3
-        c = 0.5 * (c + np.conj(c[grid.reflect_xy][:, :, r3]))
+        reflect_xy = np.ix_((-np.arange(grid.n1)) % grid.n1, (-np.arange(grid.n2)) % grid.n2)
+        c = 0.5 * (c + np.conj(c[reflect_xy][:, :, r3]))
         i1, i2, k3 = grid.band
         return parity_project(from_band(grid, c[i1[:, None], i2, :k3]), EVEN_IN_Z)
 
@@ -230,9 +229,9 @@ class TestInitialData:
     def test_band_only_draw_matches_full_lattice_oracle(self, shape, spectrum, seed):
         grid = GridSpec(*shape, 3.0, 9.0)
         rng = np.random.default_rng(seed)
-        a_h = barotropic_project([self.full_lattice_scalar(rng, grid, spectrum) for _ in range(2)])
-        b_h = barotropic_project([self.full_lattice_scalar(rng, grid, spectrum) for _ in range(2)])
-        expected = [*a_h, hydrostatic_reconstruct(a_h), *b_h, hydrostatic_reconstruct(b_h)]
+        a_h = barotropic([self.full_lattice_scalar(rng, grid, spectrum) for _ in range(2)])
+        b_h = barotropic([self.full_lattice_scalar(rng, grid, spectrum) for _ in range(2)])
+        expected = [*a_h, hydrostatic(a_h), *b_h, hydrostatic(b_h)]
         a, b = generate_initial_data(seed, spectrum, grid)
         for f, e in zip((*a.components(), *b.components()), expected):
             assert f.half.tobytes() == e.half.tobytes()

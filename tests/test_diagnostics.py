@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hydrolimit.constraints import SpectrumParams, VectorState, generate_initial_data
 from hydrolimit.diagnostics import (
     DiagnosticsRecord,
-    _weighted_sums,
     _weighted_totals,
     difference_metrics,
     energy_ledger,
@@ -27,13 +26,18 @@ from hydrolimit.pehm import PehmState
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.shmhd import ElsasserState, ShmhdParams
 from hydrolimit.shmhd import run as shmhd_run
-from hydrolimit.spectral import SpectralField, l2_norm, to_physical, zero_field
+from hydrolimit.spectral import SpectralField, gather, l2_norm, zero_field
+from hydrolimit.sweep import SweepConfig, initial_states, run_pair
 from conftest import (
     derivative_difference_metrics,
     derivative_dissipation_rate,
     derivative_norms,
     field_from_lattice,
+    half_difference_metrics,
+    physical,
     random_spectral_field,
+    state_difference_metrics,
+    weighted_sums,
 )
 
 
@@ -45,13 +49,13 @@ class TestNorms:
         g = GridSpec(8, 8, 8, 1.0, 1.0)
         u = field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * x) * np.cos(np.pi * z))
         assert l2_norm(u) ** 2 == pytest.approx(0.5, rel=1e-12)
-        assert _weighted_sums(u)[1] == pytest.approx(4 * np.pi**2 * 0.5, rel=1e-12)
-        assert _weighted_sums(u)[2] == pytest.approx(np.pi**2 * 0.5, rel=1e-12)
-        assert sum(_weighted_sums(u)) == pytest.approx(0.5 * (1 + 5 * np.pi**2), rel=1e-12)
+        assert weighted_sums(u)[1] == pytest.approx(4 * np.pi**2 * 0.5, rel=1e-12)
+        assert weighted_sums(u)[2] == pytest.approx(np.pi**2 * 0.5, rel=1e-12)
+        assert sum(weighted_sums(u)) == pytest.approx(0.5 * (1 + 5 * np.pi**2), rel=1e-12)
 
     def test_l2_matches_lattice_quadrature(self, grid8_2pi):
         f = random_spectral_field(grid8_2pi, 70)
-        vals = to_physical(f)
+        vals = physical(f)
         quad = math.sqrt(np.sum(vals**2) * grid8_2pi.dx * grid8_2pi.dy * grid8_2pi.dz)
         assert l2_norm(f) == pytest.approx(quad, rel=1e-12)
 
@@ -68,9 +72,9 @@ class TestWeightedSums:
         for seed in (90, 91):
             f = random_spectral_field(g, seed)
             n0, gh, dz = derivative_norms(f)
-            assert _weighted_sums(f)[1] == pytest.approx(gh, rel=self.REL)
-            assert _weighted_sums(f)[2] == pytest.approx(dz, rel=self.REL)
-            assert math.sqrt(sum(_weighted_sums(f))) == pytest.approx(math.sqrt(n0 + gh + dz), rel=self.REL)
+            assert weighted_sums(f)[1] == pytest.approx(gh, rel=self.REL)
+            assert weighted_sums(f)[2] == pytest.approx(dz, rel=self.REL)
+            assert math.sqrt(sum(weighted_sums(f))) == pytest.approx(math.sqrt(n0 + gh + dz), rel=self.REL)
 
     @pytest.mark.parametrize("n", [16, 24])
     def test_dissipation_and_difference_match_derivative_arrays(self, n):
@@ -80,8 +84,9 @@ class TestWeightedSums:
         _, s_lim = TestDifferenceMetrics._states(g, 98)
         for eps, alpha in ((0.1, 3.0), (0.05, 4.5)):
             want = derivative_dissipation_rate(s_eps.a, s_eps.b, eps, alpha)
-            assert shmhd_dissipation_rate(s_eps.a, s_eps.b, eps, alpha) == pytest.approx(want, rel=self.REL)
-            rec = difference_metrics(s_eps, s_lim, eps, alpha)
+            got = shmhd_dissipation_rate(g, gather(s_eps.a.components()), gather(s_eps.b.components()), eps, alpha)
+            assert got == pytest.approx(want, rel=self.REL)
+            rec = state_difference_metrics(s_eps, s_lim, eps, alpha)
             want = derivative_difference_metrics(s_eps, s_lim, eps, alpha)
             assert (rec.d_l2, rec.d_diss_rate, rec.d_h1) == pytest.approx(want, rel=self.REL)
 
@@ -151,7 +156,7 @@ class TestDifferenceMetrics:
 
     def test_identical_states_give_zero(self, grid8_2pi):
         s_eps, s_lim = self._states(grid8_2pi, 80)
-        rec = difference_metrics(s_eps, s_lim, eps=0.1, alpha=3.0)
+        rec = state_difference_metrics(s_eps, s_lim, eps=0.1, alpha=3.0)
         assert rec.d_l2 == 0.0
         assert rec.d_diss_rate == 0.0
         assert rec.d_h1 == 0.0
@@ -166,7 +171,7 @@ class TestDifferenceMetrics:
         bump = field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * y) * np.cos(np.pi * z))
         s_eps.a.h1.half += c * bump.half
         eps, alpha = 0.2, 3.5
-        rec = difference_metrics(s_eps, s_lim, eps, alpha)
+        rec = state_difference_metrics(s_eps, s_lim, eps, alpha)
         n2 = 0.5 * c**2
         assert rec.d_l2 == pytest.approx(n2, rel=1e-12)
         w = eps ** (alpha - 2)
@@ -175,19 +180,38 @@ class TestDifferenceMetrics:
         )
         assert rec.d_h1 == pytest.approx(n2 * (1 + 5 * np.pi**2), rel=1e-12)
 
-    def test_time_mismatch_raises(self, grid8_2pi):
-        s_eps, s_lim = self._states(grid8_2pi, 82)
-        s_lim.t = 0.5
+    def test_time_mismatch_raises(self):
+        """A cell differences each SHMHD sample against the PEHM sample of the
+        same time, and refuses one of another time."""
+        cfg = SweepConfig(8, 8, 8, t_end=0.004, sample_every=1)
+        s_eps0, s_lim0 = initial_states(cfg)
+        limit = pehm_run(s_lim0, cfg.dt, cfg.t_end, cfg.sample_every)
+        limit[1].t = 0.5
         with pytest.raises(ValueError, match="time mismatch"):
-            difference_metrics(s_eps, s_lim, 0.1, 3.0)
+            run_pair(cfg, 0.1, limit, s_eps0)
+
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (32, 24, 20)])
+    def test_sample_blocks_match_the_half_spectrum_reference(self, shape):
+        """The metrics of stepped SHMHD states against the band blocks a PEHM
+        sample keeps, as a ladder cell forms them, equal the metrics on the
+        whole half-spectrum against the state the sample rebuilds."""
+        cfg = SweepConfig(*shape, l1=2.0, l2=3.0)
+        s_eps0, s_lim0 = initial_states(cfg)
+        limit = pehm_run(s_lim0, cfg.dt, 4 * cfg.dt, 2)
+        states = shmhd_run(s_eps0, ShmhdParams(0.1, 3.0, cfg.dt, 4 * cfg.dt), 2, sample=lambda s, r: s)
+        # the first pair is the shared initial data, whose difference is zero
+        for s, smp in zip(states[1:], limit[1:], strict=True):
+            got = difference_metrics(s.grid, gather(s.fields()), smp.blocks, 0.1, 3.0)
+            want = half_difference_metrics(s, smp.state, 0.1, 3.0)
+            assert (got.d_l2, got.d_diss_rate, got.d_h1) == pytest.approx(want, rel=1e-14)
 
     def test_vertical_difference_enters_with_eps_squared(self):
         g = GridSpec(8, 8, 8, 1.0, 1.0)
         s_eps, s_lim = self._states(g, 83)
         bump = field_from_lattice(g, lambda x, y, z: np.sin(np.pi * z))
         s_eps.a.v.half += bump.half
-        rec_1 = difference_metrics(s_eps, s_lim, 0.1, 3.0)
-        rec_2 = difference_metrics(s_eps, s_lim, 0.2, 3.0)
+        rec_1 = state_difference_metrics(s_eps, s_lim, 0.1, 3.0)
+        rec_2 = state_difference_metrics(s_eps, s_lim, 0.2, 3.0)
         assert rec_2.d_l2 == pytest.approx(4.0 * rec_1.d_l2, rel=1e-12)
 
 
@@ -214,12 +238,13 @@ class TestEnergies:
         a, b = generate_initial_data(seed, SpectrumParams(amplitude=0.5), g)
         lim = pehm_run(PehmState((a.h1, a.h2), (b.h1, b.h2), 0.0), 2e-3, 1e-2, 5)[-1].state
         assert pehm_energy(lim.a_h, lim.b_h) == pytest.approx(
-            sum(_weighted_sums(f)[0] for f in lim.fields()), rel=1e-14)
+            sum(weighted_sums(f)[0] for f in lim.fields()), rel=1e-14)
         for eps in (0.2, 0.025):
             s = shmhd_run(ElsasserState(a, b, 0.0), ShmhdParams(eps, 4.0, 2e-3, 1e-2), 5)[-1].state
             assert s.t == lim.t == pytest.approx(1e-2)
             assert shmhd_energy(s.a, s.b, eps) == pytest.approx(
-                _weighted_totals((s.a.h1, s.a.h2, s.b.h1, s.b.h2), (s.a.v, s.b.v), eps, 4.0)[0], rel=1e-14)
+                _weighted_totals(g, gather((s.a.h1, s.a.h2, s.b.h1, s.b.h2)), gather((s.a.v, s.b.v)), eps, 4.0)[0],
+                rel=1e-14)
 
 
 class TestTrilinear:
@@ -249,7 +274,7 @@ class TestTrilinear:
         h = random_spectral_field(grid8_2pi, 93)
         rep = trilinear_check(f, g, h)
         grid = grid8_2pi
-        fa, ga, ha = (to_physical(v) for v in (f, g, h))
+        fa, ga, ha = (physical(v) for v in (f, g, h))
         direct = 0.0
         for i in range(grid.n1):
             for j in range(grid.n2):

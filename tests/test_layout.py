@@ -17,31 +17,27 @@ from hydrolimit.constraints import (
     ODD_IN_Z,
     SpectrumParams,
     VectorState,
-    anisotropic_leray_project,
     barotropic_defect,
-    barotropic_project,
     divergence_defect,
     generate_initial_data,
-    hydrostatic_reconstruct,
-    leray_potential,
     parity_defect,
     parity_project,
-    z_trace,
 )
-from hydrolimit.diagnostics import _weighted_sums
 from hydrolimit.grid import GridSpec
-from hydrolimit.integrator import imex_heun
+from hydrolimit.integrator import elsasser_advection, imex_heun
+from hydrolimit.pehm import PehmState
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.pehm import _enforce as pehm_enforce
 from hydrolimit.pehm import _tendency as pehm_tendency
-from hydrolimit.shmhd import ShmhdParams
+from hydrolimit.shmhd import ElsasserState, ShmhdParams
 from hydrolimit.shmhd import _enforce as shmhd_enforce
 from hydrolimit.shmhd import _tendency as shmhd_tendency
 from hydrolimit.shmhd import run as shmhd_run
-from hydrolimit.spectral import SpectralField, from_band, from_physical, l2_norm, to_physical
+from hydrolimit.spectral import SpectralField, from_band, from_physical, gather, l2_norm
 from hydrolimit.sweep import SweepConfig, initial_states
 from conftest import (
     band_mask,
+    barotropic,
     chain_barotropic_defect,
     chain_divergence,
     chain_hydrostatic_reconstruct,
@@ -59,13 +55,23 @@ from conftest import (
     full_to_physical,
     full_weighted_sums,
     full_wavenumbers,
+    half_barotropic_project,
+    half_hydrostatic_reconstruct,
+    half_leray_project,
+    half_wavenumbers,
     horizontal_divergence,
+    hydrostatic,
     irfft_values,
+    leray,
     partial_derivative,
+    physical,
     populated_spectral_field,
+    potential,
     random_real_field,
     random_spectral_field,
     rfft_field,
+    trace,
+    weighted_sums,
 )
 
 REL = 1e-13
@@ -118,9 +124,9 @@ class TestLayoutOracle:
         f = from_physical(g, values)
         assert np.array_equal(f.half, dealias(rfft_field(g, values)).half)
         assert_close(f.coeffs, full_from_physical(g, values) * full_band_mask(g))
-        assert_close(to_physical(f), full_to_physical(g, f.coeffs))
-        band_values = to_physical(f)
-        assert_close(to_physical(from_physical(g, band_values)), band_values)
+        assert_close(physical(f), full_to_physical(g, f.coeffs))
+        band_values = physical(f)
+        assert_close(physical(from_physical(g, band_values)), band_values)
 
     def test_parity_project_and_defect(self, n):
         g, f, c = populated(n, 302)
@@ -133,13 +139,13 @@ class TestLayoutOracle:
         g, f, c = populated(n, 303)
         assert l2_norm(f) == pytest.approx(full_l2_norm(g, c), rel=REL)
         g, f, c = banded(n, 303)
-        assert _weighted_sums(f) == pytest.approx(full_weighted_sums(g, c), rel=REL)
+        assert weighted_sums(f) == pytest.approx(full_weighted_sums(g, c), rel=REL)
 
     def test_anisotropic_leray_project(self, n):
         g = box(n)
         fields = [banded(n, 304 + i)[1] for i in range(3)]
         for eps in (0.3, 0.05):
-            got = anisotropic_leray_project(VectorState(*fields), eps)
+            got = leray(VectorState(*fields), eps)
             want = full_leray_project(g, [f.coeffs for f in fields], eps)
             for x, y in zip(got.components(), want):
                 assert_close(x.coeffs, y)
@@ -147,26 +153,28 @@ class TestLayoutOracle:
     def test_barotropic_project(self, n):
         g = box(n)
         h = (banded(n, 307)[1], banded(n, 308)[1])
-        got = barotropic_project(h)
+        got = barotropic(h)
         want = full_barotropic_project(g, h[0].coeffs, h[1].coeffs)
         for x, y in zip(got, want):
             assert_close(x.coeffs, y)
 
     def test_z_trace_is_the_full_vertical_sum(self, n):
-        _, f, c = populated(n, 309)
-        assert_close(z_trace(f), np.sum(c, axis=2))
+        """Of the full vertical sum, the trace of the band block is the part of
+        the modes the block holds."""
+        g, f, c = populated(n, 309)
+        assert_close(trace(f), np.sum(c * full_band_mask(g), axis=2))
 
     def test_hydrostatic_trace_and_residual(self, n):
         """Both layouts pin v(x, y, 0) = 0 and leave the same residual
         dz v + div_H h (rounding only, for a band h);
         their coefficients agree on every plane 0 < |m3| < n3/2."""
         g = box(n)
-        h = barotropic_project((banded(n, 310)[1], banded(n, 311)[1]))
-        v = hydrostatic_reconstruct(h)
+        h = barotropic((banded(n, 310)[1], banded(n, 311)[1]))
+        v = hydrostatic(h)
         v_ref = full_hydrostatic_reconstruct(g, h[0].coeffs, h[1].coeffs)
-        for phys in (to_physical(v), full_to_physical(g, v_ref)):
+        for phys in (physical(v), full_to_physical(g, v_ref)):
             assert np.max(np.abs(phys[:, :, 0])) <= REL * np.max(np.abs(phys))
-        assert np.max(np.abs(z_trace(v))) <= REL * np.max(np.abs(v.half))
+        assert np.max(np.abs(trace(v))) <= REL * np.max(np.abs(v.half))
 
         kx, ky, kz = full_wavenumbers(g)
         resid_ref = 1j * kz * v_ref + 1j * kx * h[0].coeffs + 1j * ky * h[1].coeffs
@@ -185,12 +193,12 @@ class TestKernelOracle:
         g = VectorState(*(banded(n, 320 + i)[1] for i in range(3)))
         for eps in (0.3, 0.05):
             want = chain_poisson_solve(chain_divergence(g), eps).half
-            assert np.array_equal(-1j * leray_potential(g, eps), want)
+            assert np.array_equal(-1j * potential(g, eps), want)
 
     def test_anisotropic_leray_project(self, n):
         g = VectorState(*(banded(n, 323 + i)[1] for i in range(3)))
         for eps in (0.3, 0.05):
-            got = anisotropic_leray_project(g, eps)
+            got = leray(g, eps)
             want = chain_leray_project(g, eps)
             for x, y in zip(got.components(), want.components()):
                 assert np.array_equal(x.half, y.half)
@@ -198,17 +206,17 @@ class TestKernelOracle:
     def test_divergence_defect(self, n):
         """Equal on a random state and on its projection, where only rounding remains."""
         g = VectorState(*(banded(n, 326 + i)[1] for i in range(3)))
-        for state in (g, anisotropic_leray_project(g, 0.1)):
+        for state in (g, leray(g, 0.1)):
             assert divergence_defect(state) == float(np.max(np.abs(chain_divergence(state).half)))
 
     def test_barotropic_defect(self, n):
         h = (banded(n, 329)[1], banded(n, 330)[1])
-        for pair in (h, barotropic_project(h)):
+        for pair in (h, barotropic(h)):
             assert barotropic_defect(pair) == chain_barotropic_defect(pair)
 
     def test_hydrostatic_reconstruct(self, n):
-        h = barotropic_project((banded(n, 331)[1], banded(n, 332)[1]))
-        assert np.array_equal(hydrostatic_reconstruct(h).half, chain_hydrostatic_reconstruct(h).half)
+        h = barotropic((banded(n, 331)[1], banded(n, 332)[1]))
+        assert np.array_equal(hydrostatic(h).half, chain_hydrostatic_reconstruct(h).half)
 
 
 def test_field_from_full_keeps_the_half():
@@ -247,12 +255,12 @@ class TestBandPrecondition:
     def test_projections_and_reconstruction_of_band_inputs(self, shape):
         g = GridSpec(*shape, 2.0, 3.0)
         fields = [random_spectral_field(g, 342 + i) for i in range(3)]
-        h = barotropic_project(fields[:2])
+        h = barotropic(fields[:2])
         self.assert_in_band([
-            *anisotropic_leray_project(VectorState(*fields), 0.1).components(),
+            *leray(VectorState(*fields), 0.1).components(),
             *h,
             *(parity_project(f, cls) for f in fields for cls in (EVEN_IN_Z, ODD_IN_Z)),
-            hydrostatic_reconstruct(h),
+            hydrostatic(h),
         ])
 
     def test_tendencies(self, shape):
@@ -260,7 +268,7 @@ class TestBandPrecondition:
         s0, p0 = initial_states(SweepConfig(*shape, l1=2.0, l2=3.0))
         i1, i2, k3 = s0.grid.band
         for s, tendency in ((s0, shmhd_tendency), (p0, pehm_tendency)):
-            assert [t.shape for t in tendency(s)[0]] == [(i1.size, i2.size, k3)] * len(s.fields())
+            assert [t.shape for t in tendency(s.grid, gather(s.fields()))[0]] == [(i1.size, i2.size, k3)] * len(s.fields())
 
     # The stepped states themselves: a default sample rebuilds its state from
     # band blocks, so it is in band by construction.
@@ -279,17 +287,18 @@ class TestBandPrecondition:
         states = pehm_run(p0, cfg.dt, 4 * cfg.dt, sample=lambda s, r: s)
         assert len(states) == 5
         for s in states:
-            self.assert_in_band([*s.fields(), hydrostatic_reconstruct(s.a_h), hydrostatic_reconstruct(s.b_h)])
+            self.assert_in_band([*s.fields(), hydrostatic(s.a_h), hydrostatic(s.b_h)])
 
 
 def half_layout_step(s, tendency, enforce, decay, gain, dt):
     """The IMEX-Heun step on the whole half-spectrum, without the CFL guard:
-    full-half factors, each tendency block embedded by ``from_band``."""
+    full-half factors, half-spectrum states and enforcement, each tendency
+    block embedded by ``from_band``."""
     def rebuild(arrays, t):
         return type(s).from_fields([SpectralField(s.grid, c) for c in arrays], t)
 
     def halves(state):
-        return [from_band(state.grid, t).half for t in tendency(state)[0]]
+        return [from_band(state.grid, t).half for t in tendency(state)]
 
     t_new = s.t + dt
     c = [f.half for f in s.fields()]
@@ -301,31 +310,49 @@ def half_layout_step(s, tendency, enforce, decay, gain, dt):
     return enforce(rebuild([decay * x + gain * (g1 + g2) for x, g1, g2 in zip(c, t1, t2)], t_new))
 
 
+def half_shmhd_tendency(s):
+    return elsasser_advection(s.grid, gather(s.a.components()), gather(s.b.components()), 3)[0]
+
+
+def half_pehm_tendency(s):
+    """The advection with verticals reconstructed on the whole half-spectrum."""
+    a3, b3 = half_hydrostatic_reconstruct(s.a_h), half_hydrostatic_reconstruct(s.b_h)
+    return elsasser_advection(s.grid, gather((*s.a_h, a3)), gather((*s.b_h, b3)), 2)[0]
+
+
 @pytest.mark.parametrize("advect", [True, False], ids=["advect", "linear"])
 @pytest.mark.parametrize("system", ["shmhd", "pehm"])
 @pytest.mark.parametrize("shape, lengths", [((16, 16, 16), (2.0 * np.pi, 2.0 * np.pi)), ((24, 16, 12), (2.0, 3.0))],
                          ids=["16^3", "24x16x12"])
 def test_band_step_equals_the_half_layout_step(shape, lengths, system, advect):
-    """One ``imex_heun`` step, with the factors of ``integrator.run`` on the
-    band block, is bit-identical to the half-spectrum step with the factors of
-    the same symbol on the whole half."""
+    """One ``imex_heun`` step, with tendencies, enforcement and the factors of
+    ``integrator.run`` on band blocks, is bit-identical to the step on the
+    whole half-spectrum, with the half-spectrum Leray, barotropic and
+    hydrostatic operators and the factors of the same symbol on the whole half."""
     cfg = SweepConfig(*shape, l1=lengths[0], l2=lengths[1])
     s0, p0 = initial_states(cfg)
     g = s0.grid
+    kx, ky, kz = half_wavenumbers(g)
     if system == "shmhd":
         eps, alpha = 0.1, 3.0
         s, tendency, lam = s0, shmhd_tendency, g.k2h + eps ** (alpha - 2.0) * g.kz**2
-        enforce = lambda state: shmhd_enforce(state, eps)
+        enforce = lambda grid, c: shmhd_enforce(grid, c, eps)
+        half_tendency, half_lam = half_shmhd_tendency, kx**2 + ky**2 + eps ** (alpha - 2.0) * kz**2
+        half_enforce = lambda state: ElsasserState(half_leray_project(state.a, eps),
+                                                   half_leray_project(state.b, eps), state.t)
     else:
         s, tendency, enforce, lam = p0, pehm_tendency, pehm_enforce, g.k2h
-    tendency = tendency if advect else None
-    i1, i2, k3 = g.band
+        half_tendency, half_lam = half_pehm_tendency, kx**2 + ky**2
+        half_enforce = lambda state: PehmState(half_barotropic_project(state.a_h),
+                                               half_barotropic_project(state.b_h), state.t)
+    if not advect:
+        tendency = half_tendency = None
     h = 0.5 * cfg.dt
 
     def factors(symbol):
         return (1.0 - h * symbol) / (1.0 + h * symbol), h / (1.0 + h * symbol)
 
-    got = imex_heun(s, tendency, enforce, *factors(lam[i1[:, None], i2, :k3]), cfg.dt)
-    want = half_layout_step(s, tendency, enforce, *factors(lam), cfg.dt)
+    got = imex_heun(s, tendency, enforce, *factors(lam), cfg.dt)
+    want = half_layout_step(s, half_tendency, half_enforce, *factors(half_lam), cfg.dt)
     assert got.t == want.t
     assert all(np.array_equal(f.half, w.half) for f, w in zip(got.fields(), want.fields(), strict=True))

@@ -36,15 +36,17 @@ def _run(system, cfg, s0, p0, steps, **sample):
     return pehm_run(p0, cfg.dt, steps * cfg.dt, **sample)
 
 
-# A step frees each temporary at its last use, keeps its tendencies and IMEX
-# updates as band blocks, and lifts each advected component to the lattice
-# only for its own row of products: 23.2 and 19.6 fields at 16^3 (SHMHD read
-# 25.5 while its enforcement also projected onto the z parities).  Full
-# half-spectrum tendencies and updates with all six lattice fields lifted at
-# once read 30.3 and 24.1; keeping the predictor, both tendency lists or all
-# six Leray outputs alive as well read 45 and 30.  The peak is counted in units
-# of one field's stored array, so the bounds hold whatever that storage is.
-@pytest.mark.parametrize("system, bound", [("shmhd", 27), ("pehm", 21)])
+# A step frees each temporary at its last use, works on band blocks from one
+# gather to one embed (tendencies, IMEX updates, enforcement and the predictor),
+# and lifts each advected component to the lattice only for its own row of
+# products: 19.2 and 15.4 fields at 16^3.  With a half-spectrum predictor and
+# enforcement it read 23.2 and 19.6 (SHMHD read 25.5 while its enforcement also
+# projected onto the z parities).  Full half-spectrum tendencies and updates
+# with all six lattice fields lifted at once read 30.3 and 24.1; keeping the
+# predictor, both tendency lists or all six Leray outputs alive as well read 45
+# and 30.  The peak is counted in units of one field's stored array, so the
+# bounds hold whatever that storage is.
+@pytest.mark.parametrize("system, bound", [("shmhd", 21), ("pehm", 17)])
 def test_step_peak_in_fields(system, bound):
     cfg = SweepConfig(16, 16, 16)
     s0, p0 = initial_states(cfg)

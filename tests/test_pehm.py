@@ -13,14 +13,13 @@ from hydrolimit.constraints import (
     SpectrumParams,
     barotropic_defect,
     generate_initial_data,
-    hydrostatic_reconstruct,
     parity_defect,
 )
 from hydrolimit.diagnostics import energy_ledger
 from hydrolimit.grid import GridSpec
 from hydrolimit.pehm import PehmState, _tendency, run
-from hydrolimit.spectral import from_band, l2_norm, zero_field
-from conftest import assert_rel_close, convective_advection, field_from_lattice
+from hydrolimit.spectral import from_band, gather, l2_norm, zero_field
+from conftest import assert_rel_close, convective_advection, field_from_lattice, hydrostatic
 
 
 def seeded_state(grid, seed) -> PehmState:
@@ -32,13 +31,13 @@ class TestVerticalDiagnosis:
     def test_matches_seeded_verticals(self, grid8_2pi):
         a, b = generate_initial_data(140, SpectrumParams(), grid8_2pi)
         s = PehmState((a.h1, a.h2), (b.h1, b.h2), 0.0)
-        a3, b3 = hydrostatic_reconstruct(s.a_h), hydrostatic_reconstruct(s.b_h)
+        a3, b3 = hydrostatic(s.a_h), hydrostatic(s.b_h)
         assert np.max(np.abs(a3.coeffs - a.v.coeffs)) < 1e-14
         assert np.max(np.abs(b3.coeffs - b.v.coeffs)) < 1e-14
 
     def test_diagnosed_verticals_are_odd(self, grid8_2pi):
         s = seeded_state(grid8_2pi, 141)
-        a3, b3 = hydrostatic_reconstruct(s.a_h), hydrostatic_reconstruct(s.b_h)
+        a3, b3 = hydrostatic(s.a_h), hydrostatic(s.b_h)
         scale = max(l2_norm(f) for f in s.a_h)
         assert parity_defect(a3, ODD_IN_Z) < 1e-13 * scale
         assert parity_defect(b3, ODD_IN_Z) < 1e-13 * scale
@@ -50,8 +49,8 @@ class TestTendency:
         """The divergence-form products equal the convective advection of the
         horizontal pairs, with the diagnosed verticals in the advecting fields."""
         s = seeded_state(GridSpec(n, n, n), 142)
-        a3, b3 = hydrostatic_reconstruct(s.a_h), hydrostatic_reconstruct(s.b_h)
-        got = [from_band(s.grid, t) for t in _tendency(s)[0]]
+        a3, b3 = hydrostatic(s.a_h), hydrostatic(s.b_h)
+        got = [from_band(s.grid, t) for t in _tendency(s.grid, gather(s.fields()))[0]]
         assert_rel_close(got[:2], convective_advection((*s.b_h, b3), s.a_h), 1e-13)
         assert_rel_close(got[2:], convective_advection((*s.a_h, a3), s.b_h), 1e-13)
 

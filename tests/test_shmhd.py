@@ -24,13 +24,14 @@ from hydrolimit.shmhd import (
     nonlinear_tendency,
     run,
 )
-from hydrolimit.spectral import from_physical, l2_norm, to_physical, zero_field
+from hydrolimit.spectral import from_physical, l2_norm, zero_field
 from conftest import (
     assert_rel_close,
     convective_advection,
     field_from_full,
     field_from_lattice,
     partial_derivative,
+    physical,
     poisson_potential,
 )
 
@@ -73,7 +74,7 @@ class TestNonlinearTendency:
         def oracle(adv: VectorState, f):
             out = np.zeros(fine.shape)
             for w, axis in zip(adv.components(), ("x", "y", "z")):
-                out -= to_physical(lift(w)) * to_physical(partial_derivative(lift(f), axis))
+                out -= physical(lift(w)) * physical(partial_derivative(lift(f), axis))
             return restrict(from_physical(fine, out))
 
         ta, tb = nonlinear_tendency(s)
@@ -218,12 +219,11 @@ class TestStepping:
         s = seeded_state(grid8_2pi, 134)
         speeds = iter([0.0, 1e9])
 
-        def tendency(state):
-            i1, i2, k3 = state.grid.band
-            return [np.zeros((i1.size, i2.size, k3), dtype=complex) for _ in state.fields()], next(speeds)
+        def tendency(grid, blocks):
+            return [np.zeros_like(c) for c in blocks], next(speeds)
 
         with pytest.warns(UserWarning, match="CFL"):
-            imex_heun(s, tendency, lambda state: state, 1.0, 0.0, 1e-3)
+            imex_heun(s, tendency, lambda grid, blocks: blocks, 1.0, 0.0, 1e-3)
 
     def test_invalid_params_raise(self):
         with pytest.raises(ValueError, match="eps"):

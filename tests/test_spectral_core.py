@@ -9,17 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydrolimit.constraints import VectorState, anisotropic_leray_project
+from hydrolimit.constraints import VectorState
 from hydrolimit.grid import GridSpec
-from hydrolimit.spectral import band_from_physical, from_band, from_physical, l2_norm, to_physical, zero_field
+from hydrolimit.spectral import band_from_physical, from_band, from_physical, l2_norm, zero_field
 from conftest import (
     band_mask,
     chain_divergence,
     dealias,
     field_from_full,
     field_from_lattice,
+    half_wavenumbers,
     irfft_values,
+    leray,
     partial_derivative,
+    physical,
     poisson_potential,
     populated_spectral_field,
     random_real_field,
@@ -31,7 +34,7 @@ from conftest import (
 
 def band_values(grid: GridSpec, seed: int) -> np.ndarray:
     """Lattice values of a random field of the 2/3 band."""
-    return to_physical(random_spectral_field(grid, seed))
+    return physical(random_spectral_field(grid, seed))
 
 
 class TestGridSpec:
@@ -60,9 +63,12 @@ class TestGridSpec:
 
     def test_vertical_wavenumber_is_pi_times_mode(self, grid8):
         # z-period fixed at 2 regardless of the horizontal box; the half-spectrum
-        # keeps the vertical modes 0, ..., n3/2, the last being the Nyquist mode
-        assert grid8.kz.reshape(-1)[1] == pytest.approx(np.pi)
-        assert grid8.kz.reshape(-1)[-1] == pytest.approx(np.pi * grid8.n3 / 2)
+        # keeps the vertical modes 0, ..., n3/2, the last being the Nyquist mode,
+        # and the band's table kz those of its k3 planes 0, ..., k3 - 1
+        kz = half_wavenumbers(grid8)[2].reshape(-1)
+        assert kz[1] == pytest.approx(np.pi)
+        assert kz[-1] == pytest.approx(np.pi * grid8.n3 / 2)
+        assert np.array_equal(grid8.kz.reshape(-1), kz[: grid8.band[2]])
 
     @pytest.mark.parametrize("n", [4, 6, 8, 24, 32])
     def test_band_holds_no_nyquist_mode(self, n):
@@ -82,7 +88,7 @@ class TestTransforms:
 
     def test_round_trip(self, grid8):
         f = band_values(grid8, 1)
-        back = to_physical(from_physical(grid8, f))
+        back = physical(from_physical(grid8, f))
         assert np.max(np.abs(back - f)) < 1e-12 * np.max(np.abs(f))
 
     def test_parseval_l2_norm(self, grid8):
@@ -95,7 +101,7 @@ class TestTransforms:
     def test_round_trip_property(self, seed):
         grid = GridSpec(8, 8, 8, 1.0, 1.0)
         f = band_values(grid, seed)
-        back = to_physical(from_physical(grid, f))
+        back = physical(from_physical(grid, f))
         assert np.allclose(back, f, atol=1e-12)
 
 
@@ -105,14 +111,14 @@ class TestDerivatives:
 
     def test_single_mode_x_derivative(self, grid8):
         f = field_from_lattice(grid8, lambda x, y, z: np.sin(2 * np.pi * x))
-        df = to_physical(partial_derivative(f, "x"))
+        df = physical(partial_derivative(f, "x"))
         x = np.arange(grid8.n1).reshape(-1, 1, 1) * grid8.dx
         expected = 2 * np.pi * np.cos(2 * np.pi * x) * np.ones(grid8.shape)
         assert np.max(np.abs(df - expected)) < 1e-11
 
     def test_single_mode_z_derivative(self, grid8):
         f = field_from_lattice(grid8, lambda x, y, z: np.cos(np.pi * z))
-        df = to_physical(partial_derivative(f, "z"))
+        df = physical(partial_derivative(f, "z"))
         z = np.arange(grid8.n3).reshape(1, 1, -1) * grid8.dz
         expected = -np.pi * np.sin(np.pi * z) * np.ones(grid8.shape)
         assert np.max(np.abs(df - expected)) < 1e-11
@@ -153,7 +159,7 @@ class TestBandTransforms:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_inverse_equals_to_physical(self, g, seed):
         f = dealias(populated_spectral_field(g, seed))
-        assert np.array_equal(to_physical(f), irfft_values(f))
+        assert np.array_equal(physical(f), irfft_values(f))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_forward_equals_dealiased_from_physical(self, g, seed):
@@ -164,7 +170,7 @@ class TestBandTransforms:
 
     def test_inverse_ignores_modes_outside_the_band(self, g):
         f = populated_spectral_field(g, 2)
-        assert np.array_equal(to_physical(f), irfft_values(dealias(f)))
+        assert np.array_equal(physical(f), irfft_values(dealias(f)))
 
 
 class TestDealias:
@@ -204,8 +210,8 @@ class TestDealias:
                         ]
             return field_from_full(fine, c)
 
-        coarse = from_physical(g, to_physical(f) * to_physical(h))
-        exact = from_physical(fine, to_physical(lift(f)) * to_physical(lift(h)))
+        coarse = from_physical(g, physical(f) * physical(h))
+        exact = from_physical(fine, physical(lift(f)) * physical(lift(h)))
         for m1 in range(-band, band + 1):
             for m2 in range(-band, band + 1):
                 for m3 in range(-band, band + 1):
@@ -234,7 +240,8 @@ class TestAnisotropicPoisson:
         eps = 0.1
         phi = poisson_potential(v, eps)
         g = grid8_2pi
-        op = -(g.kx**2 + g.ky**2 + g.kz**2 / eps**2)
+        kx, ky, kz = half_wavenumbers(g)
+        op = -(kx**2 + ky**2 + kz**2 / eps**2)
         resid = op * phi.half - f.half
         resid[op == 0.0] = 0.0  # modes outside the operator's range
         assert np.max(np.abs(resid)) < 1e-12 * np.max(np.abs(f.coeffs))
@@ -246,4 +253,4 @@ class TestAnisotropicPoisson:
     def test_nonpositive_eps_raises(self, grid8):
         g = VectorState(zero_field(grid8), zero_field(grid8), zero_field(grid8))
         with pytest.raises(ValueError, match="eps"):
-            anisotropic_leray_project(g, 0.0)
+            leray(g, 0.0)

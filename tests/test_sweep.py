@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hydrolimit.sweep as sweep_mod
-from hydrolimit.constraints import VectorState, hydrostatic_reconstruct
+from hydrolimit.constraints import VectorState
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.integrator import STEP_TOL, BlowUpError, step_count
 from hydrolimit.shmhd import ElsasserState
@@ -29,6 +29,7 @@ from hydrolimit.sweep import (
     sweep_csv_text,
     summary_text,
 )
+from conftest import hydrostatic
 
 TINY = dict(n1=8, n2=8, n3=8, dt=2e-3, t_end=0.02, sample_every=5)
 
@@ -237,7 +238,7 @@ class TestRunPair:
             _, s_lim0 = initial_states(cfg)
             out = []
             for smp in pehm_run(s_lim0, params.dt, params.t_end, sample_every):
-                a3, b3 = hydrostatic_reconstruct(smp.state.a_h), hydrostatic_reconstruct(smp.state.b_h)
+                a3, b3 = hydrostatic(smp.state.a_h), hydrostatic(smp.state.b_h)
                 state = ElsasserState(
                     VectorState(smp.state.a_h[0], smp.state.a_h[1], a3),
                     VectorState(smp.state.b_h[0], smp.state.b_h[1], b3),
