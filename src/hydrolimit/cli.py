@@ -41,8 +41,8 @@ def cmd_simulate(args) -> int:
     s_eps0, s_lim0 = initial_states(cfg)
     check_out_dir(args.out)
 
-    def record_only(state, record):
-        return record
+    def record_only(smp):
+        return smp.record
 
     try:
         if args.system == "shmhd":

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec
-from .spectral import SpectralField, from_band, gather, l2_norm, parseval_sum, partner
+from .spectral import SpectralField, from_band, parseval_sum, partner
 
 EVEN_IN_Z = "even_in_z"
 ODD_IN_Z = "odd_in_z"
@@ -30,20 +30,23 @@ class VectorState:
         return (self.h1, self.h2, self.v)
 
 
-def parity_project(f: SpectralField, cls: str) -> SpectralField:
-    """Project onto the even or odd part in z (symmetrization of m3 and -m3,
-    whose coefficient is the conjugate partner of the stored one)."""
-    refl = partner(f.half)
+def parity_project(c: np.ndarray, cls: str) -> np.ndarray:
+    """The even or odd part in z of the coefficients c, stored with vertical
+    modes 0, 1, ... and x and y modes in FFT order (a band block, or a
+    half-spectrum): the symmetrization of m3 and -m3, whose coefficient is the
+    conjugate partner of the stored one."""
+    refl = partner(c)
     if cls == EVEN_IN_Z:
-        return SpectralField(f.grid, 0.5 * (f.half + refl))
+        return 0.5 * (c + refl)
     if cls == ODD_IN_Z:
-        return SpectralField(f.grid, 0.5 * (f.half - refl))
+        return 0.5 * (c - refl)
     raise ValueError(f"parity class must be {EVEN_IN_Z!r} or {ODD_IN_Z!r}, got {cls!r}")
 
 
-def parity_defect(f: SpectralField, cls: str) -> float:
-    """L2 distance from the stated parity class; zero iff f has that parity."""
-    return l2_norm(f - parity_project(f, cls))
+def parity_defect(grid: GridSpec, c: np.ndarray, cls: str) -> float:
+    """L2 distance of the field whose band block is c from the stated parity
+    class; zero iff the field has that parity."""
+    return float(np.sqrt(grid.volume * parseval_sum(c - parity_project(c, cls), grid.zweights)))
 
 
 def k_dot(grid: GridSpec, cs, z=slice(None)) -> np.ndarray:
@@ -65,9 +68,12 @@ def _solve(kc: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return phi
 
 
-def divergence_defect(g: VectorState) -> float:
-    """Max spectral divergence coefficient, for use against a state scale."""
-    return float(np.max(np.abs(k_dot(g.grid, gather(g.components())))))
+def divergence_defect(grid: GridSpec, cs, z=slice(None)) -> float:
+    """Max |k . c| over the vertical planes z of the band blocks cs, for use
+    against a state scale: the divergence defect of a vector field, and with
+    z = 0 and a horizontal pair, the barotropic defect (div_H of its vertical
+    mean)."""
+    return float(np.max(np.abs(k_dot(grid, cs, z))))
 
 
 def leray_potential(grid: GridSpec, c, eps: float) -> np.ndarray:
@@ -141,11 +147,6 @@ def barotropic_project(grid: GridSpec, h) -> tuple[np.ndarray, np.ndarray]:
     return c1, c2
 
 
-def barotropic_defect(h: tuple[SpectralField, SpectralField]) -> float:
-    """Max coefficient of div_H of the vertical mean of h."""
-    return float(np.max(np.abs(k_dot(h[0].grid, gather(h), 0))))
-
-
 @dataclass
 class SpectrumParams:
     """Gaussian-decay spectrum for the seeded initial-data generator."""
@@ -164,8 +165,7 @@ def _random_even_scalar(rng: np.random.Generator, grid: GridSpec, spectrum: Spec
     block, mirror = np.ix_(i1, i2, m3), np.ix_(-i1 % grid.n1, -i2 % grid.n2, -m3 % grid.n3)
     c, r = ((real[ix] + 1j * imag[ix]) * env for ix in (block, mirror))
     # real field: hermitian symmetrization coeff(-m) = conj(coeff(m))
-    even = parity_project(from_band(grid, 0.5 * (c + np.conj(r))), EVEN_IN_Z)
-    return even.half[grid.band_index]
+    return parity_project(0.5 * (c + np.conj(r)), EVEN_IN_Z)
 
 
 def generate_initial_data(seed: int, spectrum: SpectrumParams, grid: GridSpec) -> tuple[VectorState, VectorState]:

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import VectorState, hydrostatic_reconstruct
+from .constraints import hydrostatic_reconstruct
 from .grid import GridSpec
-from .spectral import SpectralField, gather, l2_norm, to_physical
+from .spectral import SpectralField, gather, l2_norm, parseval_sum, to_physical
 
 
 def _weighted_sums(grid: GridSpec, c: np.ndarray) -> tuple[float, float, float]:
@@ -62,9 +62,11 @@ class DiagnosticsRecord:
     div_defect: float = 0.0
 
 
-def shmhd_energy(a: VectorState, b: VectorState, eps: float) -> float:
-    """E = ||A_h||^2 + ||B_h||^2 + eps^2 ||A3||^2 + eps^2 ||B3||^2."""
-    return pehm_energy((a.h1, a.h2), (b.h1, b.h2)) + eps**2 * (l2_norm(a.v) ** 2 + l2_norm(b.v) ** 2)
+def shmhd_energy(grid: GridSpec, a, b, eps: float) -> float:
+    """E = ||A_h||^2 + ||B_h||^2 + eps^2 ||A3||^2 + eps^2 ||B3||^2 of the
+    Elsaesser fields whose components have the band blocks a and b (the
+    vertical blocks a[2:], b[2:] summed as ``pehm_energy`` sums pairs)."""
+    return pehm_energy(grid, a[:2], b[:2]) + eps**2 * pehm_energy(grid, a[2:], b[2:])
 
 
 def shmhd_dissipation_rate(grid: GridSpec, a, b, eps: float, alpha: float) -> float:
@@ -73,8 +75,10 @@ def shmhd_dissipation_rate(grid: GridSpec, a, b, eps: float, alpha: float) -> fl
     return _weighted_totals(grid, (a[0], a[1], b[0], b[1]), (a[2], b[2]), eps, alpha)[1]
 
 
-def pehm_energy(a_h, b_h) -> float:
-    return sum(l2_norm(f) ** 2 for f in (*a_h, *b_h))
+def pehm_energy(grid: GridSpec, a_h, b_h) -> float:
+    """||A_h||^2 + ||B_h||^2 of the pairs whose band blocks are a_h and b_h,
+    Parseval-exact."""
+    return grid.volume * sum(parseval_sum(c, grid.zweights) for c in (*a_h, *b_h))
 
 
 def pehm_dissipation_rate(grid: GridSpec, a_h, b_h) -> float:

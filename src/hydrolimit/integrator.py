@@ -9,15 +9,16 @@ by mode, so they commute with the diagonal diffusion factor and this equals
 projecting the tendencies, to rounding.  Parity in z is an invariant of every
 operator of the step, not enforced, so a recorded parity defect measures drift.
 
-A step works on band blocks (``GridSpec.band_index``, about 0.3 of a field
-each) from one gather to one embed: it gathers each field's block of the stored
-half-spectrum state where it is used, runs both tendencies, both IMEX updates
-and both enforcements on blocks, and embeds each field of the new state once;
-the predictor is blocks only.  The midpoint dissipation is formed on blocks
-too, and a ``Sample`` keeps only blocks.  A step frees each temporary at its
-last use, so its peak is the corrector's tendency: the state, the blocks of t1
-and of the predictor, and the four lattice fields alive in the advection (all
-of b, one component of a), about 19 fields for SHMHD and 15 for PEHM.
+A run works on band blocks (``GridSpec.band_index``, about 0.3 of a field
+each) with one gather per run: ``run`` gathers each field's block of s0 once
+and carries the blocks and the time through the loop, and ``imex_heun`` takes
+and returns blocks, so both tendencies, both IMEX updates, both enforcements,
+the predictor, the midpoint dissipation, the records and the samples are
+blocks only, and no half-spectrum state is built inside a run.  A step frees
+each temporary at its last use, so its peak is the corrector's tendency: the
+blocks of the state, of t1 and of the predictor, and the four lattice fields
+alive in the advection (all of b, one component of a), about 15 fields for
+SHMHD and 13 for PEHM.
 
 A state exposes ``t``, ``grid``, ``FIELD_NAMES``, ``fields()`` (its spectral
 components in that order) and ``from_fields(fields, t)``.
@@ -95,8 +96,9 @@ def elsasser_advection(grid, a, b, n_advected: int) -> tuple[list[np.ndarray], f
     return [-1j * t for t in (*t_a, *t_b)], max(speeds)
 
 
-def imex_heun(s, tendency, enforce, decay, gain, dt: float):
-    """Advance s by one step dt.
+def imex_heun(grid, c, t: float, tendency, enforce, decay, gain, dt: float, names) -> tuple[list, float]:
+    """Advance the state whose fields, named ``names``, have the band blocks c
+    at time t by one step dt, and return the new blocks and t + dt.
 
     ``tendency(grid, blocks)`` returns the advection tendencies of the state
     whose fields have the band blocks ``blocks``, as band blocks, one per
@@ -106,44 +108,38 @@ def imex_heun(s, tendency, enforce, decay, gain, dt: float):
     diffusion symbol lam and h = dt/2, a field c with advection tendencies t1,
     t2 becomes decay * c + gain * (t1 + t2), where decay = (1 - h lam) /
     (1 + h lam) and gain = h / (1 + h lam), both given on the band block.
-    Each field's block of s is gathered where it is used, and each field of
-    the new state is checked finite and embedded in the half-spectrum once,
-    after ``enforce``.
+    Each new block is checked finite after ``enforce``; no array of c is written.
     """
-    grid = s.grid
-
-    def blocks():
-        return (f.half[grid.band_index] for f in s.fields())
-
     if tendency is None:
-        new = enforce(grid, [decay * c for c in blocks()])
+        new = enforce(grid, [decay * x for x in c])
     else:
-        t1, speed1 = tendency(grid, gather(s.fields()))
-        pred = enforce(grid, [decay * c + gain * (g + g) for c, g in zip(blocks(), t1)])
+        t1, speed1 = tendency(grid, c)
+        pred = enforce(grid, [decay * x + gain * (g + g) for x, g in zip(c, t1)])
         t2, speed2 = tendency(grid, pred)
         del pred
-        new = enforce(grid, [decay * c + gain * (g1 + g2) for c, g1, g2 in zip(blocks(), t1, t2)])
+        new = enforce(grid, [decay * x + gain * (g1 + g2) for x, g1, g2 in zip(c, t1, t2)])
         del t1, t2
         cfl = dt * max(speed1, speed2) / min(grid.dx, grid.dy, grid.dz)
         if cfl >= CFL_LIMIT:
             warnings.warn(
                 f"CFL guard exceeded: dt*max|u|/min(dx) = {cfl:.3f} >= {CFL_LIMIT}", stacklevel=3
             )
-    t_new = s.t + dt
-    for name, c in zip(s.FIELD_NAMES, new):
-        if not np.all(np.isfinite(c)):
+    t_new = t + dt
+    for name, x in zip(names, new):
+        if not np.all(np.isfinite(x)):
             raise BlowUpError(f"non-finite coefficients in field {name} at t={t_new:.6g}")
-    return type(s).from_fields([from_band(grid, c) for c in new], t_new)
+    return new, t_new
 
 
 class Sample:
-    """A sampled state and its record.  Every field is zero outside the band, so
-    the sample keeps only each field's band block, ``blocks``, and ``state``
-    rebuilds the half-spectrum state from them, bit-identical to the one sampled."""
+    """A sampled state of type ``kind`` at time ``t``, kept as the band block of
+    each field, ``blocks``, with its record.  The blocks are the run's own,
+    which no step writes in place, and ``state`` rebuilds the half-spectrum
+    state from them, bit-identical to the one stepped: every field is zero
+    outside the band."""
 
-    def __init__(self, state, record: DiagnosticsRecord):
-        self.record, self.kind, self.grid, self.t = record, type(state), state.grid, state.t
-        self.blocks = gather(state.fields())
+    def __init__(self, kind: type, grid, t: float, blocks: list, record: DiagnosticsRecord):
+        self.kind, self.grid, self.t, self.blocks, self.record = kind, grid, t, blocks, record
 
     @property
     def state(self):
@@ -173,14 +169,13 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
 
 
 def run(s0, t_end: float, sample_every: int, *, tendency, enforce, lam, dt: float,
-        dissipation_rate, record, sample=Sample) -> list:
-    """Step s0 to t_end and return ``sample(state, record(state, dissipation))``
-    taken at s0, every sample_every steps and at the end.  ``lam`` is the
-    diffusion symbol on the band block; its IMEX factors (see ``imex_heun``)
-    are built once here.
-
-    The default ``Sample`` keeps the band block of each field of the state, a
-    copy that no later step can change.
+        dissipation_rate, record, sample=None) -> list:
+    """Step s0 to t_end and return a ``Sample`` of the state, with its
+    ``record(grid, blocks, t, dissipation)``, at s0, every sample_every steps
+    and at the end, or ``sample(smp)`` of each if a hook is given.  s0 is
+    gathered once: the loop carries band blocks and the time, and a sample
+    keeps the step's own blocks.  ``lam`` is the diffusion symbol on the band
+    block; its IMEX factors (see ``imex_heun``) are built once here.
 
     The dissipation integral is accumulated per step at the midpoint state,
     ``dissipation_rate(grid, blocks)`` of its band blocks, so the linear
@@ -190,20 +185,24 @@ def run(s0, t_end: float, sample_every: int, *, tendency, enforce, lam, dt: floa
     n_steps = step_count(s0.t, t_end, dt)
     h = 0.5 * dt
     decay, gain = (1.0 - h * lam) / (1.0 + h * lam), h / (1.0 + h * lam)
-    samples = [sample(s0, record(s0, 0.0))]
-    s = s0
-    band = s0.grid.band_index
-    diss = 0.0
+    kind, grid = type(s0), s0.grid
+
+    def take(c, t, diss):
+        smp = Sample(kind, grid, t, c, record(grid, c, t, diss))
+        return smp if sample is None else sample(smp)
+
+    c, t, diss = gather(s0.fields()), s0.t, 0.0
+    samples = [take(c, t, diss)]
     for i in range(n_steps):
         try:
-            s_new = imex_heun(s, tendency, enforce, decay, gain, dt)
+            c_new, t = imex_heun(grid, c, t, tendency, enforce, decay, gain, dt, kind.FIELD_NAMES)
         except BlowUpError as e:
             e.step_index = i
             raise
-        mid = [0.5 * (f.half[band] + g.half[band]) for f, g in zip(s.fields(), s_new.fields())]
-        diss += dt * dissipation_rate(s.grid, mid)
+        mid = [0.5 * (x + y) for x, y in zip(c, c_new)]
+        diss += dt * dissipation_rate(grid, mid)
         del mid  # a midpoint kept alive through the next step raises its peak by a state's blocks
-        s = s_new
+        c = c_new
         if (i + 1) % sample_every == 0 or i + 1 == n_steps:
-            samples.append(sample(s, record(s, diss)))
+            samples.append(take(c, t, diss))
     return samples

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from . import integrator
 from .constraints import (
     EVEN_IN_Z,
-    barotropic_defect,
     barotropic_project,
+    divergence_defect,
     hydrostatic_reconstruct,
     parity_defect,
 )
@@ -58,13 +58,14 @@ def _enforce(grid, c) -> list:
     return [*barotropic_project(grid, c[:2]), *barotropic_project(grid, c[2:])]
 
 
-def _record(s: PehmState, diss_accum: float) -> DiagnosticsRecord:
+def _record(grid, c, t: float, diss_accum: float) -> DiagnosticsRecord:
+    """The record of the state at time t whose fields have the band blocks c."""
     return DiagnosticsRecord(
-        t=s.t,
-        e_l2=pehm_energy(s.a_h, s.b_h),
+        t=t,
+        e_l2=pehm_energy(grid, c[:2], c[2:]),
         dissipation_accum=diss_accum,
-        parity_defect=max(parity_defect(f, EVEN_IN_Z) for f in s.fields()),
-        div_defect=max(barotropic_defect(s.a_h), barotropic_defect(s.b_h)),
+        parity_defect=max(parity_defect(grid, x, EVEN_IN_Z) for x in c),
+        div_defect=max(divergence_defect(grid, c[:2], 0), divergence_defect(grid, c[2:], 0)),
     )
 
 
@@ -74,10 +75,10 @@ def run(
     t_end: float,
     sample_every: int = 1,
     advect: bool = True,
-    sample=integrator.Sample,
+    sample=None,
 ) -> list:
     """Repeated stepping with diagnostics every sample_every steps; each
-    sample is ``sample(state, record)``, by default an ``integrator.Sample``."""
+    sample is an ``integrator.Sample``, or ``sample(smp)`` of it if given."""
     return integrator.run(
         s0, t_end, sample_every,
         tendency=_tendency if advect else None,

@@ -78,20 +78,20 @@ def _enforce(grid, c, eps: float) -> list:
     return [*anisotropic_leray_project(grid, c[:3], eps), *anisotropic_leray_project(grid, c[3:], eps)]
 
 
-def _record(s: ElsasserState, p: ShmhdParams, diss_accum: float) -> DiagnosticsRecord:
+def _record(grid, c, t: float, diss_accum: float, eps: float) -> DiagnosticsRecord:
+    """The record of the state at time t whose fields have the band blocks c."""
     return DiagnosticsRecord(
-        t=s.t,
-        e_l2=shmhd_energy(s.a, s.b, p.eps),
+        t=t,
+        e_l2=shmhd_energy(grid, c[:3], c[3:], eps),
         dissipation_accum=diss_accum,
-        parity_defect=max(parity_defect(f, c) for f, c in zip(s.fields(), PARITY)),
-        div_defect=max(divergence_defect(s.a), divergence_defect(s.b)),
+        parity_defect=max(parity_defect(grid, x, cls) for x, cls in zip(c, PARITY)),
+        div_defect=max(divergence_defect(grid, c[:3]), divergence_defect(grid, c[3:])),
     )
 
 
-def run(s0: ElsasserState, p: ShmhdParams, sample_every: int = 1,
-        sample=integrator.Sample) -> list:
+def run(s0: ElsasserState, p: ShmhdParams, sample_every: int = 1, sample=None) -> list:
     """Repeated stepping with diagnostics every sample_every steps; each
-    sample is ``sample(state, record)``, by default an ``integrator.Sample``."""
+    sample is an ``integrator.Sample``, or ``sample(smp)`` of it if given."""
     return integrator.run(
         s0, p.t_end, sample_every,
         tendency=_tendency if p.advect else None,
@@ -99,6 +99,6 @@ def run(s0: ElsasserState, p: ShmhdParams, sample_every: int = 1,
         lam=s0.grid.k2h + p.eps ** (p.alpha - 2.0) * s0.grid.kz**2,  # |k_H|^2 + eps^(alpha-2) kz^2
         dt=p.dt,
         dissipation_rate=lambda grid, c: shmhd_dissipation_rate(grid, c[:3], c[3:], p.eps, p.alpha),
-        record=lambda s, diss: _record(s, p, diss),
+        record=lambda grid, c, t, diss: _record(grid, c, t, diss, p.eps),
         sample=sample,
     )

@@ -21,7 +21,6 @@ from .pehm import PehmState
 from .pehm import run as pehm_run
 from .shmhd import ElsasserState, ShmhdParams, check_eps
 from .shmhd import run as shmhd_run
-from .spectral import gather
 
 
 class ConfigError(ValueError):
@@ -200,11 +199,11 @@ def run_pair(cfg: SweepConfig, eps: float, limit: list, s_eps0: ElsasserState) -
     params = ShmhdParams(eps=eps, alpha=cfg.alpha, dt=cfg.dt, t_end=cfg.t_end)
     lim = iter(limit)
 
-    def compare(state, record):
-        smp = next(lim)
-        if abs(state.t - smp.t) > 1e-12 * max(1.0, abs(state.t)):
-            raise ValueError(f"time mismatch: {state.t} vs {smp.t}")
-        return difference_metrics(state.grid, gather(state.fields()), smp.blocks, eps, cfg.alpha), record
+    def compare(smp):
+        ref = next(lim)
+        if abs(smp.t - ref.t) > 1e-12 * max(1.0, abs(smp.t)):
+            raise ValueError(f"time mismatch: {smp.t} vs {ref.t}")
+        return difference_metrics(smp.grid, smp.blocks, ref.blocks, eps, cfg.alpha), smp.record
 
     diffs, records = zip(*shmhd_run(s_eps0, params, cfg.sample_every, sample=compare))
     accums = trapezoid_accumulate([r.t for r in records], [d.d_diss_rate for d in diffs])

@@ -61,18 +61,13 @@ def run_battery(grid: GridSpec, seeds, spectrum: SpectrumParams | None = None) -
         worst["parseval"] = max(worst["parseval"], abs(lattice_l2 - l2_norm(spec)) / lattice_l2)
 
         for g in (a, b):
-            worst["divergence"] = max(worst["divergence"], divergence_defect(g) / scale)
             c = gather(g.components())
+            worst["divergence"] = max(worst["divergence"], divergence_defect(grid, c) / scale)
             delta = max(float(np.max(np.abs(x - y))) for x, y in zip(anisotropic_leray_project(grid, c, 0.1), c))
             worst["leray idempotence"] = max(worst["leray idempotence"], delta / scale)
-
-        for f_ in (a.h1, a.h2, b.h1, b.h2):
-            worst["parity"] = max(worst["parity"], parity_defect(f_, EVEN_IN_Z) / scale)
-        for f_ in (a.v, b.v):
-            worst["parity"] = max(worst["parity"], parity_defect(f_, ODD_IN_Z) / scale)
-
-        for v in gather((a.v, b.v)):
-            trace = float(np.max(np.abs(z_trace(v))))
+            for x, cls in zip(c, (EVEN_IN_Z, EVEN_IN_Z, ODD_IN_Z)):
+                worst["parity"] = max(worst["parity"], parity_defect(grid, x, cls) / scale)
+            trace = float(np.max(np.abs(z_trace(c[2]))))
             worst["hydrostatic trace"] = max(worst["hydrostatic trace"], trace / scale)
 
     return [CheckResult(name, worst[name], tol) for name, tol in TOLS.items()]

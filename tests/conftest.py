@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from hydrolimit.constraints import (VectorState, anisotropic_leray_project, barotropic_project,
-                                   hydrostatic_reconstruct, leray_potential, z_trace)
+from hydrolimit.constraints import (VectorState, anisotropic_leray_project, barotropic_project, divergence_defect,
+                                   hydrostatic_reconstruct, leray_potential, parity_defect, parity_project, z_trace)
 from hydrolimit.diagnostics import _weighted_sums, difference_metrics
 from hydrolimit.grid import GridSpec
 from hydrolimit.spectral import SpectralField, from_band, from_physical, gather, l2_norm, to_physical
@@ -58,6 +58,23 @@ def barotropic(h) -> tuple[SpectralField, SpectralField]:
 def hydrostatic(h) -> SpectralField:
     grid = h[0].grid
     return from_band(grid, hydrostatic_reconstruct(grid, gather(h)))
+
+
+def parity(f: SpectralField, cls: str) -> SpectralField:
+    return from_band(f.grid, parity_project(f.half[f.grid.band_index], cls))
+
+
+def parity_defect_of(f: SpectralField, cls: str) -> float:
+    return parity_defect(f.grid, f.half[f.grid.band_index], cls)
+
+
+def divergence_defect_of(g: VectorState) -> float:
+    return divergence_defect(g.grid, gather(g.components()))
+
+
+def barotropic_defect_of(h) -> float:
+    """``divergence_defect`` of the kz = 0 plane of the horizontal pair h."""
+    return divergence_defect(h[0].grid, gather(h), 0)
 
 
 def trace(f: SpectralField) -> np.ndarray:

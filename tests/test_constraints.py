@@ -11,40 +11,37 @@ from hydrolimit.constraints import (
     ODD_IN_Z,
     SpectrumParams,
     VectorState,
-    barotropic_defect,
-    divergence_defect,
     generate_initial_data,
-    parity_defect,
     parity_project,
 )
 from hydrolimit.grid import GridSpec
-from hydrolimit.spectral import from_band, l2_norm, zero_field
-from conftest import (band_mask, barotropic, field_from_lattice, hydrostatic, leray, physical, random_spectral_field,
-                      random_vector)
+from hydrolimit.spectral import SpectralField, from_band, l2_norm, zero_field
+from conftest import (band_mask, barotropic, barotropic_defect_of, divergence_defect_of, field_from_lattice, hydrostatic,
+                      leray, parity, parity_defect_of, physical, random_spectral_field, random_vector)
 
 
 class TestParity:
     def test_projection_is_idempotent(self, grid8):
         f = random_spectral_field(grid8, 20)
         for cls in (EVEN_IN_Z, ODD_IN_Z):
-            p = parity_project(f, cls)
-            pp = parity_project(p, cls)
+            p = parity(f, cls)
+            pp = parity(p, cls)
             assert np.max(np.abs(pp.coeffs - p.coeffs)) < 1e-15
 
     def test_even_plus_odd_recovers_field(self, grid8):
         f = random_spectral_field(grid8, 21)
-        e = parity_project(f, EVEN_IN_Z)
-        o = parity_project(f, ODD_IN_Z)
+        e = parity(f, EVEN_IN_Z)
+        o = parity(f, ODD_IN_Z)
         assert np.max(np.abs(e.coeffs + o.coeffs - f.coeffs)) < 1e-15
 
     def test_parts_are_l2_orthogonal(self, grid8):
         f = random_spectral_field(grid8, 22)
-        e = parity_project(f, EVEN_IN_Z)
-        o = parity_project(f, ODD_IN_Z)
+        e = parity(f, EVEN_IN_Z)
+        o = parity(f, ODD_IN_Z)
         assert l2_norm(f) ** 2 == pytest.approx(l2_norm(e) ** 2 + l2_norm(o) ** 2, rel=1e-12)
 
     def test_even_field_reflects_in_physical_space(self, grid8):
-        f = parity_project(random_spectral_field(grid8, 23), EVEN_IN_Z)
+        f = parity(random_spectral_field(grid8, 23), EVEN_IN_Z)
         vals = physical(f)
         # z-lattice reflection z -> -z is index j -> -j (mod n3)
         refl = vals[:, :, (-np.arange(grid8.n3)) % grid8.n3]
@@ -53,19 +50,19 @@ class TestParity:
     def test_known_defect_value(self, grid8):
         # sin(pi z) is odd: its even defect is its full norm sqrt(l1*l2)
         f = field_from_lattice(grid8, lambda x, y, z: np.sin(np.pi * z))
-        assert parity_defect(f, EVEN_IN_Z) == pytest.approx(1.0, rel=1e-12)
-        assert parity_defect(f, ODD_IN_Z) < 1e-13
+        assert parity_defect_of(f, EVEN_IN_Z) == pytest.approx(1.0, rel=1e-12)
+        assert parity_defect_of(f, ODD_IN_Z) < 1e-13
 
     def test_unknown_class_raises(self, grid8):
         with pytest.raises(ValueError, match="parity class"):
-            parity_project(zero_field(grid8), "sideways")
+            parity(zero_field(grid8), "sideways")
 
 
 class TestLerayProjection:
     def test_output_is_divergence_free(self, grid8_2pi):
         g = random_vector(grid8_2pi, 30)
         proj = leray(g, eps=0.1)
-        assert divergence_defect(proj) < 1e-12 * max(l2_norm(f) for f in g.components())
+        assert divergence_defect_of(proj) < 1e-12 * max(l2_norm(f) for f in g.components())
 
     def test_idempotent(self, grid8_2pi):
         g = random_vector(grid8_2pi, 31)
@@ -132,7 +129,7 @@ class TestHydrostatic:
         v = hydrostatic((a.h1, a.h2))
         state = VectorState(a.h1, a.h2, v)
         scale = max(l2_norm(f) for f in (a.h1, a.h2))
-        assert divergence_defect(state) < 1e-13 * scale
+        assert divergence_defect_of(state) < 1e-13 * scale
 
     def test_trace_vanishes_at_z_zero(self, grid8_2pi):
         _, b = generate_initial_data(41, SpectrumParams(), grid8_2pi)
@@ -144,7 +141,7 @@ class TestHydrostatic:
     def test_odd_parity_of_reconstruction(self, grid8_2pi):
         a, _ = generate_initial_data(42, SpectrumParams(), grid8_2pi)
         v = hydrostatic((a.h1, a.h2))
-        assert parity_defect(v, ODD_IN_Z) < 1e-13
+        assert parity_defect_of(v, ODD_IN_Z) < 1e-13
 
     def test_rejects_non_barotropic_input(self, grid8_2pi):
         h = (random_spectral_field(grid8_2pi, 43), random_spectral_field(grid8_2pi, 44))
@@ -156,9 +153,9 @@ class TestBarotropic:
     def test_projection_clears_defect(self, grid8_2pi):
         h = (random_spectral_field(grid8_2pi, 50), random_spectral_field(grid8_2pi, 51))
         scale = max(l2_norm(f) for f in h)
-        assert barotropic_defect(h) > 1e-6 * scale  # generic input is not compatible
+        assert barotropic_defect_of(h) > 1e-6 * scale  # generic input is not compatible
         proj = barotropic(h)
-        assert barotropic_defect(proj) < 1e-13 * scale
+        assert barotropic_defect_of(proj) < 1e-13 * scale
 
     def test_leaves_nonzero_vertical_modes_alone(self, grid8_2pi):
         h = (random_spectral_field(grid8_2pi, 52), random_spectral_field(grid8_2pi, 53))
@@ -190,11 +187,11 @@ class TestInitialData:
         a, b = generate_initial_data(63, SpectrumParams(), grid8_2pi)
         scale = max(l2_norm(f) for f in (a.h1, a.h2, b.h1, b.h2))
         for f in (a.h1, a.h2, b.h1, b.h2):
-            assert parity_defect(f, EVEN_IN_Z) < 1e-13 * scale
+            assert parity_defect_of(f, EVEN_IN_Z) < 1e-13 * scale
         for v in (a.v, b.v):
-            assert parity_defect(v, ODD_IN_Z) < 1e-13 * scale
-        assert divergence_defect(a) < 1e-13 * scale
-        assert divergence_defect(b) < 1e-13 * scale
+            assert parity_defect_of(v, ODD_IN_Z) < 1e-13 * scale
+        assert divergence_defect_of(a) < 1e-13 * scale
+        assert divergence_defect_of(b) < 1e-13 * scale
 
     def test_fields_are_real_and_band_limited(self, grid8_2pi):
         a, _ = generate_initial_data(64, SpectrumParams(), grid8_2pi)
@@ -221,7 +218,7 @@ class TestInitialData:
         reflect_xy = np.ix_((-np.arange(grid.n1)) % grid.n1, (-np.arange(grid.n2)) % grid.n2)
         c = 0.5 * (c + np.conj(c[reflect_xy][:, :, r3]))
         i1, i2, k3 = grid.band
-        return parity_project(from_band(grid, c[i1[:, None], i2, :k3]), EVEN_IN_Z)
+        return SpectralField(grid, parity_project(from_band(grid, c[i1[:, None], i2, :k3]).half, EVEN_IN_Z))
 
     @pytest.mark.parametrize("shape", [(16, 24, 32), (48, 20, 12), (4, 6, 4)])
     @pytest.mark.parametrize("spectrum", [SpectrumParams(), SpectrumParams(amplitude=0.3, m0=1.7)])
@@ -242,4 +239,4 @@ class TestInitialData:
         grid = GridSpec(8, 8, 8, 2 * np.pi, 2 * np.pi)
         a, _ = generate_initial_data(seed, SpectrumParams(), grid)
         scale = max(l2_norm(f) for f in (a.h1, a.h2)) or 1.0
-        assert divergence_defect(a) < 1e-12 * scale
+        assert divergence_defect_of(a) < 1e-12 * scale

@@ -198,7 +198,7 @@ class TestDifferenceMetrics:
         cfg = SweepConfig(*shape, l1=2.0, l2=3.0)
         s_eps0, s_lim0 = initial_states(cfg)
         limit = pehm_run(s_lim0, cfg.dt, 4 * cfg.dt, 2)
-        states = shmhd_run(s_eps0, ShmhdParams(0.1, 3.0, cfg.dt, 4 * cfg.dt), 2, sample=lambda s, r: s)
+        states = shmhd_run(s_eps0, ShmhdParams(0.1, 3.0, cfg.dt, 4 * cfg.dt), 2, sample=lambda smp: smp.state)
         # the first pair is the shared initial data, whose difference is zero
         for s, smp in zip(states[1:], limit[1:], strict=True):
             got = difference_metrics(s.grid, gather(s.fields()), smp.blocks, 0.1, 3.0)
@@ -222,12 +222,13 @@ class TestEnergies:
         zero = zero_field(g)
         a = VectorState(f, zero, f)
         b = VectorState(zero, zero, zero)
-        assert shmhd_energy(a, b, eps=0.5) == pytest.approx(1.0 + 0.25, rel=1e-12)
+        assert shmhd_energy(g, gather(a.components()), gather(b.components()), eps=0.5) == pytest.approx(
+            1.0 + 0.25, rel=1e-12)
 
     def test_pehm_energy(self):
         g = GridSpec(8, 8, 8, 1.0, 1.0)
         f = field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * x))
-        assert pehm_energy((f, f), (f, zero_field(g))) == pytest.approx(3.0, rel=1e-12)
+        assert pehm_energy(g, gather((f, f)), gather((f, zero_field(g)))) == pytest.approx(3.0, rel=1e-12)
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_record_energy_is_the_difference_metrics_energy(self, seed):
@@ -237,12 +238,12 @@ class TestEnergies:
         g = GridSpec(16, 16, 16)
         a, b = generate_initial_data(seed, SpectrumParams(amplitude=0.5), g)
         lim = pehm_run(PehmState((a.h1, a.h2), (b.h1, b.h2), 0.0), 2e-3, 1e-2, 5)[-1].state
-        assert pehm_energy(lim.a_h, lim.b_h) == pytest.approx(
+        assert pehm_energy(g, gather(lim.a_h), gather(lim.b_h)) == pytest.approx(
             sum(weighted_sums(f)[0] for f in lim.fields()), rel=1e-14)
         for eps in (0.2, 0.025):
             s = shmhd_run(ElsasserState(a, b, 0.0), ShmhdParams(eps, 4.0, 2e-3, 1e-2), 5)[-1].state
             assert s.t == lim.t == pytest.approx(1e-2)
-            assert shmhd_energy(s.a, s.b, eps) == pytest.approx(
+            assert shmhd_energy(g, gather(s.a.components()), gather(s.b.components()), eps) == pytest.approx(
                 _weighted_totals(g, gather((s.a.h1, s.a.h2, s.b.h1, s.b.h2)), gather((s.a.v, s.b.v)), eps, 4.0)[0],
                 rel=1e-14)
 

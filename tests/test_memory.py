@@ -1,7 +1,8 @@
 """Memory of a run: the working set of a step counted in fields, the
 initial arrays that both systems of a sweep share, the band blocks that
-samples keep of the states they record, the heap pages that a run reuses, and
-the heap that a process which only imports the package gives back."""
+samples keep of the states they record, the half-spectrum embeds a run does
+not make, the heap pages that a run reuses, and the heap that a process which
+only imports the package gives back."""
 
 import ctypes
 import os
@@ -15,18 +16,20 @@ import pytest
 
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.shmhd import ShmhdParams, run as shmhd_run
+from hydrolimit.spectral import from_band
 from hydrolimit.sweep import SweepConfig, initial_states
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _drop(state, record):
+def _drop(smp):
     """A sample hook that keeps no state."""
 
 
-def _copy(state, record):
-    """A sample hook that keeps a copy of each array as it was when sampled."""
-    return [f.half.copy() for f in state.fields()]
+def _copy(smp):
+    """A sample hook that keeps a copy of each array as it was when sampled:
+    the rebuilt state's own arrays."""
+    return [f.half for f in smp.state.fields()]
 
 
 def _run(system, cfg, s0, p0, steps, **sample):
@@ -36,17 +39,19 @@ def _run(system, cfg, s0, p0, steps, **sample):
     return pehm_run(p0, cfg.dt, steps * cfg.dt, **sample)
 
 
-# A step frees each temporary at its last use, works on band blocks from one
-# gather to one embed (tendencies, IMEX updates, enforcement and the predictor),
-# and lifts each advected component to the lattice only for its own row of
-# products: 19.2 and 15.4 fields at 16^3.  With a half-spectrum predictor and
-# enforcement it read 23.2 and 19.6 (SHMHD read 25.5 while its enforcement also
-# projected onto the z parities).  Full half-spectrum tendencies and updates
-# with all six lattice fields lifted at once read 30.3 and 24.1; keeping the
-# predictor, both tendency lists or all six Leray outputs alive as well read 45
-# and 30.  The peak is counted in units of one field's stored array, so the
-# bounds hold whatever that storage is.
-@pytest.mark.parametrize("system, bound", [("shmhd", 21), ("pehm", 17)])
+# A step frees each temporary at its last use, a run carries band blocks from
+# one gather of s0 to its last sample (state, tendencies, IMEX updates,
+# enforcement and the predictor), and the advection lifts each advected
+# component to the lattice only for its own row of products: 15.1 and 12.7
+# fields at 16^3 (14.7 and 12.5 at 64^3).  With a half-spectrum state between
+# steps, gathered where used and embedded once per step, it read 19.2 and 15.4;
+# with a half-spectrum predictor and enforcement too, 23.2 and 19.6 (SHMHD read
+# 25.5 while its enforcement also projected onto the z parities).  Full
+# half-spectrum tendencies and updates with all six lattice fields lifted at
+# once read 30.3 and 24.1; keeping the predictor, both tendency lists or all six
+# Leray outputs alive as well read 45 and 30.  The peak is counted in units of
+# one field's stored array, so the bounds hold whatever that storage is.
+@pytest.mark.parametrize("system, bound", [("shmhd", 17), ("pehm", 14)])
 def test_step_peak_in_fields(system, bound):
     cfg = SweepConfig(16, 16, 16)
     s0, p0 = initial_states(cfg)
@@ -88,7 +93,9 @@ def _complex_bytes(obj) -> int:
 def test_samples_keep_band_blocks_of_the_states_they_record(system):
     """With the default hook, every sample's state equals the state as it was
     when sampled, and the sample holds at most 0.3 of that state's half-spectrum
-    bytes: one band block per field (75 of 320 modes at 8^3)."""
+    bytes: one band block per field (75 of 320 modes at 8^3).  A sample keeps
+    the run's own blocks, not a copy, so this also checks that no later step
+    writes into them."""
     cfg = SweepConfig(8, 8, 8)
     s0, p0 = initial_states(cfg)
     samples = _run(system, cfg, s0, p0, 3)
@@ -98,6 +105,28 @@ def test_samples_keep_band_blocks_of_the_states_they_record(system):
         for f, a in zip(state.fields(), arrays, strict=True):
             assert np.array_equal(f.half, a)
         assert _complex_bytes(smp) <= 0.3 * sum(f.half.nbytes for f in state.fields())
+
+
+@pytest.mark.parametrize("system", ["shmhd", "pehm"])
+def test_a_run_embeds_no_field_in_the_half_spectrum(system, monkeypatch):
+    """A run carries band blocks from its one gather of s0 on: with a hook that
+    keeps only records, 3 steps at 8^3 call ``from_band`` from no module of the
+    package, neither in the step nor in the records (an embed of each field
+    of each new state would be 6 or 4 calls per step)."""
+    cfg = SweepConfig(8, 8, 8)
+    s0, p0 = initial_states(cfg)
+    calls = []
+
+    def counted(grid, block):
+        calls.append(block.shape)
+        return from_band(grid, block)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hydrolimit") and getattr(module, "from_band", None) is from_band:
+            monkeypatch.setattr(module, "from_band", counted)
+    records = _run(system, cfg, s0, p0, 3, sample=lambda smp: smp.record)
+    assert [r.t for r in records] == pytest.approx([0.0, cfg.dt, 2 * cfg.dt, 3 * cfg.dt])
+    assert calls == []
 
 
 HEAP_PROBE = """

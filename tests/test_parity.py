@@ -6,13 +6,13 @@ import math
 
 import pytest
 
-from hydrolimit.constraints import EVEN_IN_Z, VectorState, parity_defect
+from hydrolimit.constraints import EVEN_IN_Z, VectorState
 from hydrolimit.pehm import PehmState
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.shmhd import ElsasserState, ShmhdParams
 from hydrolimit.shmhd import run as shmhd_run
 from hydrolimit.sweep import SweepConfig, initial_states
-from conftest import hydrostatic
+from conftest import hydrostatic, parity_defect_of
 
 
 def _run(system, steps, s0, p0, dt):
@@ -42,7 +42,7 @@ def test_a_wrong_parity_part_shows_in_the_defect_after_a_step(system):
     cfg = SweepConfig(16, 16, 16)
     s0, p0 = initial_states(cfg)
     odd = 0.01 * hydrostatic(p0.a_h)  # real, band-limited and odd in z
-    injected = parity_defect(odd, EVEN_IN_Z)
+    injected = parity_defect_of(odd, EVEN_IN_Z)
     assert injected > 0
     s0 = ElsasserState(VectorState(s0.a.h1 + odd, s0.a.h2, s0.a.v), s0.b)
     p0 = PehmState((p0.a_h[0] + odd, p0.a_h[1]), p0.b_h)

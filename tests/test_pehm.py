@@ -11,15 +11,14 @@ from hydrolimit.constraints import (
     EVEN_IN_Z,
     ODD_IN_Z,
     SpectrumParams,
-    barotropic_defect,
     generate_initial_data,
-    parity_defect,
 )
 from hydrolimit.diagnostics import energy_ledger
 from hydrolimit.grid import GridSpec
 from hydrolimit.pehm import PehmState, _tendency, run
 from hydrolimit.spectral import from_band, gather, l2_norm, zero_field
-from conftest import assert_rel_close, convective_advection, field_from_lattice, hydrostatic
+from conftest import (assert_rel_close, barotropic_defect_of, convective_advection, field_from_lattice, hydrostatic,
+                      parity_defect_of)
 
 
 def seeded_state(grid, seed) -> PehmState:
@@ -39,8 +38,8 @@ class TestVerticalDiagnosis:
         s = seeded_state(grid8_2pi, 141)
         a3, b3 = hydrostatic(s.a_h), hydrostatic(s.b_h)
         scale = max(l2_norm(f) for f in s.a_h)
-        assert parity_defect(a3, ODD_IN_Z) < 1e-13 * scale
-        assert parity_defect(b3, ODD_IN_Z) < 1e-13 * scale
+        assert parity_defect_of(a3, ODD_IN_Z) < 1e-13 * scale
+        assert parity_defect_of(b3, ODD_IN_Z) < 1e-13 * scale
 
 
 class TestTendency:
@@ -60,10 +59,10 @@ class TestStepping:
         s = seeded_state(grid8_2pi, 160)
         s1 = run(s, 1e-3, s.t + 1e-3)[-1].state
         scale = max(l2_norm(f) for f in s1.a_h)
-        assert barotropic_defect(s1.a_h) < 1e-12 * scale
-        assert barotropic_defect(s1.b_h) < 1e-12 * scale
+        assert barotropic_defect_of(s1.a_h) < 1e-12 * scale
+        assert barotropic_defect_of(s1.b_h) < 1e-12 * scale
         for f in (*s1.a_h, *s1.b_h):
-            assert parity_defect(f, EVEN_IN_Z) < 1e-12 * scale
+            assert parity_defect_of(f, EVEN_IN_Z) < 1e-12 * scale
         assert s1.t == pytest.approx(1e-3)
 
     def test_nonpositive_dt_raises(self, grid8_2pi):

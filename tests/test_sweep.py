@@ -13,9 +13,10 @@ import pytest
 import hydrolimit.sweep as sweep_mod
 from hydrolimit.constraints import VectorState
 from hydrolimit.pehm import run as pehm_run
-from hydrolimit.integrator import STEP_TOL, BlowUpError, step_count
+from hydrolimit.integrator import STEP_TOL, BlowUpError, Sample, step_count
 from hydrolimit.shmhd import ElsasserState
 from hydrolimit.shmhd import run as shmhd_run
+from hydrolimit.spectral import gather
 from hydrolimit.sweep import (
     ConfigError,
     SweepConfig,
@@ -244,7 +245,7 @@ class TestRunPair:
                     VectorState(smp.state.b_h[0], smp.state.b_h[1], b3),
                     smp.state.t,
                 )
-                out.append(sample(state, smp.record))
+                out.append(sample(Sample(ElsasserState, state.grid, state.t, gather(state.fields()), smp.record)))
             return out
 
         monkeypatch.setattr(sweep_mod, "shmhd_run", lifted_run)
