@@ -46,7 +46,7 @@ def parity_project(c: np.ndarray, cls: str) -> np.ndarray:
 def parity_defect(grid: GridSpec, c: np.ndarray, cls: str) -> float:
     """L2 distance of the field whose band block is c from the stated parity
     class; zero iff the field has that parity."""
-    return float(np.sqrt(grid.volume * parseval_sum(c - parity_project(c, cls), grid.zweights)))
+    return float(np.sqrt(grid.volume * parseval_sum(grid, c - parity_project(c, cls))))
 
 
 def k_dot(grid: GridSpec, cs, z=slice(None)) -> np.ndarray:
@@ -110,7 +110,7 @@ def hydrostatic_reconstruct(grid: GridSpec, h) -> np.ndarray:
     the reconstruction is not z-periodic.
     """
     kc = k_dot(grid, h)  # the source -div_H h is -i kc
-    scale = float(np.sqrt(parseval_sum(kc, grid.zweights)))
+    scale = float(np.sqrt(parseval_sum(grid, kc)))
     mean_defect = float(np.max(np.abs(kc[:, :, 0])))
     if scale > 0 and mean_defect > 1e-10 * scale:
         raise ValueError(
@@ -127,19 +127,12 @@ def hydrostatic_reconstruct(grid: GridSpec, h) -> np.ndarray:
     return v
 
 
-def barotropic_potential(grid: GridSpec, h) -> np.ndarray:
-    """phi = k_H . h / |k_H|^2 on the kz = 0 plane (0 where |k_H| = 0) for a
-    horizontal pair of band blocks h: the ``leray_potential`` restricted to
-    kz = 0, where eps drops out; k_H phi, the spectrum of grad_H p for
-    p = -i phi, is the gradient part of the vertical mean of h."""
-    return _solve(k_dot(grid, h, 0), grid.k2h[:, :, 0])
-
-
 def barotropic_project(grid: GridSpec, h) -> tuple[np.ndarray, np.ndarray]:
     """2D Leray projection of the vertical-mean (kz = 0) part of the horizontal
     pair of band blocks h, h - grad_H phi; all kz != 0 content passes through
-    unchanged."""
-    phi = barotropic_potential(grid, h)
+    unchanged.  phi = k_H . h / |k_H|^2 on the kz = 0 plane (0 where |k_H| = 0)
+    is the ``leray_potential`` restricted to kz = 0, where eps drops out."""
+    phi = _solve(k_dot(grid, h, 0), grid.k2h[:, :, 0])
     c1 = h[0].copy()
     c2 = h[1].copy()
     c1[:, :, 0] -= grid.kx[:, :, 0] * phi

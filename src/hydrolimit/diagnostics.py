@@ -78,7 +78,7 @@ def shmhd_dissipation_rate(grid: GridSpec, a, b, eps: float, alpha: float) -> fl
 def pehm_energy(grid: GridSpec, a_h, b_h) -> float:
     """||A_h||^2 + ||B_h||^2 of the pairs whose band blocks are a_h and b_h,
     Parseval-exact."""
-    return grid.volume * sum(parseval_sum(c, grid.zweights) for c in (*a_h, *b_h))
+    return grid.volume * sum(parseval_sum(grid, c) for c in (*a_h, *b_h))
 
 
 def pehm_dissipation_rate(grid: GridSpec, a_h, b_h) -> float:
@@ -92,18 +92,21 @@ class LedgerReport:
     passed: bool
 
 
-def energy_ledger(records: list[DiagnosticsRecord], slack: float = 1e-4) -> LedgerReport:
+LEDGER_SLACK = 1e-4
+
+
+def energy_ledger(records: list[DiagnosticsRecord]) -> LedgerReport:
     """Check the discrete energy inequality E(t) + 2*int(dissipation) <= E(0).
 
     Verdict is PASS iff the left-hand side never exceeds the initial energy by
-    more than the relative slack.
+    more than the relative ``LEDGER_SLACK``.
     """
     if not records:
         raise ValueError("empty trajectory")
     rhs = records[0].e_l2
     lhs = [r.e_l2 + 2.0 * r.dissipation_accum for r in records]
     residuals = [(v - rhs) / rhs if rhs > 0 else v - rhs for v in lhs]
-    passed = all(v <= rhs * (1.0 + slack) + (0.0 if rhs > 0 else slack) for v in lhs)
+    passed = all(v <= rhs * (1.0 + LEDGER_SLACK) + (0.0 if rhs > 0 else LEDGER_SLACK) for v in lhs)
     return LedgerReport(residuals, passed)
 
 
@@ -151,8 +154,7 @@ class TrilinearReport:
 
 def _half_bracket(f: SpectralField) -> float:
     """||f||^(1/2) * (||f||^(1/2) + ||grad_H f||^(1/2))."""
-    n = l2_norm(f)
-    gh = float(np.sqrt(_weighted_sums(f.grid, f.half[f.grid.band_index])[1]))
+    n, gh = np.sqrt(_weighted_sums(f.grid, gather([f])[0])[:2])
     return np.sqrt(n) * (np.sqrt(n) + np.sqrt(gh))
 
 

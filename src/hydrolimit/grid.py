@@ -24,15 +24,15 @@ def normal_powers(x: float, *powers: float) -> bool:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Mode counts and horizontal box lengths of the periodic domain.
+    """Mode counts and horizontal box lengths of the periodic domain, and the
+    tables of its 2/3 band.
 
-    A stored field is an ``rfftn`` half-spectrum (n1, n2, n3//2 + 1): FFT mode
-    order (0, 1, ..., n/2-1, -n/2, ..., -1) in x and y, and vertical modes 0,
-    ..., n3/2 only; ``modes1/2/3`` index it.  Fields hold only the 2/3 band
-    (``band``), and every operator works on band blocks, so the wavenumber
-    tables ``kx``, ``ky``, ``kz``, ``k2h`` and the z-weights ``zweights`` are
-    the band block's.  The band has no Nyquist mode, so one wavenumber table
-    per axis serves every derivative.
+    ``modes1/2/3`` are the integer modes of the lattice's real FFT, in FFT
+    order in x and y and 0, ..., n3/2 in z; ``band`` selects the band from
+    them.  The wavenumber tables ``kx``, ``ky``, ``kz``, ``k2h`` and the
+    Parseval z-weights ``zweights`` are those of a band block, shaped
+    (len(i1), len(i2), k3).  The band has no Nyquist mode, so one wavenumber
+    table per axis serves every derivative.
     """
 
     n1: int
@@ -56,10 +56,6 @@ class GridSpec:
         return (self.n1, self.n2, self.n3)
 
     @property
-    def half_shape(self) -> tuple[int, int, int]:
-        return (self.n1, self.n2, self.n3 // 2 + 1)
-
-    @property
     def volume(self) -> float:
         return self.l1 * self.l2 * Z_PERIOD
 
@@ -76,14 +72,9 @@ class GridSpec:
         return np.arange(self.n3 // 2 + 1, dtype=np.int64).reshape(1, 1, -1)
 
     @cached_property
-    def half_zweights(self) -> np.ndarray:
-        """Parseval weights (1, 2, ..., 2, 1) of the stored vertical modes 0, ..., n3/2:
-        every plane but m3 = 0 and the Nyquist plane also counts its partner -m3."""
-        return np.r_[1.0, np.full(self.n3 // 2 - 1, 2.0), 1.0]
-
-    @cached_property
     def zweights(self) -> np.ndarray:
-        """Parseval weights (1, 2, ..., 2) of the band's vertical modes 0, ..., k3 - 1."""
+        """Parseval weights (1, 2, ..., 2) of the band's vertical modes 0, ..., k3 - 1:
+        every plane but m3 = 0 also counts its partner -m3."""
         return np.r_[1.0, np.full(self.band[2] - 1, 2.0)]
 
     @cached_property
@@ -104,21 +95,14 @@ class GridSpec:
 
     @cached_property
     def band(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """The 2/3 band, the modes with 3*|m_i| < n_i on every axis, in the
-        half-spectrum: the FFT-order indices ``i1`` of its x modes and ``i2`` of
-        its y modes, and the count ``k3`` of its vertical modes 0, ..., k3 - 1.
-        ``half[band_index]`` is the band block.  Its x and y modes are in FFT
-        order themselves, (0, 1, ..., K, -K, ..., -1)."""
+        """The 2/3 band, the modes with 3*|m_i| < n_i on every axis: the indices
+        ``i1`` into ``modes1`` of its x modes and ``i2`` into ``modes2`` of its
+        y modes, and the count ``k3`` of its vertical modes 0, ..., k3 - 1.  A
+        band block's x and y modes are in FFT order themselves, (0, 1, ..., K,
+        -K, ..., -1)."""
         i1, i2, i3 = (np.flatnonzero(3 * np.abs(m.ravel()) < n)
                       for m, n in ((self.modes1, self.n1), (self.modes2, self.n2), (self.modes3, self.n3)))
         return i1, i2, i3.size
-
-    @cached_property
-    def band_index(self) -> tuple:
-        """``half[i1[:, None], i2, :k3]``: the band block, shaped (len(i1), len(i2), k3),
-        of a half-spectrum array."""
-        i1, i2, k3 = self.band
-        return i1[:, None], i2, slice(k3)
 
     @property
     def dx(self) -> float:

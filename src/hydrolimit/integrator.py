@@ -9,12 +9,12 @@ by mode, so they commute with the diagonal diffusion factor and this equals
 projecting the tendencies, to rounding.  Parity in z is an invariant of every
 operator of the step, not enforced, so a recorded parity defect measures drift.
 
-A run works on band blocks (``GridSpec.band_index``, about 0.3 of a field
+A run works on band blocks (``GridSpec.band``, about 0.3 of a stored field
 each) with one gather per run: ``run`` gathers each field's block of s0 once
 and carries the blocks and the time through the loop, and ``imex_heun`` takes
 and returns blocks, so both tendencies, both IMEX updates, both enforcements,
 the predictor, the midpoint dissipation, the records and the samples are
-blocks only, and no half-spectrum state is built inside a run.  A step frees
+blocks only, and no ``SpectralField`` is built inside a run.  A step frees
 each temporary at its last use, so its peak is the corrector's tendency: the
 blocks of the state, of t1 and of the predictor, and the four lattice fields
 alive in the advection (all of b, one component of a), about 15 fields for
@@ -26,6 +26,7 @@ components in that order) and ``from_fields(fields, t)``.
 
 import ctypes
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -134,9 +135,8 @@ def imex_heun(grid, c, t: float, tendency, enforce, decay, gain, dt: float, name
 class Sample:
     """A sampled state of type ``kind`` at time ``t``, kept as the band block of
     each field, ``blocks``, with its record.  The blocks are the run's own,
-    which no step writes in place, and ``state`` rebuilds the half-spectrum
-    state from them, bit-identical to the one stepped: every field is zero
-    outside the band."""
+    which no step writes in place, and ``state`` rebuilds the state from them,
+    bit-identical to the one stepped: every field is zero outside the band."""
 
     def __init__(self, kind: type, grid, t: float, blocks: list, record: DiagnosticsRecord):
         self.kind, self.grid, self.t, self.blocks, self.record = kind, grid, t, blocks, record
@@ -181,6 +181,8 @@ def run(s0, t_end: float, sample_every: int, *, tendency, enforce, lam, dt: floa
     ``dissipation_rate(grid, blocks)`` of its band blocks, so the linear
     (advection off) energy balance closes to rounding.
     """
+    if not hasattr(sample_every, "__index__") or operator.index(sample_every) < 1:
+        raise ValueError(f"sample_every: must be an integer >= 1, got {sample_every!r}")
     _keep_heap_pages()
     n_steps = step_count(s0.t, t_end, dt)
     h = 0.5 * dt

@@ -1,19 +1,19 @@
 """Spectral field carrier, the transform pair, and diagonal spectral operators.
 
-Every field is real, so it keeps only its ``rfftn`` half-spectrum, with z the
-halved last axis; the modes -m3 it drops are c(m1, m2, -m3) = conj(c(-m1, -m2, m3)).
-The forward transform divides by the lattice size, so coeff(0,0,0) is the
-mean of the field and Parseval reads integral |f|^2 dOmega = volume * sum
-|coeff|^2 over the full spectrum, = volume * sum half_zweights |coeff|^2 over the half.
+Every field is real, so the modes -m3 of its spectrum are c(m1, m2, -m3) =
+conj(c(-m1, -m2, m3)) of the modes m3 >= 0.  The forward transform divides by
+the lattice size, so coeff(0,0,0) is the mean of the field and Parseval reads
+integral |f|^2 dOmega = volume * sum |coeff|^2 over the full spectrum, =
+volume * sum zweights |coeff|^2 over a band block (``parseval_sum``).
 
 Field invariant: every ``SpectralField`` is zero outside the 2/3 band
 (``GridSpec.band``, the modes with 3*|m_i| < n_i on every axis), so its band
-block ``half[grid.band_index]``, about 0.3 of the half, holds all of it.
-3*|m| < n excludes the unpaired Nyquist mode n/2 of each axis, so no field
-holds one.  The forward transform truncates to the band, and the inverse and
-every operator of the step take and return band blocks; code that holds
-``SpectralField``s gathers their blocks with ``gather`` (``half[grid.band_index]``)
-and embeds blocks with ``from_band``.
+block holds all of it.  3*|m| < n excludes the unpaired Nyquist mode n/2 of
+each axis, so no field holds one.  The forward transform truncates to the
+band, and the inverse and every operator of the step take and return band
+blocks; code that holds ``SpectralField``s gathers their blocks with
+``gather`` and embeds blocks with ``from_band``.  How a field stores its
+coefficients is private to this module.
 """
 
 from dataclasses import dataclass
@@ -25,8 +25,8 @@ from .grid import GridSpec
 
 @dataclass
 class SpectralField:
-    """Fourier coefficients of one real scalar on the grid: the half-spectrum
-    ``half``, shaped ``grid.half_shape``."""
+    """Fourier coefficients of one real scalar on the grid: the ``rfftn``
+    half-spectrum ``half``, z the halved last axis, shaped ``_half_shape(grid)``."""
 
     grid: GridSpec
     half: np.ndarray
@@ -64,8 +64,18 @@ def partner(c: np.ndarray) -> np.ndarray:
     return np.conjugate(refl, out=refl)
 
 
+def _half_shape(grid: GridSpec) -> tuple[int, int, int]:
+    return (grid.n1, grid.n2, grid.n3 // 2 + 1)
+
+
+def _band_index(grid: GridSpec) -> tuple:
+    """``half[i1[:, None], i2, :k3]``: the band block of a half-spectrum."""
+    i1, i2, k3 = grid.band
+    return i1[:, None], i2, slice(k3)
+
+
 def zero_field(grid: GridSpec) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.half_shape, dtype=np.complex128))
+    return SpectralField(grid, np.zeros(_half_shape(grid), dtype=np.complex128))
 
 
 def to_physical(grid: GridSpec, c: np.ndarray) -> np.ndarray:
@@ -77,7 +87,7 @@ def to_physical(grid: GridSpec, c: np.ndarray) -> np.ndarray:
     i1, i2, k3 = grid.band
     lines = np.zeros((grid.n1, i2.size, k3), dtype=np.complex128)
     lines[i1] = c
-    planes = np.zeros(grid.half_shape, dtype=np.complex128)
+    planes = np.zeros(_half_shape(grid), dtype=np.complex128)
     planes[:, i2, :k3] = np.fft.ifft(lines, axis=0, norm="forward")
     kept = planes[:, :, :k3]
     np.fft.ifft(kept, axis=1, norm="forward", out=kept)
@@ -103,23 +113,23 @@ def band_from_physical(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 def from_band(grid: GridSpec, block: np.ndarray) -> SpectralField:
     """The field whose band block is ``block``."""
-    half = np.zeros(grid.half_shape, dtype=np.complex128)
-    half[grid.band_index] = block
+    half = np.zeros(_half_shape(grid), dtype=np.complex128)
+    half[_band_index(grid)] = block
     return SpectralField(grid, half)
 
 
 def gather(fields) -> list[np.ndarray]:
     """The band block of each field."""
-    return [f.half[f.grid.band_index] for f in fields]
+    return [f.half[_band_index(f.grid)] for f in fields]
 
 
-def parseval_sum(c: np.ndarray, zweights: np.ndarray) -> float:
-    """sum |coeff|^2 over the full spectrum of stored coefficients c: |c|^2,
-    reduced to its z marginal (plain sums, never BLAS), weighted by the
-    z-weights of c's layout (``GridSpec.half_zweights`` or ``zweights``)."""
-    return float(np.sum(zweights * (np.abs(c) ** 2).sum(axis=(0, 1))))
+def parseval_sum(grid: GridSpec, c: np.ndarray) -> float:
+    """sum |coeff|^2 over the full spectrum of the field whose band block is c:
+    |c|^2, reduced to its z marginal (plain sums, never BLAS), weighted by
+    ``grid.zweights``."""
+    return float(np.sum(grid.zweights * (np.abs(c) ** 2).sum(axis=(0, 1))))
 
 
 def l2_norm(f: SpectralField) -> float:
     """Parseval-exact L2 norm over Omega (volume 2*l1*l2)."""
-    return float(np.sqrt(f.grid.volume * parseval_sum(f.half, f.grid.half_zweights)))
+    return float(np.sqrt(f.grid.volume * parseval_sum(f.grid, gather([f])[0])))

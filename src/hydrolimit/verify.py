@@ -52,7 +52,7 @@ def run_battery(grid: GridSpec, seeds, spectrum: SpectrumParams | None = None) -
         rng = np.random.default_rng(seed + 10_000)
         values = to_physical(grid, band_from_physical(grid, rng.standard_normal(grid.shape)))
         spec = from_physical(grid, values)
-        back = to_physical(grid, spec.half[grid.band_index])
+        back = to_physical(grid, gather([spec])[0])
         sup = float(np.max(np.abs(values)))
         worst["transform round-trip"] = max(
             worst["transform round-trip"], float(np.max(np.abs(back - values))) / sup

@@ -26,7 +26,7 @@ def grid8_2pi():
 
 def physical(f: SpectralField) -> np.ndarray:
     """Lattice values of f: ``to_physical`` of its band block."""
-    return to_physical(f.grid, f.half[f.grid.band_index])
+    return to_physical(f.grid, gather([f])[0])
 
 
 def embed(grid: GridSpec, blocks) -> list[SpectralField]:
@@ -61,11 +61,11 @@ def hydrostatic(h) -> SpectralField:
 
 
 def parity(f: SpectralField, cls: str) -> SpectralField:
-    return from_band(f.grid, parity_project(f.half[f.grid.band_index], cls))
+    return from_band(f.grid, parity_project(gather([f])[0], cls))
 
 
 def parity_defect_of(f: SpectralField, cls: str) -> float:
-    return parity_defect(f.grid, f.half[f.grid.band_index], cls)
+    return parity_defect(f.grid, gather([f])[0], cls)
 
 
 def divergence_defect_of(g: VectorState) -> float:
@@ -79,11 +79,11 @@ def barotropic_defect_of(h) -> float:
 
 def trace(f: SpectralField) -> np.ndarray:
     """The (n1, n2) spectrum of f(x, y, 0) from ``z_trace``."""
-    return embed_plane(f.grid, z_trace(f.half[f.grid.band_index]))
+    return embed_plane(f.grid, z_trace(gather([f])[0]))
 
 
 def weighted_sums(f: SpectralField) -> tuple[float, float, float]:
-    return _weighted_sums(f.grid, f.half[f.grid.band_index])
+    return _weighted_sums(f.grid, gather([f])[0])
 
 
 def state_difference_metrics(s_eps, s_lim, eps: float, alpha: float):
@@ -124,7 +124,7 @@ def populated_spectral_field(grid: GridSpec, seed: int) -> SpectralField:
 def band_mask(grid: GridSpec) -> np.ndarray:
     """True on the half-spectrum modes of ``grid.band``."""
     i1, i2, k3 = grid.band
-    mask = np.zeros(grid.half_shape, dtype=bool)
+    mask = np.zeros((grid.n1, grid.n2, grid.n3 // 2 + 1), dtype=bool)
     mask[i1[:, None], i2, :k3] = True
     return mask
 
@@ -438,7 +438,9 @@ def half_weighted_sums(f: SpectralField) -> tuple[float, float, float]:
     kx, ky, kz = half_wavenumbers(g)
     p = np.abs(f.half) ** 2
     p_xy = 2.0 * p.sum(axis=2) - p[:, :, 0] - p[:, :, -1]
-    p_z = g.half_zweights * p.sum(axis=(0, 1))
+    # Parseval weights (1, 2, ..., 2, 1) of m3 = 0, ..., n3/2: every plane but
+    # m3 = 0 and the Nyquist plane also counts its partner -m3
+    p_z = np.r_[1.0, np.full(g.n3 // 2 - 1, 2.0), 1.0] * p.sum(axis=(0, 1))
     return (
         g.volume * float(p_z.sum()),
         g.volume * float(np.sum((kx**2 + ky**2)[:, :, 0] * p_xy)),

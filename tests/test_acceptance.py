@@ -71,7 +71,7 @@ def test_criterion_2_energy_inequality(capsys):
         s0, ShmhdParams(eps=0.1, alpha=3.0, dt=1e-3, t_end=0.5, advect=False), 50
     )
     elapsed = time.perf_counter() - t0
-    ledger = energy_ledger([s.record for s in nonlinear], slack=1e-4)
+    ledger = energy_ledger([s.record for s in nonlinear])
     lin_resid = max(abs(r) for r in energy_ledger([s.record for s in linear]).residuals)
     passed = ledger.passed and lin_resid <= 1e-6 and elapsed < 120.0
     _verdict(

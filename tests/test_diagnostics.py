@@ -134,7 +134,7 @@ class TestEnergyLedger:
 
     def test_gain_within_slack_passes(self):
         recs = self._records([1.0, 1.0 + 5e-5], [0.0, 0.0])
-        assert energy_ledger(recs, slack=1e-4).passed
+        assert energy_ledger(recs).passed
 
     def test_empty_trajectory_raises(self):
         with pytest.raises(ValueError, match="empty"):

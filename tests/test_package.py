@@ -1,6 +1,7 @@
 """The package's shape: each name has one home, the module that defines it,
-each name that a module defines has a reader outside the tests, and importing
-the CLI loads no more than a serial run needs."""
+each name that a module defines has a reader outside the tests, only
+``spectral.py`` reads how a field is stored, and importing the CLI loads no
+more than a serial run needs."""
 
 import ast
 import os
@@ -88,6 +89,19 @@ def test_every_module_level_name_has_a_reader_outside_the_tests():
         and not any(name in r for j, r in enumerate(reads) if j != i)
     ]
     assert not unread, f"module-level names that nothing outside the tests reads: {unread}"
+
+
+def test_only_spectral_reads_a_fields_storage():
+    """How a ``SpectralField`` stores its coefficients is private to
+    ``spectral.py``: every other module reaches them as band blocks, through
+    ``gather`` and ``from_band``, and reads no ``.half``."""
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(SRC, "hydrolimit").glob("*.py")) if path.name != "spectral.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "half"
+    ]
+    assert not readers, f"modules that read a field's storage: {readers}"
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
