@@ -13,7 +13,7 @@ from .sweep import (
     check_out_dir,
     check_sweep,
     emit_report,
-    initial_states,
+    initial_samples,
     load_config,
     no_fit_reason,
     record_row,
@@ -38,7 +38,7 @@ def cmd_simulate(args) -> int:
     if args.eps is not None:
         cfg = dataclasses.replace(cfg, eps_ladder=(args.eps,))
     eps = cfg.eps_ladder[0]
-    s_eps0, s_lim0 = initial_states(cfg)
+    s_eps0, s_lim0 = initial_samples(cfg)
     check_out_dir(args.out)
 
     def record_only(smp):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec
-from .spectral import SpectralField, from_band, parseval_sum, partner
+from .spectral import SpectralField, parseval_sum, partner
 
 EVEN_IN_Z = "even_in_z"
 ODD_IN_Z = "odd_in_z"
@@ -161,12 +161,11 @@ def _random_even_scalar(rng: np.random.Generator, grid: GridSpec, spectrum: Spec
     return parity_project(0.5 * (c + np.conj(r)), EVEN_IN_Z)
 
 
-def generate_initial_data(seed: int, spectrum: SpectrumParams, grid: GridSpec) -> tuple[VectorState, VectorState]:
-    """Deterministic band-limited, even-in-z, barotropically projected
-    horizontal pairs A and B with vertical components reconstructed
-    hydrostatically."""
+def generate_initial_data(seed: int, spectrum: SpectrumParams, grid: GridSpec) -> list[np.ndarray]:
+    """Band blocks of deterministic band-limited, even-in-z, barotropically
+    projected horizontal pairs A and B and their hydrostatically reconstructed
+    verticals, in ``ElsasserState.FIELD_NAMES`` order (a_h1, a_h2, a_v, b_...)."""
     rng = np.random.default_rng(seed)
     draws = [_random_even_scalar(rng, grid, spectrum) for _ in range(4)]
     a_h, b_h = barotropic_project(grid, draws[:2]), barotropic_project(grid, draws[2:])
-    return tuple(VectorState(*(from_band(grid, c) for c in (*h, hydrostatic_reconstruct(grid, h))))
-                 for h in (a_h, b_h))
+    return [c for h in (a_h, b_h) for c in (*h, hydrostatic_reconstruct(grid, h))]

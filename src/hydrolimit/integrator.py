@@ -10,15 +10,15 @@ projecting the tendencies, to rounding.  Parity in z is an invariant of every
 operator of the step, not enforced, so a recorded parity defect measures drift.
 
 A run works on band blocks (``GridSpec.band``, about 0.3 of a stored field
-each) with one gather per run: ``run`` gathers each field's block of s0 once
-and carries the blocks and the time through the loop, and ``imex_heun`` takes
-and returns blocks, so both tendencies, both IMEX updates, both enforcements,
-the predictor, the midpoint dissipation, the records and the samples are
-blocks only, and no ``SpectralField`` is built inside a run.  A step frees
-each temporary at its last use, so its peak is the corrector's tendency: the
-blocks of the state, of t1 and of the predictor, and the four lattice fields
-alive in the advection (all of b, one component of a), about 15 fields for
-SHMHD and 13 for PEHM.
+each): ``run`` starts from the blocks of a ``Sample`` (or gathers a state's
+once) and carries the blocks and the time through the loop, and ``imex_heun``
+takes and returns blocks, so both tendencies, both IMEX updates, both
+enforcements, the predictor, the midpoint dissipation, the records and the
+samples are blocks only, and no ``SpectralField`` is built inside a run.  A
+step frees each temporary at its last use, so its peak is the corrector's
+tendency: the blocks of the state, of t1 and of the predictor, and the four
+lattice fields alive in the advection (all of b, one component of a), about
+15 fields for SHMHD and 13 for PEHM.
 
 A state exposes ``t``, ``grid``, ``FIELD_NAMES``, ``fields()`` (its spectral
 components in that order) and ``from_fields(fields, t)``.
@@ -133,12 +133,12 @@ def imex_heun(grid, c, t: float, tendency, enforce, decay, gain, dt: float, name
 
 
 class Sample:
-    """A sampled state of type ``kind`` at time ``t``, kept as the band block of
-    each field, ``blocks``, with its record.  The blocks are the run's own,
-    which no step writes in place, and ``state`` rebuilds the state from them,
-    bit-identical to the one stepped: every field is zero outside the band."""
+    """A state of type ``kind`` at time ``t`` as the band block of each field,
+    ``blocks``: a run's start (``record=None``) or a sample, with its record.
+    No step writes a block in place, and ``state`` rebuilds the state from
+    them, bit-identical to the one stepped: every field is zero outside the band."""
 
-    def __init__(self, kind: type, grid, t: float, blocks: list, record: DiagnosticsRecord):
+    def __init__(self, kind: type, grid, t: float, blocks: list, record: DiagnosticsRecord | None):
         self.kind, self.grid, self.t, self.blocks, self.record = kind, grid, t, blocks, record
 
     @property
@@ -172,10 +172,12 @@ def run(s0, t_end: float, sample_every: int, *, tendency, enforce, lam, dt: floa
         dissipation_rate, record, sample=None) -> list:
     """Step s0 to t_end and return a ``Sample`` of the state, with its
     ``record(grid, blocks, t, dissipation)``, at s0, every sample_every steps
-    and at the end, or ``sample(smp)`` of each if a hook is given.  s0 is
-    gathered once: the loop carries band blocks and the time, and a sample
-    keeps the step's own blocks.  ``lam`` is the diffusion symbol on the band
-    block; its IMEX factors (see ``imex_heun``) are built once here.
+    and at the end, or ``sample(smp)`` of each if a hook is given.  The run
+    reads the blocks of a ``Sample`` s0 with no copy (its first sample keeps
+    them) and gathers a state's once.  The loop carries band blocks and the
+    time, and a sample keeps the step's own blocks.  ``lam`` is the diffusion
+    symbol on the band block; its IMEX factors (see ``imex_heun``) are built
+    once here.
 
     The dissipation integral is accumulated per step at the midpoint state,
     ``dissipation_rate(grid, blocks)`` of its band blocks, so the linear
@@ -187,13 +189,13 @@ def run(s0, t_end: float, sample_every: int, *, tendency, enforce, lam, dt: floa
     n_steps = step_count(s0.t, t_end, dt)
     h = 0.5 * dt
     decay, gain = (1.0 - h * lam) / (1.0 + h * lam), h / (1.0 + h * lam)
-    kind, grid = type(s0), s0.grid
+    kind, c = (s0.kind, s0.blocks) if isinstance(s0, Sample) else (type(s0), gather(s0.fields()))
+    grid, t, diss = s0.grid, s0.t, 0.0
 
     def take(c, t, diss):
         smp = Sample(kind, grid, t, c, record(grid, c, t, diss))
         return smp if sample is None else sample(smp)
 
-    c, t, diss = gather(s0.fields()), s0.t, 0.0
     samples = [take(c, t, diss)]
     for i in range(n_steps):
         try:

@@ -70,7 +70,7 @@ def _record(grid, c, t: float, diss_accum: float) -> DiagnosticsRecord:
 
 
 def run(
-    s0: PehmState,
+    s0: PehmState | integrator.Sample,
     dt: float,
     t_end: float,
     sample_every: int = 1,

@@ -89,7 +89,7 @@ def _record(grid, c, t: float, diss_accum: float, eps: float) -> DiagnosticsReco
     )
 
 
-def run(s0: ElsasserState, p: ShmhdParams, sample_every: int = 1, sample=None) -> list:
+def run(s0: ElsasserState | integrator.Sample, p: ShmhdParams, sample_every: int = 1, sample=None) -> list:
     """Repeated stepping with diagnostics every sample_every steps; each
     sample is an ``integrator.Sample``, or ``sample(smp)`` of it if given."""
     return integrator.run(

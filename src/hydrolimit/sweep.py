@@ -16,7 +16,7 @@ import numpy as np
 from .constraints import SpectrumParams, generate_initial_data
 from .diagnostics import difference_metrics, energy_ledger, gamma_of_alpha, trapezoid_accumulate
 from .grid import GridSpec, normal_powers
-from .integrator import BlowUpError, step_count
+from .integrator import BlowUpError, Sample, step_count
 from .pehm import PehmState
 from .pehm import run as pehm_run
 from .shmhd import ElsasserState, ShmhdParams, check_eps
@@ -173,11 +173,18 @@ def record_row(cfg: SweepConfig, system: str, eps: float, r, diff=(None, None, N
                   r.t, r.e_l2, r.dissipation_accum, *diff, r.parity_defect, r.div_defect)
 
 
+def initial_samples(cfg: SweepConfig) -> tuple[Sample, Sample]:
+    """Seed-deterministic shared initial data as each system's start ``Sample``:
+    PEHM's blocks are SHMHD's horizontal ones, as no solver writes its input."""
+    grid = cfg.grid
+    c = generate_initial_data(cfg.seed, cfg.spectrum, grid)
+    return Sample(ElsasserState, grid, 0.0, c, None), Sample(PehmState, grid, 0.0, [*c[:2], *c[3:5]], None)
+
+
 def initial_states(cfg: SweepConfig) -> tuple[ElsasserState, PehmState]:
-    """Seed-deterministic shared initial data, lifted to both systems, which
-    share its horizontal arrays: no solver writes into an array it was given."""
-    a, b = generate_initial_data(cfg.seed, cfg.spectrum, cfg.grid)
-    return ElsasserState(a, b, 0.0), PehmState((a.h1, a.h2), (b.h1, b.h2), 0.0)
+    """``initial_samples`` as states, which share their horizontal arrays."""
+    s = initial_samples(cfg)[0].state
+    return s, PehmState((s.a.h1, s.a.h2), (s.b.h1, s.b.h2), 0.0)
 
 
 def _failed_cell(eps: float, status: str) -> PairResult:
@@ -192,8 +199,8 @@ def _failure_status(e: Exception) -> str:
     return f"blowup:{e}" if isinstance(e, BlowUpError) else f"error:{type(e).__name__}"
 
 
-def run_pair(cfg: SweepConfig, eps: float, limit: list, s_eps0: ElsasserState) -> PairResult:
-    """Run SHMHD from the seeded state ``s_eps0`` and difference it, sample by
+def run_pair(cfg: SweepConfig, eps: float, limit: list, s_eps0) -> PairResult:
+    """Run SHMHD from the seeded start ``s_eps0`` and difference it, sample by
     sample, against the PEHM trajectory ``limit`` from the same seed (both only
     read, and shared by every cell of a sweep)."""
     params = ShmhdParams(eps=eps, alpha=cfg.alpha, dt=cfg.dt, t_end=cfg.t_end)
@@ -250,7 +257,7 @@ class SweepResult:
 _pool_inputs: tuple = (None, None)
 
 
-def _share_inputs(limit: list, s_eps0: ElsasserState) -> None:
+def _share_inputs(limit: list, s_eps0: Sample) -> None:
     global _pool_inputs
     _pool_inputs = (limit, s_eps0)
 
@@ -329,7 +336,7 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     PEHM trajectory is run once and shared: the limit system contains neither
     eps nor alpha, so a ``_CELL_FAILURES`` exception there fails every cell."""
     check_sweep(cfg, jobs)
-    s_eps0, s_lim0 = initial_states(cfg)
+    s_eps0, s_lim0 = initial_samples(cfg)
     try:
         limit = pehm_run(s_lim0, cfg.dt, cfg.t_end, cfg.sample_every)
     except _CELL_FAILURES as e:

@@ -15,7 +15,7 @@ from .constraints import (
     z_trace,
 )
 from .grid import GridSpec
-from .spectral import band_from_physical, from_physical, gather, l2_norm, to_physical
+from .spectral import band_from_physical, from_physical, gather, l2_norm, parseval_sum, to_physical
 
 # each check of the battery and its tolerance, in report order
 TOLS = {
@@ -45,8 +45,9 @@ def run_battery(grid: GridSpec, seeds, spectrum: SpectrumParams | None = None) -
     spectrum = spectrum or SpectrumParams()
     worst = dict.fromkeys(TOLS, 0.0)
     for seed in seeds:
-        a, b = generate_initial_data(seed, spectrum, grid)
-        scale = max(l2_norm(f) for f in (a.h1, a.h2, b.h1, b.h2)) or 1.0
+        blocks = generate_initial_data(seed, spectrum, grid)
+        horizontal = (*blocks[:2], *blocks[3:5])  # the largest L2 norm of these is the scale
+        scale = float(np.sqrt(grid.volume * max(parseval_sum(grid, c) for c in horizontal))) or 1.0
 
         # band-limited lattice values, the only ones the pair maps back exactly
         rng = np.random.default_rng(seed + 10_000)
@@ -60,8 +61,7 @@ def run_battery(grid: GridSpec, seeds, spectrum: SpectrumParams | None = None) -
         lattice_l2 = float(np.sqrt(np.mean(values**2) * grid.volume))
         worst["parseval"] = max(worst["parseval"], abs(lattice_l2 - l2_norm(spec)) / lattice_l2)
 
-        for g in (a, b):
-            c = gather(g.components())
+        for c in (blocks[:3], blocks[3:]):
             worst["divergence"] = max(worst["divergence"], divergence_defect(grid, c) / scale)
             delta = max(float(np.max(np.abs(x - y))) for x, y in zip(anisotropic_leray_project(grid, c, 0.1), c))
             worst["leray idempotence"] = max(worst["leray idempotence"], delta / scale)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hydrolimit.constraints import (VectorState, anisotropic_leray_project, barotropic_project, divergence_defect,
-                                   hydrostatic_reconstruct, leray_potential, parity_defect, parity_project, z_trace)
+                                   generate_initial_data, hydrostatic_reconstruct, leray_potential, parity_defect,
+                                   parity_project, z_trace)
 from hydrolimit.diagnostics import _weighted_sums, difference_metrics
 from hydrolimit.grid import GridSpec
 from hydrolimit.spectral import SpectralField, from_band, from_physical, gather, l2_norm, to_physical
@@ -39,6 +40,13 @@ def embed_plane(grid: GridSpec, plane: np.ndarray) -> np.ndarray:
     out = np.zeros((grid.n1, grid.n2), dtype=plane.dtype)
     out[i1[:, None], i2] = plane
     return out
+
+
+def initial_vectors(seed: int, spectrum, grid: GridSpec) -> tuple[VectorState, VectorState]:
+    """The seeded initial data as the pair (A, B) of ``VectorState``s: the six
+    band blocks of ``generate_initial_data``, embedded."""
+    fields = embed(grid, generate_initial_data(seed, spectrum, grid))
+    return VectorState(*fields[:3]), VectorState(*fields[3:])
 
 
 def leray(g: VectorState, eps: float) -> VectorState:

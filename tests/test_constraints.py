@@ -17,7 +17,7 @@ from hydrolimit.constraints import (
 from hydrolimit.grid import GridSpec
 from hydrolimit.spectral import SpectralField, from_band, l2_norm, zero_field
 from conftest import (band_mask, barotropic, barotropic_defect_of, divergence_defect_of, field_from_lattice, hydrostatic,
-                      leray, parity, parity_defect_of, physical, random_spectral_field, random_vector)
+                      initial_vectors, leray, parity, parity_defect_of, physical, random_spectral_field, random_vector)
 
 
 class TestParity:
@@ -125,21 +125,21 @@ class TestHydrostatic:
         assert np.max(np.abs(v.coeffs - expected.coeffs)) < 1e-13
 
     def test_closes_the_divergence(self, grid8_2pi):
-        a, _ = generate_initial_data(40, SpectrumParams(), grid8_2pi)
+        a, _ = initial_vectors(40, SpectrumParams(), grid8_2pi)
         v = hydrostatic((a.h1, a.h2))
         state = VectorState(a.h1, a.h2, v)
         scale = max(l2_norm(f) for f in (a.h1, a.h2))
         assert divergence_defect_of(state) < 1e-13 * scale
 
     def test_trace_vanishes_at_z_zero(self, grid8_2pi):
-        _, b = generate_initial_data(41, SpectrumParams(), grid8_2pi)
+        _, b = initial_vectors(41, SpectrumParams(), grid8_2pi)
         v = hydrostatic((b.h1, b.h2))
         # v(x, y, 0) is the sum of coefficients over all vertical modes
         trace = np.sum(v.coeffs, axis=2)
         assert np.max(np.abs(trace)) < 1e-15
 
     def test_odd_parity_of_reconstruction(self, grid8_2pi):
-        a, _ = generate_initial_data(42, SpectrumParams(), grid8_2pi)
+        a, _ = initial_vectors(42, SpectrumParams(), grid8_2pi)
         v = hydrostatic((a.h1, a.h2))
         assert parity_defect_of(v, ODD_IN_Z) < 1e-13
 
@@ -173,18 +173,25 @@ class TestBarotropic:
 
 class TestInitialData:
     def test_deterministic_in_seed(self, grid8_2pi):
-        a1, b1 = generate_initial_data(60, SpectrumParams(), grid8_2pi)
-        a2, b2 = generate_initial_data(60, SpectrumParams(), grid8_2pi)
+        a1, b1 = initial_vectors(60, SpectrumParams(), grid8_2pi)
+        a2, b2 = initial_vectors(60, SpectrumParams(), grid8_2pi)
         assert np.array_equal(a1.h1.coeffs, a2.h1.coeffs)
         assert np.array_equal(b1.v.coeffs, b2.v.coeffs)
 
+    def test_returns_six_band_blocks(self, grid8_2pi):
+        """One band block per field of ``ElsasserState.FIELD_NAMES``, no
+        half-spectrum (the oracle test below checks their order and values)."""
+        i1, i2, k3 = grid8_2pi.band
+        blocks = generate_initial_data(66, SpectrumParams(), grid8_2pi)
+        assert [c.shape for c in blocks] == [(i1.size, i2.size, k3)] * 6
+
     def test_different_seeds_differ(self, grid8_2pi):
-        a1, _ = generate_initial_data(61, SpectrumParams(), grid8_2pi)
-        a2, _ = generate_initial_data(62, SpectrumParams(), grid8_2pi)
+        a1, _ = initial_vectors(61, SpectrumParams(), grid8_2pi)
+        a2, _ = initial_vectors(62, SpectrumParams(), grid8_2pi)
         assert not np.array_equal(a1.h1.coeffs, a2.h1.coeffs)
 
     def test_all_structural_invariants(self, grid8_2pi):
-        a, b = generate_initial_data(63, SpectrumParams(), grid8_2pi)
+        a, b = initial_vectors(63, SpectrumParams(), grid8_2pi)
         scale = max(l2_norm(f) for f in (a.h1, a.h2, b.h1, b.h2))
         for f in (a.h1, a.h2, b.h1, b.h2):
             assert parity_defect_of(f, EVEN_IN_Z) < 1e-13 * scale
@@ -194,14 +201,14 @@ class TestInitialData:
         assert divergence_defect_of(b) < 1e-13 * scale
 
     def test_fields_are_real_and_band_limited(self, grid8_2pi):
-        a, _ = generate_initial_data(64, SpectrumParams(), grid8_2pi)
+        a, _ = initial_vectors(64, SpectrumParams(), grid8_2pi)
         f = a.h1
         phys = np.fft.ifftn(f.coeffs * (grid8_2pi.n1 * grid8_2pi.n2 * grid8_2pi.n3))
         assert np.max(np.abs(phys.imag)) < 1e-13
         assert np.all(f.half[~band_mask(grid8_2pi)] == 0.0)
 
     def test_zero_amplitude_gives_zero_state(self, grid8_2pi):
-        a, b = generate_initial_data(65, SpectrumParams(amplitude=0.0), grid8_2pi)
+        a, b = initial_vectors(65, SpectrumParams(amplitude=0.0), grid8_2pi)
         for f in (*a.components(), *b.components()):
             assert l2_norm(f) == 0.0
 
@@ -229,7 +236,7 @@ class TestInitialData:
         a_h = barotropic([self.full_lattice_scalar(rng, grid, spectrum) for _ in range(2)])
         b_h = barotropic([self.full_lattice_scalar(rng, grid, spectrum) for _ in range(2)])
         expected = [*a_h, hydrostatic(a_h), *b_h, hydrostatic(b_h)]
-        a, b = generate_initial_data(seed, spectrum, grid)
+        a, b = initial_vectors(seed, spectrum, grid)
         for f, e in zip((*a.components(), *b.components()), expected):
             assert f.half.tobytes() == e.half.tobytes()
 
@@ -237,6 +244,6 @@ class TestInitialData:
     @given(seed=st.integers(0, 10_000))
     def test_divergence_free_property(self, seed):
         grid = GridSpec(8, 8, 8, 2 * np.pi, 2 * np.pi)
-        a, _ = generate_initial_data(seed, SpectrumParams(), grid)
+        a, _ = initial_vectors(seed, SpectrumParams(), grid)
         scale = max(l2_norm(f) for f in (a.h1, a.h2)) or 1.0
         assert divergence_defect_of(a) < 1e-12 * scale

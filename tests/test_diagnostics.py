@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydrolimit.constraints import SpectrumParams, VectorState, generate_initial_data
+from hydrolimit.constraints import SpectrumParams, VectorState
 from hydrolimit.diagnostics import (
     DiagnosticsRecord,
     _weighted_totals,
@@ -34,6 +34,7 @@ from conftest import (
     derivative_norms,
     field_from_lattice,
     half_difference_metrics,
+    initial_vectors,
     physical,
     random_spectral_field,
     state_difference_metrics,
@@ -148,7 +149,7 @@ class TestEnergyLedger:
 class TestDifferenceMetrics:
     @staticmethod
     def _states(grid, seed):
-        a, b = generate_initial_data(seed, SpectrumParams(), grid)
+        a, b = initial_vectors(seed, SpectrumParams(), grid)
         s_eps = ElsasserState(a, b, 0.0)
         h = [SpectralField(grid, f.half.copy()) for f in (a.h1, a.h2, b.h1, b.h2)]  # tests write into s_eps
         s_lim = PehmState((h[0], h[1]), (h[2], h[3]), 0.0)
@@ -236,7 +237,7 @@ class TestEnergies:
         energy (both marginals) are two codings of one eps-weighted functional,
         compared on stepped states."""
         g = GridSpec(16, 16, 16)
-        a, b = generate_initial_data(seed, SpectrumParams(amplitude=0.5), g)
+        a, b = initial_vectors(seed, SpectrumParams(amplitude=0.5), g)
         lim = pehm_run(PehmState((a.h1, a.h2), (b.h1, b.h2), 0.0), 2e-3, 1e-2, 5)[-1].state
         assert pehm_energy(g, gather(lim.a_h), gather(lim.b_h)) == pytest.approx(
             sum(weighted_sums(f)[0] for f in lim.fields()), rel=1e-14)

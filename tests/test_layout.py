@@ -17,7 +17,6 @@ from hydrolimit.constraints import (
     ODD_IN_Z,
     SpectrumParams,
     VectorState,
-    generate_initial_data,
     parity_project,
 )
 from hydrolimit.grid import GridSpec
@@ -52,14 +51,15 @@ from conftest import (
     full_leray_project,
     full_parity_project,
     full_to_physical,
-    full_weighted_sums,
     full_wavenumbers,
+    full_weighted_sums,
     half_barotropic_project,
     half_hydrostatic_reconstruct,
     half_leray_project,
     half_wavenumbers,
     horizontal_divergence,
     hydrostatic,
+    initial_vectors,
     irfft_values,
     leray,
     parity,
@@ -251,7 +251,7 @@ class TestBandPrecondition:
         self.assert_in_band([f])
 
     def test_initial_data_and_verticals(self, shape):
-        a, b = generate_initial_data(341, SpectrumParams(), GridSpec(*shape, 2.0, 3.0))
+        a, b = initial_vectors(341, SpectrumParams(), GridSpec(*shape, 2.0, 3.0))
         self.assert_in_band([*a.components(), *b.components()])
 
     def test_projections_and_reconstruction_of_band_inputs(self, shape):

@@ -1,8 +1,8 @@
 """Memory of a run: the working set of a step counted in fields, the
 initial arrays that both systems of a sweep share, the band blocks that
-samples keep of the states they record, the half-spectrum embeds a run does
-not make, the heap pages that a run reuses, and the heap that a process which
-only imports the package gives back."""
+samples keep of the states they record, the half-spectrum embeds that neither
+a run nor a sweep makes, the heap pages that a run reuses, and the heap that a
+process which only imports the package gives back."""
 
 import ctypes
 import os
@@ -14,10 +14,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hydrolimit import cli
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.shmhd import ShmhdParams, run as shmhd_run
-from hydrolimit.spectral import from_band
-from hydrolimit.sweep import SweepConfig, initial_states
+from hydrolimit.spectral import from_band, zero_field
+from hydrolimit.sweep import SweepConfig, initial_samples, initial_states, run_sweep
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -50,29 +51,35 @@ def _run(system, cfg, s0, p0, steps, **sample):
 # half-spectrum tendencies and updates with all six lattice fields lifted at
 # once read 30.3 and 24.1; keeping the predictor, both tendency lists or all six
 # Leray outputs alive as well read 45 and 30.  The peak is counted in units of
-# one field's stored array, so the bounds hold whatever that storage is.
+# one field's stored array, so the bounds hold whatever that storage is.  A run
+# from a state gathers a copy of its blocks, which step 1 frees; a run from a
+# ``Sample`` reads the start's blocks and copies nothing.
+@pytest.mark.parametrize("start", [initial_states, initial_samples])
 @pytest.mark.parametrize("system, bound", [("shmhd", 17), ("pehm", 14)])
-def test_step_peak_in_fields(system, bound):
+def test_step_peak_in_fields(system, bound, start):
     cfg = SweepConfig(16, 16, 16)
-    s0, p0 = initial_states(cfg)
+    s0, p0 = start(cfg)
     tracemalloc.start()
     try:
         _run(system, cfg, s0, p0, 3, sample=_drop)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / s0.a.h1.half.nbytes < bound
+    assert peak / zero_field(cfg.grid).half.nbytes < bound
 
 
 def test_runs_leave_the_shared_initial_arrays_unchanged():
+    """The PEHM start's blocks are the SHMHD start's horizontal blocks, a run's
+    first sample keeps its start's arrays, and neither run writes into them."""
     cfg = SweepConfig(8, 8, 8)
-    s0, p0 = initial_states(cfg)
-    assert p0.a_h[0].half is s0.a.h1.half
-    before = [f.half.copy() for f in s0.fields()]
-    for system in ("pehm", "shmhd"):
-        _run(system, cfg, s0, p0, 2, sample=_drop)
-    for f, b in zip(s0.fields(), before):
-        assert np.array_equal(f.half, b)
+    s0, p0 = initial_samples(cfg)
+    assert all(x is y for x, y in zip(p0.blocks, [*s0.blocks[:2], *s0.blocks[3:5]], strict=True))
+    before = [c.copy() for c in s0.blocks]
+    for system, start in (("pehm", p0), ("shmhd", s0)):
+        first = _run(system, cfg, s0, p0, 2)[0]
+        assert all(x is y for x, y in zip(first.blocks, start.blocks, strict=True))
+    for c, b in zip(s0.blocks, before, strict=True):
+        assert np.array_equal(c, b)
 
 
 def _complex_bytes(obj) -> int:
@@ -107,14 +114,8 @@ def test_samples_keep_band_blocks_of_the_states_they_record(system):
         assert _complex_bytes(smp) <= 0.3 * sum(f.half.nbytes for f in state.fields())
 
 
-@pytest.mark.parametrize("system", ["shmhd", "pehm"])
-def test_a_run_embeds_no_field_in_the_half_spectrum(system, monkeypatch):
-    """A run carries band blocks from its one gather of s0 on: with a hook that
-    keeps only records, 3 steps at 8^3 call ``from_band`` from no module of the
-    package, neither in the step nor in the records (an embed of each field
-    of each new state would be 6 or 4 calls per step)."""
-    cfg = SweepConfig(8, 8, 8)
-    s0, p0 = initial_states(cfg)
+def _count_embeds(monkeypatch) -> list:
+    """Log each ``from_band`` call from any module of the package."""
     calls = []
 
     def counted(grid, block):
@@ -124,8 +125,35 @@ def test_a_run_embeds_no_field_in_the_half_spectrum(system, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("hydrolimit") and getattr(module, "from_band", None) is from_band:
             monkeypatch.setattr(module, "from_band", counted)
+    return calls
+
+
+@pytest.mark.parametrize("system", ["shmhd", "pehm"])
+def test_a_run_embeds_no_field_in_the_half_spectrum(system, monkeypatch):
+    """A run carries band blocks from its one gather of s0 on: with a hook that
+    keeps only records, 3 steps at 8^3 call ``from_band`` from no module of the
+    package, neither in the step nor in the records (an embed of each field
+    of each new state would be 6 or 4 calls per step)."""
+    cfg = SweepConfig(8, 8, 8)
+    s0, p0 = initial_states(cfg)
+    calls = _count_embeds(monkeypatch)
     records = _run(system, cfg, s0, p0, 3, sample=lambda smp: smp.record)
     assert [r.t for r in records] == pytest.approx([0.0, cfg.dt, 2 * cfg.dt, 3 * cfg.dt])
+    assert calls == []
+
+
+def test_a_sweep_and_a_simulate_embed_no_field_in_the_half_spectrum(monkeypatch, tmp_path):
+    """The sweep and ``simulate`` seed, share and start their runs as band
+    blocks: a serial sweep and a simulate of each system at 8^3 call
+    ``from_band`` from no module of the package (seeding the data as
+    half-spectrum states took 6 calls)."""
+    cfg = SweepConfig(8, 8, 8, alpha=4.0, eps_ladder=(0.2, 0.1, 0.05), t_end=0.01, sample_every=2)
+    config = tmp_path / "tiny.cfg"
+    config.write_text("n1 = 8\nn2 = 8\nn3 = 8\nalpha = 4\neps = 0.2\nt_end = 0.01\nsample_every = 2\n")
+    calls = _count_embeds(monkeypatch)
+    assert [c.status for c in run_sweep(cfg, 1).cells] == ["ok"] * 3
+    for system in ("shmhd", "pehm"):
+        assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path), "--system", system]) == 0
     assert calls == []
 
 

@@ -11,24 +11,23 @@ from hydrolimit.constraints import (
     EVEN_IN_Z,
     ODD_IN_Z,
     SpectrumParams,
-    generate_initial_data,
 )
 from hydrolimit.diagnostics import energy_ledger
 from hydrolimit.grid import GridSpec
 from hydrolimit.pehm import PehmState, _tendency, run
 from hydrolimit.spectral import from_band, gather, l2_norm, zero_field
 from conftest import (assert_rel_close, barotropic_defect_of, convective_advection, field_from_lattice, hydrostatic,
-                      parity_defect_of)
+                      initial_vectors, parity_defect_of)
 
 
 def seeded_state(grid, seed) -> PehmState:
-    a, b = generate_initial_data(seed, SpectrumParams(), grid)
+    a, b = initial_vectors(seed, SpectrumParams(), grid)
     return PehmState((a.h1, a.h2), (b.h1, b.h2), 0.0)
 
 
 class TestVerticalDiagnosis:
     def test_matches_seeded_verticals(self, grid8_2pi):
-        a, b = generate_initial_data(140, SpectrumParams(), grid8_2pi)
+        a, b = initial_vectors(140, SpectrumParams(), grid8_2pi)
         s = PehmState((a.h1, a.h2), (b.h1, b.h2), 0.0)
         a3, b3 = hydrostatic(s.a_h), hydrostatic(s.b_h)
         assert np.max(np.abs(a3.coeffs - a.v.coeffs)) < 1e-14

@@ -11,7 +11,6 @@ from hydrolimit.constraints import (
     ODD_IN_Z,
     SpectrumParams,
     VectorState,
-    generate_initial_data,
 )
 from hydrolimit.diagnostics import energy_ledger
 from hydrolimit.grid import GridSpec
@@ -31,6 +30,7 @@ from conftest import (
     divergence_defect_of,
     field_from_full,
     field_from_lattice,
+    initial_vectors,
     parity_defect_of,
     partial_derivative,
     physical,
@@ -39,7 +39,7 @@ from conftest import (
 
 
 def seeded_state(grid, seed) -> ElsasserState:
-    return ElsasserState(*generate_initial_data(seed, SpectrumParams(), grid), 0.0)
+    return ElsasserState(*initial_vectors(seed, SpectrumParams(), grid), 0.0)
 
 
 class TestNonlinearTendency:

@@ -22,7 +22,7 @@ from hydrolimit.sweep import (
     SweepConfig,
     emit_report,
     fit_rate,
-    initial_states,
+    initial_samples,
     load_config,
     run_pair,
     run_sweep,
@@ -37,8 +37,8 @@ TINY = dict(n1=8, n2=8, n3=8, dt=2e-3, t_end=0.02, sample_every=5)
 
 def shared_inputs(cfg: SweepConfig) -> tuple:
     """What every cell of a sweep shares, as ``run_pair``'s ``(limit, s_eps0)``:
-    the PEHM trajectory and the seeded SHMHD state."""
-    s_eps0, s_lim0 = initial_states(cfg)
+    the PEHM trajectory and the seeded SHMHD start."""
+    s_eps0, s_lim0 = initial_samples(cfg)
     return pehm_run(s_lim0, cfg.dt, cfg.t_end, cfg.sample_every), s_eps0
 
 
@@ -236,7 +236,7 @@ class TestRunPair:
         cfg = SweepConfig(alpha=3.0, **TINY)
 
         def lifted_run(s0, params, sample_every, sample):
-            _, s_lim0 = initial_states(cfg)
+            _, s_lim0 = initial_samples(cfg)
             out = []
             for smp in pehm_run(s_lim0, params.dt, params.t_end, sample_every):
                 a3, b3 = hydrostatic(smp.state.a_h), hydrostatic(smp.state.b_h)
@@ -270,7 +270,7 @@ class TestRunPair:
         shared = [run_pair(cfg, eps, limit, s_eps0) for eps in (0.2, 0.1)]
         assert shared == [run_pair(cfg, eps, *shared_inputs(cfg)) for eps in (0.2, 0.1)]
         lim_fresh, fresh = shared_inputs(cfg)
-        for got, want in zip(s_eps0.fields(), fresh.fields()):
+        for got, want in zip(s_eps0.state.fields(), fresh.state.fields()):
             assert np.array_equal(got.coeffs, want.coeffs)
         for got, want in zip(limit, lim_fresh):
             assert all(np.array_equal(f.coeffs, g.coeffs)
@@ -414,17 +414,17 @@ class TestRunSweep:
             assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_initial_states_once_per_sweep(self, monkeypatch, tmp_path, jobs):
+    def test_initial_samples_once_per_sweep(self, monkeypatch, tmp_path, jobs):
         """The seeded data is built once, in the parent, for the PEHM run and
         every cell; calls are logged to a file so pool workers would show too."""
         log = tmp_path / "seed_calls"
 
-        def logged_initial_states(*args, **kwargs):
+        def logged_initial_samples(*args, **kwargs):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
-            return initial_states(*args, **kwargs)
+            return initial_samples(*args, **kwargs)
 
-        monkeypatch.setattr(sweep_mod, "initial_states", logged_initial_states)
+        monkeypatch.setattr(sweep_mod, "initial_samples", logged_initial_samples)
         cfg = SweepConfig(alpha=4.0, eps_ladder=(0.2, 0.1, 0.05), **TINY)
         result = run_sweep(cfg, jobs=jobs)
         assert [c.status for c in result.cells] == ["ok"] * 3
