@@ -16,7 +16,7 @@ from hydrolimit.diagnostics import energy_ledger
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.shmhd import ShmhdParams
 from hydrolimit.shmhd import run as shmhd_run
-from hydrolimit.sweep import SweepConfig, initial_states
+from hydrolimit.sweep import SweepConfig, initial_samples
 
 
 def main() -> int:
@@ -29,7 +29,7 @@ def main() -> int:
 
     t_end = args.steps * args.dt
     cfg = SweepConfig(alpha=args.alpha, dt=args.dt, t_end=t_end)
-    s_eps0, s_lim0 = initial_states(cfg)
+    s_eps0, s_lim0 = initial_samples(cfg)
 
     for label, advect in (("full", True), ("linearized", False)):
         t0 = time.perf_counter()

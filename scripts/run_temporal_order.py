@@ -15,13 +15,13 @@ import sys
 
 import numpy as np
 
-from hydrolimit.constraints import VectorState
 from hydrolimit.grid import GridSpec
+from hydrolimit.integrator import Sample
 from hydrolimit.pehm import PehmState
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.shmhd import ElsasserState, ShmhdParams
 from hydrolimit.shmhd import run as shmhd_run
-from hydrolimit.spectral import from_physical, l2_norm, zero_field
+from hydrolimit.spectral import band_from_physical, l2_norm
 
 
 def main() -> int:
@@ -34,23 +34,20 @@ def main() -> int:
 
     grid = GridSpec(8, 8, 8, 1.0, 1.0)
     x = np.arange(grid.n1).reshape(-1, 1, 1) * grid.dx
-    f = from_physical(grid, np.sin(2 * np.pi * x) * np.ones(grid.shape))
+    f = band_from_physical(grid, np.sin(2 * np.pi * x) * np.ones(grid.shape))
+    zero = np.zeros_like(f)
     exact = math.exp(-4 * np.pi**2 * args.t_end)
 
     def shmhd_error(dt):
-        s = ElsasserState(
-            VectorState(zero_field(grid), f, zero_field(grid)),
-            VectorState(zero_field(grid), f, zero_field(grid)),
-            0.0,
-        )
+        s = Sample(ElsasserState, grid, 0.0, [zero, f, zero, zero, f, zero], None)
         p = ShmhdParams(eps=0.1, alpha=3.0, dt=dt, t_end=args.t_end, advect=False)
-        final = shmhd_run(s, p, sample_every=10**6)[-1].state
-        return l2_norm(final.a.h2 - exact * f)
+        final = shmhd_run(s, p, sample_every=10**6)[-1].blocks[1]  # a_h2
+        return l2_norm(grid, final - exact * f)
 
     def pehm_error(dt):
-        s = PehmState((zero_field(grid), f), (zero_field(grid), f), 0.0)
-        final = pehm_run(s, dt, args.t_end, sample_every=10**6, advect=False)[-1].state
-        return l2_norm(final.a_h[1] - exact * f)
+        s = Sample(PehmState, grid, 0.0, [zero, f, zero, f], None)
+        final = pehm_run(s, dt, args.t_end, sample_every=10**6, advect=False)[-1].blocks[1]  # a_h2
+        return l2_norm(grid, final - exact * f)
 
     dts = [args.dt0, args.dt0 / 2, args.dt0 / 4]
     for name, err in (("shmhd", shmhd_error), ("pehm", pehm_error)):

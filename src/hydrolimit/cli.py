@@ -38,8 +38,8 @@ def cmd_simulate(args) -> int:
     if args.eps is not None:
         cfg = dataclasses.replace(cfg, eps_ladder=(args.eps,))
     eps = cfg.eps_ladder[0]
-    s_eps0, s_lim0 = initial_samples(cfg)
     check_out_dir(args.out)
+    s_eps0, s_lim0 = initial_samples(cfg)
 
     def record_only(smp):
         return smp.record

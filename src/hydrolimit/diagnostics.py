@@ -9,7 +9,7 @@ import numpy as np
 
 from .constraints import hydrostatic_reconstruct
 from .grid import GridSpec
-from .spectral import SpectralField, gather, l2_norm, parseval_sum, to_physical
+from .spectral import l2_norm, parseval_sum, to_physical
 
 
 def _weighted_sums(grid: GridSpec, c: np.ndarray) -> tuple[float, float, float]:
@@ -58,8 +58,8 @@ class DiagnosticsRecord:
     t: float
     e_l2: float
     dissipation_accum: float
-    parity_defect: float = 0.0
-    div_defect: float = 0.0
+    parity_defect: float
+    div_defect: float
 
 
 def shmhd_energy(grid: GridSpec, a, b, eps: float) -> float:
@@ -152,26 +152,25 @@ class TrilinearReport:
     implied_c: float
 
 
-def _half_bracket(f: SpectralField) -> float:
-    """||f||^(1/2) * (||f||^(1/2) + ||grad_H f||^(1/2))."""
-    n, gh = np.sqrt(_weighted_sums(f.grid, gather([f])[0])[:2])
+def _half_bracket(grid: GridSpec, c: np.ndarray) -> float:
+    """||f||^(1/2) * (||f||^(1/2) + ||grad_H f||^(1/2)) of the field whose band block is c."""
+    n, gh = np.sqrt(_weighted_sums(grid, c)[:2])
     return np.sqrt(n) * (np.sqrt(n) + np.sqrt(gh))
 
 
-def trilinear_check(f: SpectralField, g: SpectralField, h: SpectralField) -> TrilinearReport:
-    """Evaluate both sides of the anisotropic tri-linear estimate without the
-    unquantified constant; reports the constant the data implies.
+def trilinear_check(grid: GridSpec, f: np.ndarray, g: np.ndarray, h: np.ndarray) -> TrilinearReport:
+    """Both sides of the anisotropic tri-linear estimate for the band blocks f,
+    g and h, without its unquantified constant, and the constant the data implies.
 
     The left side is evaluated by collocation quadrature with the absolute
     values taken pointwise; no dealiasing is involved.
     """
-    grid = f.grid
-    fa, ga, ha = (to_physical(grid, c) for c in gather((f, g, h)))
+    fa, ga, ha = (to_physical(grid, c) for c in (f, g, h))
     int_f = np.sum(np.abs(fa), axis=2) * grid.dz
     int_gh = np.sum(np.abs(ga * ha), axis=2) * grid.dz
     lhs = float(np.sum(int_f * int_gh) * grid.dx * grid.dy)
-    rhs_a = _half_bracket(f) * l2_norm(h) * _half_bracket(g)
-    rhs_b = l2_norm(f) * _half_bracket(g) * _half_bracket(h)
+    rhs_a = _half_bracket(grid, f) * l2_norm(grid, h) * _half_bracket(grid, g)
+    rhs_b = l2_norm(grid, f) * _half_bracket(grid, g) * _half_bracket(grid, h)
     denom = min(rhs_a, rhs_b)
     implied_c = lhs / denom if denom > 0 else 0.0
     return TrilinearReport(lhs, rhs_a, rhs_b, implied_c)

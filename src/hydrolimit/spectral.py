@@ -6,14 +6,14 @@ the lattice size, so coeff(0,0,0) is the mean of the field and Parseval reads
 integral |f|^2 dOmega = volume * sum |coeff|^2 over the full spectrum, =
 volume * sum zweights |coeff|^2 over a band block (``parseval_sum``).
 
-Field invariant: every ``SpectralField`` is zero outside the 2/3 band
-(``GridSpec.band``, the modes with 3*|m_i| < n_i on every axis), so its band
-block holds all of it.  3*|m| < n excludes the unpaired Nyquist mode n/2 of
-each axis, so no field holds one.  The forward transform truncates to the
-band, and the inverse and every operator of the step take and return band
-blocks; code that holds ``SpectralField``s gathers their blocks with
-``gather`` and embeds blocks with ``from_band``.  How a field stores its
-coefficients is private to this module.
+A field is its band block: every field is zero outside the 2/3 band
+(``GridSpec.band``, the modes with 3*|m_i| < n_i on every axis).  3*|m| < n
+excludes the unpaired Nyquist mode n/2 of each axis, so no field holds one.
+The forward transform truncates to the band, and the inverse, every operator
+of the step and every norm take and return band blocks.  Only the benchmark's
+edge holds ``SpectralField``s, blocks embedded in the ``rfftn`` half-spectrum
+(``from_band``, read back by ``gather``), in the states its probe and ledger
+child read; how a field stores that half-spectrum is private to this module.
 """
 
 from dataclasses import dataclass
@@ -43,17 +43,6 @@ class SpectralField:
         full.flags.writeable = False
         return full
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.half + other.half)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.half - other.half)
-
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.grid, self.half * scalar)
-
-    __rmul__ = __mul__
-
 
 def partner(c: np.ndarray) -> np.ndarray:
     """conj(c(-m1, -m2, m3)): for a real field, the coefficient of (m1, m2, -m3).
@@ -74,10 +63,6 @@ def _band_index(grid: GridSpec) -> tuple:
     return i1[:, None], i2, slice(k3)
 
 
-def zero_field(grid: GridSpec) -> SpectralField:
-    return SpectralField(grid, np.zeros(_half_shape(grid), dtype=np.complex128))
-
-
 def to_physical(grid: GridSpec, c: np.ndarray) -> np.ndarray:
     """Real values on the collocation lattice x_j = j*l1/n1, etc., of the field
     whose band block is c: ``irfftn``'s three 1-D passes in its axis order
@@ -92,12 +77,6 @@ def to_physical(grid: GridSpec, c: np.ndarray) -> np.ndarray:
     kept = planes[:, :, :k3]
     np.fft.ifft(kept, axis=1, norm="forward", out=kept)
     return np.fft.irfft(planes, n=grid.n3, axis=2, norm="forward")
-
-
-def from_physical(grid: GridSpec, values: np.ndarray) -> SpectralField:
-    """The real FFT of lattice values, truncated to the band; coeff(0) carries
-    the mean of the field."""
-    return from_band(grid, band_from_physical(grid, values))
 
 
 def band_from_physical(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -130,6 +109,6 @@ def parseval_sum(grid: GridSpec, c: np.ndarray) -> float:
     return float(np.sum(grid.zweights * (np.abs(c) ** 2).sum(axis=(0, 1))))
 
 
-def l2_norm(f: SpectralField) -> float:
-    """Parseval-exact L2 norm over Omega (volume 2*l1*l2)."""
-    return float(np.sqrt(f.grid.volume * parseval_sum(f.grid, gather([f])[0])))
+def l2_norm(grid: GridSpec, c: np.ndarray) -> float:
+    """Parseval-exact L2 norm over Omega (volume 2*l1*l2) of the field whose band block is c."""
+    return float(np.sqrt(grid.volume * parseval_sum(grid, c)))

@@ -8,7 +8,7 @@ from hydrolimit.constraints import (VectorState, anisotropic_leray_project, baro
                                    parity_project, z_trace)
 from hydrolimit.diagnostics import _weighted_sums, difference_metrics
 from hydrolimit.grid import GridSpec
-from hydrolimit.spectral import SpectralField, from_band, from_physical, gather, l2_norm, to_physical
+from hydrolimit.spectral import SpectralField, band_from_physical, from_band, gather, l2_norm, to_physical
 
 
 @pytest.fixture
@@ -107,7 +107,7 @@ def random_real_field(grid: GridSpec, seed: int) -> np.ndarray:
 
 def random_spectral_field(grid: GridSpec, seed: int) -> SpectralField:
     """A random field of the 2/3 band: the package forward of random lattice values."""
-    return from_physical(grid, random_real_field(grid, seed))
+    return from_band(grid, band_from_physical(grid, random_real_field(grid, seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def partial_derivative(f: SpectralField, axis: str) -> SpectralField:
 
 
 def horizontal_divergence(h: tuple[SpectralField, SpectralField]) -> SpectralField:
-    return partial_derivative(h[0], "x") + partial_derivative(h[1], "y")
+    return SpectralField(h[0].grid, partial_derivative(h[0], "x").half + partial_derivative(h[1], "y").half)
 
 
 def random_vector(grid: GridSpec, seed: int) -> VectorState:
@@ -181,7 +181,7 @@ def field_from_lattice(grid: GridSpec, func) -> SpectralField:
     """Spectral field from a callable on the (x, y, z) lattice."""
     x, y, z = np.meshgrid(np.arange(grid.n1) * grid.dx, np.arange(grid.n2) * grid.dy,
                           np.arange(grid.n3) * grid.dz, indexing="ij")
-    return from_physical(grid, func(x, y, z))
+    return from_band(grid, band_from_physical(grid, func(x, y, z)))
 
 
 def convective_advection(adv, fields) -> list[SpectralField]:
@@ -191,7 +191,7 @@ def convective_advection(adv, fields) -> list[SpectralField]:
     out = []
     for f in fields:
         prod = -sum(wj * physical(partial_derivative(f, axis)) for wj, axis in zip(w, "xyz"))
-        out.append(dealias(from_physical(f.grid, prod)))
+        out.append(dealias(from_band(f.grid, band_from_physical(f.grid, prod))))
     return out
 
 
@@ -205,7 +205,7 @@ def assert_rel_close(got, want, rel: float) -> None:
 def derivative_norms(f: SpectralField) -> tuple[float, float, float]:
     """Reference ||f||^2, ||grad_H f||^2 and ||dz f||^2 from materialised
     spectral derivative arrays."""
-    sq = [l2_norm(g) ** 2 for g in (f, *(partial_derivative(f, axis) for axis in "xyz"))]
+    sq = [l2_norm(f.grid, c) ** 2 for c in gather((f, *(partial_derivative(f, axis) for axis in "xyz")))]
     return sq[0], sq[1] + sq[2], sq[3]
 
 
@@ -224,9 +224,11 @@ def derivative_dissipation_rate(a, b, eps: float, alpha: float) -> float:
 def derivative_difference_metrics(s_eps, s_lim, eps: float, alpha: float) -> tuple[float, float, float]:
     """Reference (d_l2, d_diss_rate, d_h1) of an SHMHD state against a
     hydrostatically lifted PEHM state, from derivative arrays."""
-    horizontal = [f - g for f, g in zip((s_eps.a.h1, s_eps.a.h2, s_eps.b.h1, s_eps.b.h2),
-                                        (*s_lim.a_h, *s_lim.b_h))]
-    vertical = [s_eps.a.v - hydrostatic(s_lim.a_h), s_eps.b.v - hydrostatic(s_lim.b_h)]
+    grid = s_eps.grid
+    horizontal = [SpectralField(grid, f.half - g.half)
+                  for f, g in zip((s_eps.a.h1, s_eps.a.h2, s_eps.b.h1, s_eps.b.h2), (*s_lim.a_h, *s_lim.b_h))]
+    vertical = [SpectralField(grid, v.half - hydrostatic(h).half)
+                for v, h in ((s_eps.a.v, s_lim.a_h), (s_eps.b.v, s_lim.b_h))]
     d_l2 = d_h1 = 0.0
     for f in horizontal:
         n, gh, dz = derivative_norms(f)
@@ -331,7 +333,7 @@ def full_hydrostatic_reconstruct(grid: GridSpec, c1: np.ndarray, c2: np.ndarray)
 # oracles for the k . c kernel of ``constraints``
 
 def chain_divergence(g: VectorState) -> SpectralField:
-    return horizontal_divergence((g.h1, g.h2)) + partial_derivative(g.v, "z")
+    return SpectralField(g.grid, horizontal_divergence((g.h1, g.h2)).half + partial_derivative(g.v, "z").half)
 
 
 def chain_poisson_solve(rhs: SpectralField, eps: float) -> SpectralField:
@@ -347,9 +349,9 @@ def chain_poisson_solve(rhs: SpectralField, eps: float) -> SpectralField:
 def chain_leray_project(g: VectorState, eps: float) -> VectorState:
     phi = chain_poisson_solve(chain_divergence(g), eps)
     return VectorState(
-        g.h1 - partial_derivative(phi, "x"),
-        g.h2 - partial_derivative(phi, "y"),
-        g.v - (1.0 / eps**2) * partial_derivative(phi, "z"),
+        SpectralField(g.grid, g.h1.half - partial_derivative(phi, "x").half),
+        SpectralField(g.grid, g.h2.half - partial_derivative(phi, "y").half),
+        SpectralField(g.grid, g.v.half - (1.0 / eps**2) * partial_derivative(phi, "z").half),
     )
 
 
@@ -367,7 +369,7 @@ def chain_barotropic_defect(h) -> float:
 def chain_hydrostatic_reconstruct(h) -> SpectralField:
     """v = source / (i kz) from the source -div_H h, with v(x, y, 0) = 0."""
     grid = h[0].grid
-    source = (-1.0 * horizontal_divergence(h)).half
+    source = -1.0 * horizontal_divergence(h).half
     kz = half_wavenumbers(grid)[2].reshape(-1)
     inv_ikz = np.zeros(kz.size, dtype=np.complex128)
     inv_ikz[1:] = 1.0 / (1j * kz[1:])
@@ -459,9 +461,11 @@ def half_weighted_sums(f: SpectralField) -> tuple[float, float, float]:
 def half_difference_metrics(s_eps, s_lim, eps: float, alpha: float) -> tuple[float, float, float]:
     """(d_l2, d_diss_rate, d_h1) of an SHMHD state against a PEHM state with
     hydrostatic verticals, from the whole half-spectrum."""
-    horizontal = [f - g for f, g in zip((s_eps.a.h1, s_eps.a.h2, s_eps.b.h1, s_eps.b.h2), (*s_lim.a_h, *s_lim.b_h))]
-    vertical = [s_eps.a.v - half_hydrostatic_reconstruct(s_lim.a_h),
-                s_eps.b.v - half_hydrostatic_reconstruct(s_lim.b_h)]
+    grid = s_eps.grid
+    horizontal = [SpectralField(grid, f.half - g.half)
+                  for f, g in zip((s_eps.a.h1, s_eps.a.h2, s_eps.b.h1, s_eps.b.h2), (*s_lim.a_h, *s_lim.b_h))]
+    vertical = [SpectralField(grid, v.half - half_hydrostatic_reconstruct(h).half)
+                for v, h in ((s_eps.a.v, s_lim.a_h), (s_eps.b.v, s_lim.b_h))]
     h = np.sum([half_weighted_sums(f) for f in horizontal], axis=0)
     v = np.sum([half_weighted_sums(f) for f in vertical], axis=0)
     diss = h[1] + eps ** (alpha - 2.0) * h[2] + eps**2 * v[1] + eps**alpha * v[2]

@@ -13,17 +13,18 @@ import time
 import numpy as np
 import pytest
 
-from hydrolimit.constraints import SpectrumParams, VectorState, generate_initial_data
+from hydrolimit.constraints import SpectrumParams, generate_initial_data
 from hydrolimit.diagnostics import energy_ledger, trilinear_check
 from hydrolimit.grid import GridSpec
 from hydrolimit.pehm import PehmState
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.shmhd import ElsasserState, ShmhdParams
 from hydrolimit.shmhd import run as shmhd_run
-from hydrolimit.spectral import SpectralField, l2_norm, zero_field
+from hydrolimit.integrator import Sample
+from hydrolimit.spectral import band_from_physical, gather, l2_norm
 from hydrolimit.sweep import SweepConfig, initial_states, run_sweep, sweep_csv_text
 from hydrolimit.verify import run_battery
-from conftest import field_from_full, field_from_lattice
+from conftest import field_from_full
 
 REFERENCE = dict(
     n1=32, n2=32, n3=32, eps_ladder=(0.2, 0.1, 0.05, 0.025),
@@ -94,24 +95,22 @@ def test_criterion_3_pehm_energy_identity(capsys):
 
 def test_criterion_4_temporal_order(capsys):
     grid = GridSpec(8, 8, 8, 1.0, 1.0)
-    f = field_from_lattice(grid, lambda x, y, z: np.sin(2 * np.pi * x))
+    x = np.arange(grid.n1).reshape(-1, 1, 1) * grid.dx
+    f = band_from_physical(grid, np.sin(2 * np.pi * x) * np.ones(grid.shape))
+    zero = np.zeros_like(f)
     t_end = 0.02
     exact = math.exp(-4 * np.pi**2 * t_end)
 
     def shmhd_error(dt):
-        s = ElsasserState(
-            VectorState(zero_field(grid), f, zero_field(grid)),
-            VectorState(zero_field(grid), f, zero_field(grid)),
-            0.0,
-        )
+        s = Sample(ElsasserState, grid, 0.0, [zero, f, zero, zero, f, zero], None)
         params = ShmhdParams(eps=0.1, alpha=3.0, dt=dt, t_end=t_end, advect=False)
-        final = shmhd_run(s, params, 10**6)[-1].state
-        return l2_norm(final.a.h2 - exact * f)
+        final = shmhd_run(s, params, 10**6)[-1].blocks[1]  # a_h2
+        return l2_norm(grid, final - exact * f)
 
     def pehm_error(dt):
-        s = PehmState((zero_field(grid), f), (zero_field(grid), f), 0.0)
-        final = pehm_run(s, dt, t_end, sample_every=10**6, advect=False)[-1].state
-        return l2_norm(final.a_h[1] - exact * f)
+        s = Sample(PehmState, grid, 0.0, [zero, f, zero, f], None)
+        final = pehm_run(s, dt, t_end, sample_every=10**6, advect=False)[-1].blocks[1]  # a_h2
+        return l2_norm(grid, final - exact * f)
 
     orders = {}
     for name, err in (("shmhd", shmhd_error), ("pehm", pehm_error)):
@@ -164,9 +163,10 @@ def test_criterion_7_h1_mode(capsys, alpha4_parallel):
     )
 
 
-def _band_limited_scalar(seed: int, grid: GridSpec, band: int = 5) -> SpectralField:
-    """Resolution-independent band-limited random scalar: the same coefficient
-    block is drawn per seed and embedded into any grid that can hold it."""
+def _band_limited_scalar(seed: int, grid: GridSpec, band: int = 5) -> np.ndarray:
+    """The band block of a resolution-independent band-limited random scalar:
+    the same coefficient block is drawn per seed and embedded into any grid
+    that can hold it."""
     rng = np.random.default_rng(seed)
     size = 2 * band + 1
     block = rng.standard_normal((size, size, size)) + 1j * rng.standard_normal(
@@ -179,7 +179,7 @@ def _band_limited_scalar(seed: int, grid: GridSpec, band: int = 5) -> SpectralFi
                 coeffs[m1 % grid.n1, m2 % grid.n2, m3 % grid.n3] = block[i, j, k]
     r1, r2, r3 = ((-np.arange(n)) % n for n in grid.shape)
     coeffs = 0.5 * (coeffs + np.conj(coeffs[np.ix_(r1, r2, r3)]))
-    return field_from_full(grid, coeffs)
+    return gather([field_from_full(grid, coeffs)])[0]
 
 
 def test_criterion_8_trilinear_stability(capsys):
@@ -191,7 +191,7 @@ def test_criterion_8_trilinear_stability(capsys):
             f = _band_limited_scalar(1000 + 3 * triple, grid)
             g = _band_limited_scalar(1001 + 3 * triple, grid)
             h = _band_limited_scalar(1002 + 3 * triple, grid)
-            worst = max(worst, trilinear_check(f, g, h).implied_c)
+            worst = max(worst, trilinear_check(grid, f, g, h).implied_c)
         max_c[n] = worst
     change = abs(max_c[48] - max_c[32]) / max_c[32]
     _verdict(

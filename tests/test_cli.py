@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import hydrolimit.cli as cli_mod
-import hydrolimit.spectral as spectral_mod
+import hydrolimit.verify as verify_mod
 from hydrolimit.cli import EXIT_BLOWUP, EXIT_OK, EXIT_VALIDATION, main
 from hydrolimit.grid import GridSpec
 from hydrolimit.verify import run_battery
@@ -45,14 +45,14 @@ class TestVerify:
     def test_battery_checks_the_solvers_transform_pair(self, monkeypatch):
         """A fault planted in the forward transform the solvers use (one kept
         x line zeroed) fails the round-trip and Parseval checks."""
-        forward = spectral_mod.band_from_physical
+        forward = verify_mod.band_from_physical
 
         def faulty(grid, values):
             block = forward(grid, values)
             block[1] = 0.0
             return block
 
-        monkeypatch.setattr(spectral_mod, "band_from_physical", faulty)
+        monkeypatch.setattr(verify_mod, "band_from_physical", faulty)
         verdicts = {r.name: r.passed for r in run_battery(GridSpec(8, 8, 8), [7])}
         assert not verdicts["transform round-trip"]
         assert not verdicts["parseval"]
@@ -304,7 +304,8 @@ class TestValidationFailures:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate")
 
-    @pytest.mark.parametrize("command, runner", [("sweep", "run_sweep"), ("simulate", "shmhd_run")])
+    @pytest.mark.parametrize("command, runner",
+                             [("sweep", "run_sweep"), ("simulate", "shmhd_run"), ("simulate", "initial_samples")])
     def test_unwritable_out_fails_before_running(self, tiny_cfg, tmp_path, capsys, monkeypatch,
                                                  command, runner):
         blocked = tmp_path / "blocked"

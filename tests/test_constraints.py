@@ -15,7 +15,7 @@ from hydrolimit.constraints import (
     parity_project,
 )
 from hydrolimit.grid import GridSpec
-from hydrolimit.spectral import SpectralField, from_band, l2_norm, zero_field
+from hydrolimit.spectral import SpectralField, band_from_physical, from_band, gather, l2_norm
 from conftest import (band_mask, barotropic, barotropic_defect_of, divergence_defect_of, field_from_lattice, hydrostatic,
                       initial_vectors, leray, parity, parity_defect_of, physical, random_spectral_field, random_vector)
 
@@ -38,7 +38,8 @@ class TestParity:
         f = random_spectral_field(grid8, 22)
         e = parity(f, EVEN_IN_Z)
         o = parity(f, ODD_IN_Z)
-        assert l2_norm(f) ** 2 == pytest.approx(l2_norm(e) ** 2 + l2_norm(o) ** 2, rel=1e-12)
+        n_f, n_e, n_o = (l2_norm(grid8, c) for c in gather((f, e, o)))
+        assert n_f**2 == pytest.approx(n_e**2 + n_o**2, rel=1e-12)
 
     def test_even_field_reflects_in_physical_space(self, grid8):
         f = parity(random_spectral_field(grid8, 23), EVEN_IN_Z)
@@ -55,14 +56,14 @@ class TestParity:
 
     def test_unknown_class_raises(self, grid8):
         with pytest.raises(ValueError, match="parity class"):
-            parity(zero_field(grid8), "sideways")
+            parity(from_band(grid8, band_from_physical(grid8, np.zeros(grid8.shape))), "sideways")
 
 
 class TestLerayProjection:
     def test_output_is_divergence_free(self, grid8_2pi):
         g = random_vector(grid8_2pi, 30)
         proj = leray(g, eps=0.1)
-        assert divergence_defect_of(proj) < 1e-12 * max(l2_norm(f) for f in g.components())
+        assert divergence_defect_of(proj) < 1e-12 * max(l2_norm(grid8_2pi, c) for c in gather(g.components()))
 
     def test_idempotent(self, grid8_2pi):
         g = random_vector(grid8_2pi, 31)
@@ -102,13 +103,13 @@ class TestLerayProjection:
         g = random_vector(grid8_2pi, 33)
         p = leray(g, eps)
 
-        def energy(v):
-            return (
-                l2_norm(v.h1) ** 2 + l2_norm(v.h2) ** 2 + eps**2 * l2_norm(v.v) ** 2
-            )
+        def energy(c):
+            h1, h2, v = (l2_norm(grid8_2pi, x) for x in c)
+            return h1**2 + h2**2 + eps**2 * v**2
 
-        removed = VectorState(g.h1 - p.h1, g.h2 - p.h2, g.v - p.v)
-        assert energy(g) == pytest.approx(energy(p) + energy(removed), rel=1e-12)
+        c_g, c_p = gather(g.components()), gather(p.components())
+        removed = [x - y for x, y in zip(c_g, c_p)]
+        assert energy(c_g) == pytest.approx(energy(c_p) + energy(removed), rel=1e-12)
 
 
 class TestHydrostatic:
@@ -118,7 +119,7 @@ class TestHydrostatic:
         # v = -int_0^z div_H = -2 cos(2 pi x) sin(pi z).
         g = GridSpec(8, 8, 8, 1.0, 1.0)
         h1 = field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * x) * np.cos(np.pi * z))
-        v = hydrostatic((h1, zero_field(g)))
+        v = hydrostatic((h1, from_band(g, np.zeros_like(gather([h1])[0]))))
         expected = field_from_lattice(
             g, lambda x, y, z: -2.0 * np.cos(2 * np.pi * x) * np.sin(np.pi * z)
         )
@@ -128,7 +129,7 @@ class TestHydrostatic:
         a, _ = initial_vectors(40, SpectrumParams(), grid8_2pi)
         v = hydrostatic((a.h1, a.h2))
         state = VectorState(a.h1, a.h2, v)
-        scale = max(l2_norm(f) for f in (a.h1, a.h2))
+        scale = max(l2_norm(grid8_2pi, c) for c in gather((a.h1, a.h2)))
         assert divergence_defect_of(state) < 1e-13 * scale
 
     def test_trace_vanishes_at_z_zero(self, grid8_2pi):
@@ -152,7 +153,7 @@ class TestHydrostatic:
 class TestBarotropic:
     def test_projection_clears_defect(self, grid8_2pi):
         h = (random_spectral_field(grid8_2pi, 50), random_spectral_field(grid8_2pi, 51))
-        scale = max(l2_norm(f) for f in h)
+        scale = max(l2_norm(grid8_2pi, c) for c in gather(h))
         assert barotropic_defect_of(h) > 1e-6 * scale  # generic input is not compatible
         proj = barotropic(h)
         assert barotropic_defect_of(proj) < 1e-13 * scale
@@ -192,7 +193,7 @@ class TestInitialData:
 
     def test_all_structural_invariants(self, grid8_2pi):
         a, b = initial_vectors(63, SpectrumParams(), grid8_2pi)
-        scale = max(l2_norm(f) for f in (a.h1, a.h2, b.h1, b.h2))
+        scale = max(l2_norm(grid8_2pi, c) for c in gather((a.h1, a.h2, b.h1, b.h2)))
         for f in (a.h1, a.h2, b.h1, b.h2):
             assert parity_defect_of(f, EVEN_IN_Z) < 1e-13 * scale
         for v in (a.v, b.v):
@@ -209,8 +210,8 @@ class TestInitialData:
 
     def test_zero_amplitude_gives_zero_state(self, grid8_2pi):
         a, b = initial_vectors(65, SpectrumParams(amplitude=0.0), grid8_2pi)
-        for f in (*a.components(), *b.components()):
-            assert l2_norm(f) == 0.0
+        for c in gather((*a.components(), *b.components())):
+            assert l2_norm(grid8_2pi, c) == 0.0
 
     @staticmethod
     def full_lattice_scalar(rng, grid, spectrum):
@@ -245,5 +246,5 @@ class TestInitialData:
     def test_divergence_free_property(self, seed):
         grid = GridSpec(8, 8, 8, 2 * np.pi, 2 * np.pi)
         a, _ = initial_vectors(seed, SpectrumParams(), grid)
-        scale = max(l2_norm(f) for f in (a.h1, a.h2)) or 1.0
+        scale = max(l2_norm(grid, c) for c in gather((a.h1, a.h2))) or 1.0
         assert divergence_defect_of(a) < 1e-12 * scale

@@ -26,7 +26,7 @@ from hydrolimit.pehm import PehmState
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.shmhd import ElsasserState, ShmhdParams
 from hydrolimit.shmhd import run as shmhd_run
-from hydrolimit.spectral import SpectralField, gather, l2_norm, zero_field
+from hydrolimit.spectral import SpectralField, band_from_physical, gather, l2_norm, to_physical
 from hydrolimit.sweep import SweepConfig, initial_states, run_pair
 from conftest import (
     derivative_difference_metrics,
@@ -36,6 +36,7 @@ from conftest import (
     half_difference_metrics,
     initial_vectors,
     physical,
+    random_real_field,
     random_spectral_field,
     state_difference_metrics,
     weighted_sums,
@@ -49,7 +50,7 @@ class TestNorms:
         # ||grad_H u||^2 = 4 pi^2 / 2, ||dz u||^2 = pi^2 / 2.
         g = GridSpec(8, 8, 8, 1.0, 1.0)
         u = field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * x) * np.cos(np.pi * z))
-        assert l2_norm(u) ** 2 == pytest.approx(0.5, rel=1e-12)
+        assert l2_norm(g, gather([u])[0]) ** 2 == pytest.approx(0.5, rel=1e-12)
         assert weighted_sums(u)[1] == pytest.approx(4 * np.pi**2 * 0.5, rel=1e-12)
         assert weighted_sums(u)[2] == pytest.approx(np.pi**2 * 0.5, rel=1e-12)
         assert sum(weighted_sums(u)) == pytest.approx(0.5 * (1 + 5 * np.pi**2), rel=1e-12)
@@ -58,7 +59,7 @@ class TestNorms:
         f = random_spectral_field(grid8_2pi, 70)
         vals = physical(f)
         quad = math.sqrt(np.sum(vals**2) * grid8_2pi.dx * grid8_2pi.dy * grid8_2pi.dz)
-        assert l2_norm(f) == pytest.approx(quad, rel=1e-12)
+        assert l2_norm(grid8_2pi, gather([f])[0]) == pytest.approx(quad, rel=1e-12)
 
 
 class TestWeightedSums:
@@ -115,7 +116,7 @@ class TestEnergyLedger:
     @staticmethod
     def _records(lhs_energies, diss):
         return [
-            DiagnosticsRecord(t=0.1 * i, e_l2=e, dissipation_accum=d)
+            DiagnosticsRecord(t=0.1 * i, e_l2=e, dissipation_accum=d, parity_defect=0.0, div_defect=0.0)
             for i, (e, d) in enumerate(zip(lhs_energies, diss))
         ]
 
@@ -219,17 +220,14 @@ class TestDifferenceMetrics:
 class TestEnergies:
     def test_shmhd_energy_weights(self):
         g = GridSpec(8, 8, 8, 1.0, 1.0)
-        f = field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * x))  # ||f||^2 = 1
-        zero = zero_field(g)
-        a = VectorState(f, zero, f)
-        b = VectorState(zero, zero, zero)
-        assert shmhd_energy(g, gather(a.components()), gather(b.components()), eps=0.5) == pytest.approx(
-            1.0 + 0.25, rel=1e-12)
+        f = gather([field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * x))])[0]  # ||f||^2 = 1
+        zero = np.zeros_like(f)
+        assert shmhd_energy(g, [f, zero, f], [zero, zero, zero], eps=0.5) == pytest.approx(1.0 + 0.25, rel=1e-12)
 
     def test_pehm_energy(self):
         g = GridSpec(8, 8, 8, 1.0, 1.0)
-        f = field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * x))
-        assert pehm_energy(g, gather((f, f)), gather((f, zero_field(g)))) == pytest.approx(3.0, rel=1e-12)
+        f = gather([field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * x))])[0]
+        assert pehm_energy(g, [f, f], [f, np.zeros_like(f)]) == pytest.approx(3.0, rel=1e-12)
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_record_energy_is_the_difference_metrics_energy(self, seed):
@@ -251,9 +249,8 @@ class TestEnergies:
 
 class TestTrilinear:
     def test_zero_field_gives_zero_report(self, grid8):
-        z = zero_field(grid8)
-        f = random_spectral_field(grid8, 90)
-        rep = trilinear_check(z, f, f)
+        f = band_from_physical(grid8, random_real_field(grid8, 90))
+        rep = trilinear_check(grid8, np.zeros_like(f), f, f)
         assert rep.lhs == 0.0
         assert rep.implied_c == 0.0
 
@@ -262,21 +259,20 @@ class TestTrilinear:
         # sqrt(||1||) * sqrt(||1||) = sqrt(2), so both rhs equal 2^(3/2)
         # and the implied constant is sqrt(2).
         g = GridSpec(8, 8, 8, 1.0, 1.0)
-        one = zero_field(g)
-        one.half[0, 0, 0] = 1.0
-        rep = trilinear_check(one, one, one)
+        i1, i2, k3 = g.band
+        one = np.zeros((i1.size, i2.size, k3), dtype=np.complex128)
+        one[0, 0, 0] = 1.0  # the mode (0, 0, 0)
+        rep = trilinear_check(g, one, one, one)
         assert rep.lhs == pytest.approx(4.0, rel=1e-12)
         assert rep.rhs_a == pytest.approx(2.0**1.5, rel=1e-12)
         assert rep.rhs_b == pytest.approx(2.0**1.5, rel=1e-12)
         assert rep.implied_c == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_lhs_matches_direct_quadrature(self, grid8_2pi):
-        f = random_spectral_field(grid8_2pi, 91)
-        g = random_spectral_field(grid8_2pi, 92)
-        h = random_spectral_field(grid8_2pi, 93)
-        rep = trilinear_check(f, g, h)
         grid = grid8_2pi
-        fa, ga, ha = (physical(v) for v in (f, g, h))
+        f, g, h = (band_from_physical(grid, random_real_field(grid, seed)) for seed in (91, 92, 93))
+        rep = trilinear_check(grid, f, g, h)
+        fa, ga, ha = (to_physical(grid, c) for c in (f, g, h))
         direct = 0.0
         for i in range(grid.n1):
             for j in range(grid.n2):
@@ -287,9 +283,7 @@ class TestTrilinear:
         assert rep.lhs == pytest.approx(direct, rel=1e-12)
 
     def test_report_is_nonnegative(self, grid8):
-        f = random_spectral_field(grid8, 94)
-        g = random_spectral_field(grid8, 95)
-        h = random_spectral_field(grid8, 96)
-        rep = trilinear_check(f, g, h)
+        f, g, h = (band_from_physical(grid8, random_real_field(grid8, seed)) for seed in (94, 95, 96))
+        rep = trilinear_check(grid8, f, g, h)
         assert rep.lhs >= 0.0 and rep.rhs_a >= 0.0 and rep.rhs_b >= 0.0
         assert np.isfinite(rep.implied_c)

@@ -17,7 +17,7 @@ import pytest
 from hydrolimit import cli
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.shmhd import ShmhdParams, run as shmhd_run
-from hydrolimit.spectral import from_band, zero_field
+from hydrolimit.spectral import from_band
 from hydrolimit.sweep import SweepConfig, initial_samples, initial_states, run_sweep
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -65,7 +65,7 @@ def test_step_peak_in_fields(system, bound, start):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / zero_field(cfg.grid).half.nbytes < bound
+    assert peak / from_band(cfg.grid, initial_samples(cfg)[0].blocks[0]).half.nbytes < bound
 
 
 def test_runs_leave_the_shared_initial_arrays_unchanged():

@@ -1,7 +1,8 @@
 """The package's shape: each name has one home, the module that defines it,
 each name that a module defines has a reader outside the tests, only
-``spectral.py`` reads how a field is stored, and importing the CLI loads no
-more than a serial run needs."""
+``spectral.py`` reads how a field is stored, only the benchmark's edge holds
+half-spectrum fields, and importing the CLI loads no more than a serial run
+needs."""
 
 import ast
 import os
@@ -16,6 +17,20 @@ SRC = str(ROOT / "src")
 READ_BY_TESTS_ONLY = {
     "diagnostics.py:trilinear_check": "acceptance criterion 8 reads it",
 }
+
+# The benchmark's edge: the only definitions outside ``spectral.py`` that read
+# a half-spectrum field (``EDGE_NAMES``, or a ``Sample``'s ``.state``), each
+# with the ``perfbench/`` file that pins it.  A class stands for its members.
+EDGE = {
+    "constraints.py:VectorState": "probe.py",  # reads .components() of a state and of a tendency
+    "shmhd.py:ElsasserState": "probe.py",  # times nonlinear_tendency on one
+    "shmhd.py:nonlinear_tendency": "probe.py",
+    "pehm.py:PehmState": "ledger_child.py",  # runs from one
+    "integrator.py:Sample.state": "ledger_child.py",  # saves a linear run's first and last states
+    "integrator.py:run": "ledger_child.py",  # gathers the state it runs from
+    "sweep.py:initial_states": "run.py",  # setup_s times it; ledger_child.py and probe.py seed with it
+}
+EDGE_NAMES = {"SpectralField", "VectorState", "from_band", "gather"}
 
 
 def unread_imports(source: str) -> list[str]:
@@ -102,6 +117,41 @@ def test_only_spectral_reads_a_fields_storage():
         if isinstance(node, ast.Attribute) and node.attr == "half"
     ]
     assert not readers, f"modules that read a field's storage: {readers}"
+
+
+def edge_readers(path: Path) -> set[str]:
+    """``<file>:<definition>`` of each definition in path that reads a name of
+    ``EDGE_NAMES`` or an attribute ``.state``, imports aside; a class member is
+    ``<class>.<member>``, a class-level statement the class itself."""
+    def reads_edge(node):
+        return any((isinstance(n, ast.Name) and n.id in EDGE_NAMES)
+                   or (isinstance(n, ast.Attribute) and n.attr in EDGE_NAMES | {"state"}) for n in ast.walk(node))
+
+    readers = set()
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, ast.ClassDef):
+            parts = [(f"{stmt.name}.{m.name}" if isinstance(m, ast.FunctionDef) else stmt.name, m) for m in stmt.body]
+        else:
+            parts = [(getattr(stmt, "name", f"line {stmt.lineno}"), stmt)]
+        readers |= {f"{path.name}:{name}" for name, node in parts if reads_edge(node)}
+    return readers
+
+
+def test_only_the_benchmarks_edge_reads_half_spectrum_fields():
+    """Outside ``spectral.py`` a field is its band block: only the ``EDGE``
+    definitions, which ``perfbench/`` still reads, hold ``SpectralField``s, and
+    each of them still does (so the map lists no definition that has moved on)."""
+    readers = set().union(*(edge_readers(path) for path in sorted(Path(SRC, "hydrolimit").glob("*.py"))
+                            if path.name != "spectral.py"))
+
+    def covers(edge, reader):
+        return reader == edge or reader.startswith(edge + ".")
+
+    outside = sorted(r for r in readers if not any(covers(e, r) for e in EDGE))
+    assert not outside, f"definitions outside the benchmark's edge that read half-spectrum fields: {outside}"
+    stale = sorted(e for e in EDGE if not any(covers(e, r) for r in readers))
+    assert not stale, f"edge definitions that no longer read half-spectrum fields: {stale}"
+    assert all((ROOT / "perfbench" / pin).is_file() for pin in EDGE.values())
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

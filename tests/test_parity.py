@@ -6,13 +6,13 @@ import math
 
 import pytest
 
-from hydrolimit.constraints import EVEN_IN_Z, VectorState
+from hydrolimit.constraints import EVEN_IN_Z, hydrostatic_reconstruct, parity_defect
+from hydrolimit.integrator import Sample
 from hydrolimit.pehm import PehmState
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.shmhd import ElsasserState, ShmhdParams
 from hydrolimit.shmhd import run as shmhd_run
-from hydrolimit.sweep import SweepConfig, initial_states
-from conftest import hydrostatic, parity_defect_of
+from hydrolimit.sweep import SweepConfig, initial_samples, initial_states
 
 
 def _run(system, steps, s0, p0, dt):
@@ -40,12 +40,12 @@ def test_a_wrong_parity_part_shows_in_the_defect_after_a_step(system):
     """An odd part added to a horizontal component is stepped like the rest, not
     projected away, so the record after one step still reports it."""
     cfg = SweepConfig(16, 16, 16)
-    s0, p0 = initial_states(cfg)
-    odd = 0.01 * hydrostatic(p0.a_h)  # real, band-limited and odd in z
-    injected = parity_defect_of(odd, EVEN_IN_Z)
+    s0, p0 = initial_samples(cfg)
+    odd = 0.01 * hydrostatic_reconstruct(cfg.grid, p0.blocks[:2])  # real, band-limited and odd in z
+    injected = parity_defect(cfg.grid, odd, EVEN_IN_Z)
     assert injected > 0
-    s0 = ElsasserState(VectorState(s0.a.h1 + odd, s0.a.h2, s0.a.v), s0.b)
-    p0 = PehmState((p0.a_h[0] + odd, p0.a_h[1]), p0.b_h)
+    s0 = Sample(ElsasserState, cfg.grid, 0.0, [s0.blocks[0] + odd, *s0.blocks[1:]], None)
+    p0 = Sample(PehmState, cfg.grid, 0.0, [p0.blocks[0] + odd, *p0.blocks[1:]], None)
     first, last = _run(system, 1, s0, p0, cfg.dt)
     assert first.parity_defect == pytest.approx(injected, rel=1e-12)
     assert last.parity_defect == pytest.approx(injected, rel=0.1)

@@ -30,6 +30,17 @@ def test_script_runs(script, args):
     assert "FAIL" not in proc.stdout
 
 
+def test_temporal_order_prints_the_pinned_errors():
+    """The dt-refinement study's default output, pinned: the errors and the
+    second order of both solvers against the manufactured solution."""
+    proc = run_script("run_temporal_order.py", [])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "shmhd: errors 7.472e-04  1.864e-04  4.657e-05  orders 2.00  2.00",
+        "pehm: errors 7.472e-04  1.864e-04  4.657e-05  orders 2.00  2.00",
+    ]
+
+
 @pytest.mark.parametrize("script, args", [
     ("run_energy_audit.py", ["--steps", "0"]),
     ("run_energy_audit.py", ["--steps", "2", "--eps", "-1"]),

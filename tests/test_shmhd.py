@@ -14,7 +14,7 @@ from hydrolimit.constraints import (
 )
 from hydrolimit.diagnostics import energy_ledger
 from hydrolimit.grid import GridSpec
-from hydrolimit.integrator import BlowUpError, imex_heun
+from hydrolimit.integrator import BlowUpError, Sample, imex_heun
 from hydrolimit.pehm import PehmState
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.shmhd import (
@@ -23,7 +23,7 @@ from hydrolimit.shmhd import (
     nonlinear_tendency,
     run,
 )
-from hydrolimit.spectral import from_physical, gather, l2_norm, zero_field
+from hydrolimit.spectral import band_from_physical, from_band, gather, l2_norm
 from conftest import (
     assert_rel_close,
     convective_advection,
@@ -77,10 +77,10 @@ class TestNonlinearTendency:
             out = np.zeros(fine.shape)
             for w, axis in zip(adv.components(), ("x", "y", "z")):
                 out -= physical(lift(w)) * physical(partial_derivative(lift(f), axis))
-            return restrict(from_physical(fine, out))
+            return restrict(from_band(fine, band_from_physical(fine, out)))
 
         ta, tb = nonlinear_tendency(s)
-        scale = max(l2_norm(f) for f in s.a.components())
+        scale = max(l2_norm(grid, c) for c in gather(s.a.components()))
         for got, f in zip(ta.components(), s.a.components()):
             want = oracle(s.b, f)
             assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-13 * scale
@@ -101,14 +101,12 @@ class TestNonlinearTendency:
     def test_constant_advecting_field_shifts(self):
         # advection of f by a constant field w is -w . grad f exactly
         g = GridSpec(8, 8, 8, 1.0, 1.0)
-        const = zero_field(g)
-        const.half[0, 0, 0] = 2.0
         f = field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * x))
-        s = ElsasserState(
-            VectorState(f, zero_field(g), zero_field(g)),
-            VectorState(const, zero_field(g), zero_field(g)),
-            0.0,
-        )
+        block = np.zeros_like(gather([f])[0])
+        zero = from_band(g, block)
+        block[0, 0, 0] = 2.0  # the mode (0, 0, 0)
+        const = from_band(g, block)
+        s = ElsasserState(VectorState(f, zero, zero), VectorState(const, zero, zero), 0.0)
         ta, _ = nonlinear_tendency(s)
         expected = -2.0 * partial_derivative(f, "x").coeffs
         assert np.max(np.abs(ta.h1.coeffs - expected)) < 1e-13
@@ -120,7 +118,7 @@ class TestPressure:
         ta, _ = nonlinear_tendency(s)
         phi = poisson_potential(ta, 0.1)
         assert phi.coeffs[0, 0, 0] == 0.0
-        assert parity_defect_of(phi, EVEN_IN_Z) < 1e-12 * max(1.0, l2_norm(phi))
+        assert parity_defect_of(phi, EVEN_IN_Z) < 1e-12 * max(1.0, l2_norm(grid8_2pi, gather([phi])[0]))
 
     def test_both_elsasser_pressures_agree(self, grid8_2pi):
         """The A-side and B-side tendencies generate the same potential."""
@@ -128,7 +126,8 @@ class TestPressure:
         ta, tb = nonlinear_tendency(s)
         phi_a = poisson_potential(ta, 0.1)
         phi_b = poisson_potential(tb, 0.1)
-        assert l2_norm(phi_a - phi_b) < 1e-12 * l2_norm(phi_a)
+        c_a, c_b = gather((phi_a, phi_b))
+        assert l2_norm(grid8_2pi, c_a - c_b) < 1e-12 * l2_norm(grid8_2pi, c_a)
 
 
 class TestStepping:
@@ -136,7 +135,7 @@ class TestStepping:
         s = seeded_state(grid8_2pi, 130)
         p = ShmhdParams(eps=0.1, alpha=3.0, dt=1e-3, t_end=1e-3)
         s1 = run(s, p)[-1].state
-        scale = max(l2_norm(f) for f in s1.a.components())
+        scale = max(l2_norm(grid8_2pi, c) for c in gather(s1.a.components()))
         for v in (s1.a, s1.b):
             assert divergence_defect_of(v) < 1e-12 * scale
         for f, cls in (
@@ -150,18 +149,15 @@ class TestStepping:
         # advection off: each mode decays by the implicit-trapezoidal factor
         # (1 - dt lam / 2) / (1 + dt lam / 2) per step.
         g = GridSpec(8, 8, 8, 1.0, 1.0)
-        f = field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * x))
-        s = ElsasserState(
-            VectorState(zero_field(g), f, zero_field(g)),
-            VectorState(zero_field(g), f, zero_field(g)),
-            0.0,
-        )
+        f = gather([field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * x))])[0]
+        zero = np.zeros_like(f)
+        s = Sample(ElsasserState, g, 0.0, [zero, f, zero, zero, f, zero], None)
         dt = 1e-2
         p = ShmhdParams(eps=0.1, alpha=3.0, dt=dt, t_end=10 * dt, advect=False)
         traj = run(s, p, sample_every=10)
         lam = 4 * np.pi**2
         factor = ((1 - 0.5 * dt * lam) / (1 + 0.5 * dt * lam)) ** 10
-        got = l2_norm(traj[-1].state.a.h2) / l2_norm(f)
+        got = l2_norm(g, traj[-1].blocks[1]) / l2_norm(g, f)  # a_h2
         assert got == pytest.approx(factor, rel=1e-12)
 
     def test_linear_energy_balance_closes_to_rounding(self, grid8_2pi):
@@ -183,20 +179,17 @@ class TestStepping:
         """u = (0, sin(2 pi x), 0) e^(-4 pi^2 t) solves the linear system on
         l1 = l2 = 1; dt-refinement against the exact solution shows order 2."""
         g = GridSpec(8, 8, 8, 1.0, 1.0)
-        f = field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * x))
+        x = np.arange(g.n1).reshape(-1, 1, 1) * g.dx
+        f = band_from_physical(g, np.sin(2 * np.pi * x) * np.ones(g.shape))
+        zero = np.zeros_like(f)
         t_end = 0.02
         exact = math.exp(-4 * np.pi**2 * t_end)
 
         def error(dt):
-            s = ElsasserState(
-                VectorState(zero_field(g), f, zero_field(g)),
-                VectorState(zero_field(g), f, zero_field(g)),
-                0.0,
-            )
+            s = Sample(ElsasserState, g, 0.0, [zero, f, zero, zero, f, zero], None)
             p = ShmhdParams(eps=0.1, alpha=3.0, dt=dt, t_end=t_end, advect=False)
-            final = run(s, p, sample_every=1000)[-1].state
-            diff = final.a.h2 - exact * f
-            return l2_norm(diff)
+            final = run(s, p, sample_every=1000)[-1].blocks[1]  # a_h2
+            return l2_norm(g, final - exact * f)
 
         e1, e2, e4 = error(4e-3), error(2e-3), error(1e-3)
         order12 = math.log2(e1 / e2)
