@@ -60,10 +60,16 @@ def k_dot(grid: GridSpec, cs, z=slice(None)) -> np.ndarray:
     return out
 
 
-def _solve(kc: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """kc / denom, and 0 where denom vanishes (at the mean only)."""
+def _nonzero(denom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """denom with 1 where it vanishes (at the mean only), and the mask of where it vanishes."""
     kernel = denom == 0.0
-    phi = kc / np.where(kernel, 1.0, denom)
+    return np.where(kernel, 1.0, denom), kernel
+
+
+def _solve(kc: np.ndarray, denom: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """kc / denom, and 0 where denom vanishes, for ``_nonzero(denom)``."""
+    nonzero, kernel = denom
+    phi = kc / nonzero
     phi[kernel] = 0.0
     return phi
 
@@ -76,21 +82,30 @@ def divergence_defect(grid: GridSpec, cs, z=slice(None)) -> float:
     return float(np.max(np.abs(k_dot(grid, cs, z))))
 
 
-def leray_potential(grid: GridSpec, c, eps: float) -> np.ndarray:
-    """phi = k . c / (kx^2 + ky^2 + kz^2 / eps^2) for the band blocks c of a
-    vector field: the weighted Poisson solve whose gradient
-    (k_H phi, eps^-2 kz phi) is the gradient part of the field, i.e. the
-    spectrum of (grad_H p, eps^-2 dz p) for the potential p = -i phi."""
+def leray_denominator(grid: GridSpec, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The denominator kx^2 + ky^2 + kz^2 / eps^2 of ``leray_potential`` on the
+    band block, as ``_solve`` reads it: eps is fixed for a run, so a run builds
+    it once, as it builds its IMEX factors."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    return _solve(k_dot(grid, c), grid.k2h + grid.kz**2 / eps**2)
+    return _nonzero(grid.k2h + grid.kz**2 / eps**2)
 
 
-def anisotropic_leray_project(grid: GridSpec, c, eps: float) -> list[np.ndarray]:
+def leray_potential(grid: GridSpec, c, denom) -> np.ndarray:
+    """phi = k . c / (kx^2 + ky^2 + kz^2 / eps^2) for the band blocks c of a
+    vector field, given that denominator as ``leray_denominator(grid, eps)``:
+    the weighted Poisson solve whose gradient (k_H phi, eps^-2 kz phi) is the
+    gradient part of the field, i.e. the spectrum of (grad_H p, eps^-2 dz p)
+    for the potential p = -i phi."""
+    return _solve(k_dot(grid, c), denom)
+
+
+def anisotropic_leray_project(grid: GridSpec, c, eps: float, denom) -> list[np.ndarray]:
     """Remove the gradient part (grad_H p, eps^-2 dz p) of the weighted elliptic
     operator Delta_H + eps^-2 dzz from the band blocks c of a vector field,
-    c_j - w_j k_j phi with w = (1, 1, eps^-2), leaving zero discrete divergence."""
-    phi = leray_potential(grid, c, eps)
+    c_j - w_j k_j phi with w = (1, 1, eps^-2), leaving zero discrete divergence;
+    denom is ``leray_denominator(grid, eps)``."""
+    phi = leray_potential(grid, c, denom)
     return [c[0] - grid.kx * phi, c[1] - grid.ky * phi, c[2] - grid.kz * phi * (1.0 / eps**2)]
 
 
@@ -132,7 +147,7 @@ def barotropic_project(grid: GridSpec, h) -> tuple[np.ndarray, np.ndarray]:
     pair of band blocks h, h - grad_H phi; all kz != 0 content passes through
     unchanged.  phi = k_H . h / |k_H|^2 on the kz = 0 plane (0 where |k_H| = 0)
     is the ``leray_potential`` restricted to kz = 0, where eps drops out."""
-    phi = _solve(k_dot(grid, h, 0), grid.k2h[:, :, 0])
+    phi = _solve(k_dot(grid, h, 0), _nonzero(grid.k2h[:, :, 0]))
     c1 = h[0].copy()
     c2 = h[1].copy()
     c1[:, :, 0] -= grid.kx[:, :, 0] * phi

@@ -17,8 +17,8 @@ enforcements, the predictor, the midpoint dissipation, the records and the
 samples are blocks only, and no ``SpectralField`` is built inside a run.  A
 step frees each temporary at its last use, so its peak is the corrector's
 tendency: the blocks of the state, of t1 and of the predictor, and the four
-lattice fields alive in the advection (all of b, one component of a), about
-15 fields for SHMHD and 13 for PEHM.
+lattice fields alive in the advection (all of b and s = a_1 + a_3, or a_2),
+about 14 fields for SHMHD and 12 for PEHM.
 
 A state exposes ``t``, ``grid``, ``FIELD_NAMES``, ``fields()`` (its spectral
 components in that order) and ``from_fields(fields, t)``.
@@ -32,7 +32,7 @@ import warnings
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
-from .spectral import band_from_physical, from_band, gather, to_physical
+from .spectral import band_from_physical, from_band, gather, partner, to_physical
 
 CFL_LIMIT = 0.5
 STEP_TOL = 1e-9
@@ -63,38 +63,70 @@ class BlowUpError(RuntimeError):
 def elsasser_advection(grid, a, b, n_advected: int) -> tuple[list[np.ndarray], float]:
     """Negated advection of the first n_advected components of the Elsaesser
     field a by b and of b by a, given the band blocks of all three components
-    of each.
+    of each, of z parities (even, even, odd) in both fields.
 
     Both fields are divergence-free, so (b . grad) a_i = d_j(a_i b_j) and
-    (a . grad) b_i = d_j(a_j b_i): each product a_i b_j is formed and
-    transformed once and feeds both tendencies.  The products of the two
-    vertical components enter only when those are advected.  Both fields hold
-    only band modes, so by the 2/3 rule each product aliases only onto modes
-    the forward transform drops, and k_j F(a_i b_j) is formed on the band block.
-    b is lifted to the lattice whole, each a_i only for its own row of products.
+    (a . grad) b_i = d_j(a_j b_i): each product a_i b_j feeds both tendencies
+    as k_j F(a_i b_j) and k_i F(a_i b_j).  The products of the two vertical
+    components enter only when those are advected.  Both fields hold only band
+    modes, so by the 2/3 rule each product aliases only onto modes the forward
+    transform drops, and k_j F(a_i b_j) is formed on the band block.
+
+    The products are transformed in pairs.  A product of two components of
+    equal parity is even in z and one of unequal parity is odd, so with
+    s = a_1 + a_3 each of s b_1, s b_2, s b_3 and a_2 (b_1 + b_3) is an even
+    product plus an odd one.  A real field is even in z exactly when its band
+    block G equals ``partner(G)`` and odd when G = -partner(G), so one forward
+    transform gives both: (G + partner(G)) / 2 is the even product and
+    (G - partner(G)) / 2 the odd one.  That split is the parity projection of
+    each product (``constraints.parity_project``), exact only for components
+    of the parities above; a part of the wrong parity in a component is
+    projected away or sent to the wrong product.  Five lattice fields, s, a_2
+    and all of b, are lifted and five products transformed.
 
     Returns the tendencies (a's first) as band blocks and the largest physical
     velocity component, for the CFL guard.
     """
-    b_phys = [to_physical(grid, c) for c in b]
     k = (grid.kx, grid.ky, grid.kz)
-    t_a = [0.0] * n_advected
-    t_b = [0.0] * n_advected
-    speeds = []
-    for i in range(3):
-        a_i = to_physical(grid, a[i])
-        speeds.append(float(np.max(np.abs(a_i))))
-        for j in range(3):
-            if i >= n_advected and j >= n_advected:
-                continue
-            prod = band_from_physical(grid, a_i * b_phys[j])
-            if i < n_advected:
-                t_a[i] = t_a[i] + k[j] * prod
-            if j < n_advected:
-                t_b[j] = t_b[j] + k[i] * prod
-    speeds += [float(np.max(np.abs(c))) for c in b_phys]
-    del a_i, b_phys
-    return [-1j * t for t in (*t_a, *t_b)], max(speeds)
+    t = {}  # (0, i): the tendency of a_i, (1, j): that of b_j
+
+    def add(i, j, c):
+        """Add the band block c of F(a_i b_j) to the tendencies it feeds."""
+        for key, kc in (((0, i), k[j]), ((1, j), k[i])):
+            if key[1] < n_advected:
+                if key in t:
+                    t[key] += kc * c
+                else:
+                    t[key] = kc * c
+
+    def add_pair(values, even, odd):
+        """Add the products (i, j) = even and odd whose sum has the lattice values."""
+        g = band_from_physical(grid, values)
+        refl = partner(g)
+        add(*even, 0.5 * (g + refl))
+        add(*odd, 0.5 * (g - refl))
+
+    s = to_physical(grid, a[0] + a[2])
+    # s(-z) = a_1(z) - a_3(z), so |s(z)| + |s(-z)| = 2 max(|a_1(z)|, |a_3(z)|),
+    # paired here over z = 1 ... n3/2 with -z = n3 - 1 ... n3/2 (z = 0 is its own)
+    m = grid.n3 // 2
+    r = np.abs(s)
+    speed = max(float(np.max(r[:, :, 0])), 0.5 * float(np.max(r[:, :, 1 : m + 1] + r[:, :, : m - 1 : -1])))
+    del r
+    b_1, b_2, b_3 = (to_physical(grid, c) for c in b)
+    add_pair(s * b_1, (0, 0), (2, 0))
+    add_pair(s * b_2, (0, 1), (2, 1))
+    add_pair(s * b_3, (2, 2), (0, 2))
+    del s
+    a_2 = to_physical(grid, a[1])
+    speed = max(speed, *(max(float(c.max()), -float(c.min())) for c in (a_2, b_1, b_2, b_3)))
+    b_3 += b_1  # b_1 + b_3: b_3 alone is read no more
+    del b_1
+    add_pair(a_2 * b_3, (1, 0), (1, 2))
+    del b_3
+    add(1, 1, band_from_physical(grid, a_2 * b_2))
+    del a_2, b_2
+    return [-1j * t[f, i] for f in (0, 1) for i in range(n_advected)], speed
 
 
 def imex_heun(grid, c, t: float, tendency, enforce, decay, gain, dt: float, names) -> tuple[list, float]:

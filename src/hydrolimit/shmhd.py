@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import integrator
 from .constraints import (EVEN_IN_Z, ODD_IN_Z, VectorState, anisotropic_leray_project, divergence_defect,
-                          parity_defect)
+                          leray_denominator, parity_defect)
 from .diagnostics import DiagnosticsRecord, shmhd_dissipation_rate, shmhd_energy
 from .grid import normal_powers
 from .integrator import elsasser_advection
@@ -72,10 +72,10 @@ def nonlinear_tendency(s: ElsasserState) -> tuple[VectorState, VectorState]:
     return VectorState(*t[:3]), VectorState(*t[3:])
 
 
-def _enforce(grid, c, eps: float) -> list:
-    """Weighted Leray projection of the band blocks c of each Elsaesser family;
-    the step keeps ``PARITY``."""
-    return [*anisotropic_leray_project(grid, c[:3], eps), *anisotropic_leray_project(grid, c[3:], eps)]
+def _enforce(grid, c, eps: float, denom) -> list:
+    """Weighted Leray projection of the band blocks c of each Elsaesser family,
+    with denom = ``leray_denominator(grid, eps)``; the step keeps ``PARITY``."""
+    return [*anisotropic_leray_project(grid, c[:3], eps, denom), *anisotropic_leray_project(grid, c[3:], eps, denom)]
 
 
 def _record(grid, c, t: float, diss_accum: float, eps: float) -> DiagnosticsRecord:
@@ -92,10 +92,11 @@ def _record(grid, c, t: float, diss_accum: float, eps: float) -> DiagnosticsReco
 def run(s0: ElsasserState | integrator.Sample, p: ShmhdParams, sample_every: int = 1, sample=None) -> list:
     """Repeated stepping with diagnostics every sample_every steps; each
     sample is an ``integrator.Sample``, or ``sample(smp)`` of it if given."""
+    denom = leray_denominator(s0.grid, p.eps)
     return integrator.run(
         s0, p.t_end, sample_every,
         tendency=_tendency if p.advect else None,
-        enforce=lambda grid, c: _enforce(grid, c, p.eps),
+        enforce=lambda grid, c: _enforce(grid, c, p.eps, denom),
         lam=s0.grid.k2h + p.eps ** (p.alpha - 2.0) * s0.grid.kz**2,  # |k_H|^2 + eps^(alpha-2) kz^2
         dt=p.dt,
         dissipation_rate=lambda grid, c: shmhd_dissipation_rate(grid, c[:3], c[3:], p.eps, p.alpha),

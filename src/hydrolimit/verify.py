@@ -11,6 +11,7 @@ from .constraints import (
     anisotropic_leray_project,
     divergence_defect,
     generate_initial_data,
+    leray_denominator,
     parity_defect,
     z_trace,
 )
@@ -44,6 +45,7 @@ def run_battery(grid: GridSpec, seeds, spectrum: SpectrumParams | None = None) -
     invariants on one generated state per seed."""
     spectrum = spectrum or SpectrumParams()
     worst = dict.fromkeys(TOLS, 0.0)
+    denom = leray_denominator(grid, 0.1)
     for seed in seeds:
         blocks = generate_initial_data(seed, spectrum, grid)
         horizontal = (*blocks[:2], *blocks[3:5])  # the largest L2 norm of these is the scale
@@ -63,7 +65,8 @@ def run_battery(grid: GridSpec, seeds, spectrum: SpectrumParams | None = None) -
 
         for c in (blocks[:3], blocks[3:]):
             worst["divergence"] = max(worst["divergence"], divergence_defect(grid, c) / scale)
-            delta = max(float(np.max(np.abs(x - y))) for x, y in zip(anisotropic_leray_project(grid, c, 0.1), c))
+            proj = anisotropic_leray_project(grid, c, 0.1, denom)
+            delta = max(float(np.max(np.abs(x - y))) for x, y in zip(proj, c))
             worst["leray idempotence"] = max(worst["leray idempotence"], delta / scale)
             for x, cls in zip(c, (EVEN_IN_Z, EVEN_IN_Z, ODD_IN_Z)):
                 worst["parity"] = max(worst["parity"], parity_defect(grid, x, cls) / scale)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hydrolimit.constraints import (VectorState, anisotropic_leray_project, barotropic_project, divergence_defect,
-                                   generate_initial_data, hydrostatic_reconstruct, leray_potential, parity_defect,
-                                   parity_project, z_trace)
+                                   generate_initial_data, hydrostatic_reconstruct, leray_denominator, leray_potential,
+                                   parity_defect, parity_project, z_trace)
 from hydrolimit.diagnostics import _weighted_sums, difference_metrics
 from hydrolimit.grid import GridSpec
 from hydrolimit.spectral import SpectralField, band_from_physical, from_band, gather, l2_norm, to_physical
@@ -50,12 +50,14 @@ def initial_vectors(seed: int, spectrum, grid: GridSpec) -> tuple[VectorState, V
 
 
 def leray(g: VectorState, eps: float) -> VectorState:
-    return VectorState(*embed(g.grid, anisotropic_leray_project(g.grid, gather(g.components()), eps)))
+    c = gather(g.components())
+    return VectorState(*embed(g.grid, anisotropic_leray_project(g.grid, c, eps, leray_denominator(g.grid, eps))))
 
 
 def potential(g: VectorState, eps: float) -> np.ndarray:
     """The half-spectrum of ``leray_potential``."""
-    return from_band(g.grid, leray_potential(g.grid, gather(g.components()), eps)).half
+    phi = leray_potential(g.grid, gather(g.components()), leray_denominator(g.grid, eps))
+    return from_band(g.grid, phi).half
 
 
 def barotropic(h) -> tuple[SpectralField, SpectralField]:
@@ -376,6 +378,36 @@ def chain_hydrostatic_reconstruct(h) -> SpectralField:
     v = SpectralField(grid, source * inv_ikz)
     v.half[:, :, 0] = -trace(v)
     return v
+
+
+# ---------------------------------------------------------------------------
+# the advection one product at a time: each a_i b_j lifted, multiplied and
+# transformed on its own, as the reference for the paired products of
+# ``integrator.elsasser_advection``
+
+def unpaired_elsasser_advection(grid: GridSpec, a, b, n_advected: int) -> tuple[list[np.ndarray], float]:
+    """The negated advection tendencies (a's first) of ``elsasser_advection``
+    and the largest velocity component, from 6 inverse and 9 (or 8, with two
+    components advected) forward transforms: b lifted whole, each a_i for its
+    own row of products, every needed a_i b_j transformed alone."""
+    b_phys = [to_physical(grid, c) for c in b]
+    k = (grid.kx, grid.ky, grid.kz)
+    t_a = [0.0] * n_advected
+    t_b = [0.0] * n_advected
+    speeds = []
+    for i in range(3):
+        a_i = to_physical(grid, a[i])
+        speeds.append(float(np.max(np.abs(a_i))))
+        for j in range(3):
+            if i >= n_advected and j >= n_advected:
+                continue
+            prod = band_from_physical(grid, a_i * b_phys[j])
+            if i < n_advected:
+                t_a[i] = t_a[i] + k[j] * prod
+            if j < n_advected:
+                t_b[j] = t_b[j] + k[i] * prod
+    speeds += [float(np.max(np.abs(c))) for c in b_phys]
+    return [-1j * t for t in (*t_a, *t_b)], max(speeds)
 
 
 # ---------------------------------------------------------------------------

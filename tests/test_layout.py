@@ -17,6 +17,7 @@ from hydrolimit.constraints import (
     ODD_IN_Z,
     SpectrumParams,
     VectorState,
+    leray_denominator,
     parity_project,
 )
 from hydrolimit.grid import GridSpec
@@ -338,7 +339,7 @@ def test_band_step_equals_the_half_layout_step(shape, lengths, system, advect):
     if system == "shmhd":
         eps, alpha = 0.1, 3.0
         s, tendency, lam = s0, shmhd_tendency, g.k2h + eps ** (alpha - 2.0) * g.kz**2
-        enforce = lambda grid, c: shmhd_enforce(grid, c, eps)
+        enforce = lambda grid, c: shmhd_enforce(grid, c, eps, leray_denominator(grid, eps))
         half_tendency, half_lam = half_shmhd_tendency, kx**2 + ky**2 + eps ** (alpha - 2.0) * kz**2
         half_enforce = lambda state: ElsasserState(half_leray_project(state.a, eps),
                                                    half_leray_project(state.b, eps), state.t)

@@ -42,9 +42,11 @@ def _run(system, cfg, s0, p0, steps, **sample):
 
 # A step frees each temporary at its last use, a run carries band blocks from
 # one gather of s0 to its last sample (state, tendencies, IMEX updates,
-# enforcement and the predictor), and the advection lifts each advected
-# component to the lattice only for its own row of products: 15.1 and 12.7
-# fields at 16^3 (14.7 and 12.5 at 64^3).  With a half-spectrum state between
+# enforcement and the predictor), and the advection holds at most four lattice
+# fields (all of b, and a_1 + a_3 until its products are transformed, then
+# a_2): 14.3 and 12.1 fields at 16^3 (14.0 and 11.9 at 64^3).  Lifting each
+# component of a for its own row of products read 15.1 and 12.7 (14.7 and
+# 12.5 at 64^3).  With a half-spectrum state between
 # steps, gathered where used and embedded once per step, it read 19.2 and 15.4;
 # with a half-spectrum predictor and enforcement too, 23.2 and 19.6 (SHMHD read
 # 25.5 while its enforcement also projected onto the z parities).  Full

@@ -1,12 +1,13 @@
 """The package's shape: each name has one home, the module that defines it,
 each name that a module defines has a reader outside the tests, only
 ``spectral.py`` reads how a field is stored, only the benchmark's edge holds
-half-spectrum fields, and importing the CLI loads no more than a serial run
-needs."""
+half-spectrum fields, importing the CLI loads no more than a serial run
+needs, and the declared numpy floor has every numpy feature the code calls."""
 
 import ast
 import os
 from pathlib import Path
+import re
 import subprocess
 import sys
 
@@ -162,3 +163,13 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_declared_numpy_floor_accepts_the_transforms_out_argument():
+    """``spectral.py`` passes ``out=`` to ``np.fft.fft`` and ``np.fft.ifft``,
+    which numpy accepts only from 2.0 on, so the declared floor is at least 2.0."""
+    deps = re.search(r"^dependencies\s*=\s*\[(.*?)\]", (ROOT / "pyproject.toml").read_text(), re.M | re.S)
+    floors = re.findall(r"""["']numpy\s*>=\s*(\d+(?:\.\d+)*)""", deps.group(1))
+    assert len(floors) == 1, f"no single numpy floor in the dependencies: {deps.group(1)!r}"
+    assert tuple(int(x) for x in floors[0].split(".")) >= (2, 0)
+    assert "out=" in (ROOT / "src" / "hydrolimit" / "spectral.py").read_text()
