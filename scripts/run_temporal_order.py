@@ -17,9 +17,8 @@ import numpy as np
 
 from hydrolimit.grid import GridSpec
 from hydrolimit.integrator import Sample
-from hydrolimit.pehm import PehmState
 from hydrolimit.pehm import run as pehm_run
-from hydrolimit.shmhd import ElsasserState, ShmhdParams
+from hydrolimit.shmhd import ShmhdParams
 from hydrolimit.shmhd import run as shmhd_run
 from hydrolimit.spectral import band_from_physical, l2_norm
 
@@ -39,13 +38,13 @@ def main() -> int:
     exact = math.exp(-4 * np.pi**2 * args.t_end)
 
     def shmhd_error(dt):
-        s = Sample(ElsasserState, grid, 0.0, [zero, f, zero, zero, f, zero], None)
+        s = Sample(grid, 0.0, [zero, f, zero, zero, f, zero], None)
         p = ShmhdParams(eps=0.1, alpha=3.0, dt=dt, t_end=args.t_end, advect=False)
         final = shmhd_run(s, p, sample_every=10**6)[-1].blocks[1]  # a_h2
         return l2_norm(grid, final - exact * f)
 
     def pehm_error(dt):
-        s = Sample(PehmState, grid, 0.0, [zero, f, zero, f], None)
+        s = Sample(grid, 0.0, [zero, f, zero, f], None)
         final = pehm_run(s, dt, args.t_end, sample_every=10**6, advect=False)[-1].blocks[1]  # a_h2
         return l2_norm(grid, final - exact * f)
 

@@ -179,7 +179,7 @@ def _random_even_scalar(rng: np.random.Generator, grid: GridSpec, spectrum: Spec
 def generate_initial_data(seed: int, spectrum: SpectrumParams, grid: GridSpec) -> list[np.ndarray]:
     """Band blocks of deterministic band-limited, even-in-z, barotropically
     projected horizontal pairs A and B and their hydrostatically reconstructed
-    verticals, in ``ElsasserState.FIELD_NAMES`` order (a_h1, a_h2, a_v, b_...)."""
+    verticals, in ``shmhd.FIELD_NAMES`` order (a_h1, a_h2, a_v, b_...)."""
     rng = np.random.default_rng(seed)
     draws = [_random_even_scalar(rng, grid, spectrum) for _ in range(4)]
     a_h, b_h = barotropic_project(grid, draws[:2]), barotropic_project(grid, draws[2:])

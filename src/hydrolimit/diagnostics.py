@@ -132,8 +132,8 @@ class DiffRecord:
 def difference_metrics(grid: GridSpec, c_eps, c_lim, eps: float, alpha: float) -> DiffRecord:
     """Weighted norms of the difference between an SHMHD state and a PEHM
     state with diagnosed vertical components, given the band blocks c_eps of
-    the six SHMHD fields and c_lim of the four PEHM fields, in ``FIELD_NAMES``
-    order: the vertical parts carry the eps weights of the energy functional."""
+    the six SHMHD fields and c_lim of the four PEHM fields, in each system's
+    ``FIELD_NAMES`` order: the vertical parts carry the eps weights of the energy functional."""
     a_h, b_h = c_lim[:2], c_lim[2:]
     # generators: each difference block is formed once and freed after its sums
     horizontal = (f - g for f, g in zip((*c_eps[0:2], *c_eps[3:5]), (*a_h, *b_h)))

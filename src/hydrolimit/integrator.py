@@ -20,8 +20,8 @@ tendency: the blocks of the state, of t1 and of the predictor, and the four
 lattice fields alive in the advection (all of b and s = a_1 + a_3, or a_2),
 about 14 fields for SHMHD and 12 for PEHM.
 
-A state exposes ``t``, ``grid``, ``FIELD_NAMES``, ``fields()`` (its spectral
-components in that order) and ``from_fields(fields, t)``.
+A run's state is a ``Sample``: its grid, ``t`` and one band block per field,
+in the order of the system's ``FIELD_NAMES``.
 """
 
 import ctypes
@@ -165,17 +165,17 @@ def imex_heun(grid, c, t: float, tendency, enforce, decay, gain, dt: float, name
 
 
 class Sample:
-    """A state of type ``kind`` at time ``t`` as the band block of each field,
-    ``blocks``: a run's start (``record=None``) or a sample, with its record.
-    No step writes a block in place, and ``state`` rebuilds the state from
-    them, bit-identical to the one stepped: every field is zero outside the band."""
+    """A state at time ``t`` as the band block of each field, ``blocks``, in
+    its system's ``FIELD_NAMES`` order: a run's start (``record=None``) or a
+    sample, with its record.  No step writes a block in place, and ``state``
+    embeds each block as the field stepped: every field is zero outside the band."""
 
-    def __init__(self, kind: type, grid, t: float, blocks: list, record: DiagnosticsRecord | None):
-        self.kind, self.grid, self.t, self.blocks, self.record = kind, grid, t, blocks, record
+    def __init__(self, grid, t: float, blocks: list, record: DiagnosticsRecord | None):
+        self.grid, self.t, self.blocks, self.record = grid, t, blocks, record
 
     @property
-    def state(self):
-        return self.kind.from_fields([from_band(self.grid, c) for c in self.blocks], self.t)
+    def state(self) -> list:
+        return [from_band(self.grid, c) for c in self.blocks]
 
 
 def step_count(t0: float, t_end: float, dt: float) -> int:
@@ -201,15 +201,16 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
 
 
 def run(s0, t_end: float, sample_every: int, *, tendency, enforce, lam, dt: float,
-        dissipation_rate, record, sample=None) -> list:
+        dissipation_rate, record, names, sample=None) -> list:
     """Step s0 to t_end and return a ``Sample`` of the state, with its
     ``record(grid, blocks, t, dissipation)``, at s0, every sample_every steps
     and at the end, or ``sample(smp)`` of each if a hook is given.  The run
     reads the blocks of a ``Sample`` s0 with no copy (its first sample keeps
-    them) and gathers a state's once.  The loop carries band blocks and the
-    time, and a sample keeps the step's own blocks.  ``lam`` is the diffusion
-    symbol on the band block; its IMEX factors (see ``imex_heun``) are built
-    once here.
+    them) and gathers those of a state's ``fields()`` once.  The loop carries
+    band blocks and the time, and a sample keeps the step's own blocks.
+    ``names`` are the fields' names, for the ``BlowUpError`` message.  ``lam``
+    is the diffusion symbol on the band block; its IMEX factors (see
+    ``imex_heun``) are built once here, and the run holds no reference to it.
 
     The dissipation integral is accumulated per step at the midpoint state,
     ``dissipation_rate(grid, blocks)`` of its band blocks, so the linear
@@ -221,17 +222,18 @@ def run(s0, t_end: float, sample_every: int, *, tendency, enforce, lam, dt: floa
     n_steps = step_count(s0.t, t_end, dt)
     h = 0.5 * dt
     decay, gain = (1.0 - h * lam) / (1.0 + h * lam), h / (1.0 + h * lam)
-    kind, c = (s0.kind, s0.blocks) if isinstance(s0, Sample) else (type(s0), gather(s0.fields()))
+    del lam
+    c = s0.blocks if isinstance(s0, Sample) else gather(s0.fields())
     grid, t, diss = s0.grid, s0.t, 0.0
 
     def take(c, t, diss):
-        smp = Sample(kind, grid, t, c, record(grid, c, t, diss))
+        smp = Sample(grid, t, c, record(grid, c, t, diss))
         return smp if sample is None else sample(smp)
 
     samples = [take(c, t, diss)]
     for i in range(n_steps):
         try:
-            c_new, t = imex_heun(grid, c, t, tendency, enforce, decay, gain, dt, kind.FIELD_NAMES)
+            c_new, t = imex_heun(grid, c, t, tendency, enforce, decay, gain, dt, names)
         except BlowUpError as e:
             e.step_index = i
             raise

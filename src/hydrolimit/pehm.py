@@ -9,8 +9,6 @@ the pressure.  The horizontal pairs stay even in z without a projection: the
 hydrostatic reconstruction makes the verticals odd, and the advection keeps both.
 """
 
-from dataclasses import dataclass
-
 from . import integrator
 from .constraints import (
     EVEN_IN_Z,
@@ -21,27 +19,8 @@ from .constraints import (
 )
 from .diagnostics import DiagnosticsRecord, pehm_dissipation_rate, pehm_energy
 from .integrator import elsasser_advection
-from .spectral import SpectralField
 
-
-@dataclass
-class PehmState:
-    a_h: tuple[SpectralField, SpectralField]
-    b_h: tuple[SpectralField, SpectralField]
-    t: float = 0.0
-
-    FIELD_NAMES = ("a_h1", "a_h2", "b_h1", "b_h2")
-
-    @property
-    def grid(self):
-        return self.a_h[0].grid
-
-    def fields(self):
-        return [*self.a_h, *self.b_h]
-
-    @classmethod
-    def from_fields(cls, fields, t: float) -> "PehmState":
-        return cls(tuple(fields[:2]), tuple(fields[2:]), t)
+FIELD_NAMES = ("a_h1", "a_h2", "b_h1", "b_h2")
 
 
 def _tendency(grid, c):
@@ -69,14 +48,8 @@ def _record(grid, c, t: float, diss_accum: float) -> DiagnosticsRecord:
     )
 
 
-def run(
-    s0: PehmState | integrator.Sample,
-    dt: float,
-    t_end: float,
-    sample_every: int = 1,
-    advect: bool = True,
-    sample=None,
-) -> list:
+def run(s0: integrator.Sample, dt: float, t_end: float, sample_every: int = 1, advect: bool = True,
+        sample=None) -> list:
     """Repeated stepping with diagnostics every sample_every steps; each
     sample is an ``integrator.Sample``, or ``sample(smp)`` of it if given."""
     return integrator.run(
@@ -87,5 +60,6 @@ def run(
         dt=dt,
         dissipation_rate=lambda grid, c: pehm_dissipation_rate(grid, c[:2], c[2:]),
         record=_record,
+        names=FIELD_NAMES,
         sample=sample,
     )

@@ -17,6 +17,7 @@ from .grid import normal_powers
 from .integrator import elsasser_advection
 from .spectral import from_band, gather
 
+FIELD_NAMES = ("a_h1", "a_h2", "a_v", "b_h1", "b_h2", "b_v")
 PARITY = (EVEN_IN_Z, EVEN_IN_Z, ODD_IN_Z) * 2
 
 
@@ -47,18 +48,12 @@ class ElsasserState:
     b: VectorState
     t: float = 0.0
 
-    FIELD_NAMES = ("a_h1", "a_h2", "a_v", "b_h1", "b_h2", "b_v")
-
     @property
     def grid(self):
         return self.a.grid
 
     def fields(self):
         return [*self.a.components(), *self.b.components()]
-
-    @classmethod
-    def from_fields(cls, fields, t: float) -> "ElsasserState":
-        return cls(VectorState(*fields[:3]), VectorState(*fields[3:]), t)
 
 
 def _tendency(grid, c):
@@ -101,5 +96,6 @@ def run(s0: ElsasserState | integrator.Sample, p: ShmhdParams, sample_every: int
         dt=p.dt,
         dissipation_rate=lambda grid, c: shmhd_dissipation_rate(grid, c[:3], c[3:], p.eps, p.alpha),
         record=lambda grid, c, t, diss: _record(grid, c, t, diss, p.eps),
+        names=FIELD_NAMES,
         sample=sample,
     )

@@ -13,11 +13,10 @@ import tempfile
 
 import numpy as np
 
-from .constraints import SpectrumParams, generate_initial_data
+from .constraints import SpectrumParams, VectorState, generate_initial_data
 from .diagnostics import difference_metrics, energy_ledger, gamma_of_alpha, trapezoid_accumulate
 from .grid import GridSpec, normal_powers
 from .integrator import BlowUpError, Sample, step_count
-from .pehm import PehmState
 from .pehm import run as pehm_run
 from .shmhd import ElsasserState, ShmhdParams, check_eps
 from .shmhd import run as shmhd_run
@@ -178,13 +177,14 @@ def initial_samples(cfg: SweepConfig) -> tuple[Sample, Sample]:
     PEHM's blocks are SHMHD's horizontal ones, as no solver writes its input."""
     grid = cfg.grid
     c = generate_initial_data(cfg.seed, cfg.spectrum, grid)
-    return Sample(ElsasserState, grid, 0.0, c, None), Sample(PehmState, grid, 0.0, [*c[:2], *c[3:5]], None)
+    return Sample(grid, 0.0, c, None), Sample(grid, 0.0, [*c[:2], *c[3:5]], None)
 
 
-def initial_states(cfg: SweepConfig) -> tuple[ElsasserState, PehmState]:
-    """``initial_samples`` as states, which share their horizontal arrays."""
-    s = initial_samples(cfg)[0].state
-    return s, PehmState((s.a.h1, s.a.h2), (s.b.h1, s.b.h2), 0.0)
+def initial_states(cfg: SweepConfig) -> tuple[ElsasserState, Sample]:
+    """``initial_samples`` with the SHMHD start as a state."""
+    s_eps0, s_lim0 = initial_samples(cfg)
+    f = s_eps0.state
+    return ElsasserState(VectorState(*f[:3]), VectorState(*f[3:])), s_lim0
 
 
 def _failed_cell(eps: float, status: str) -> PairResult:

@@ -8,6 +8,7 @@ from hydrolimit.constraints import (VectorState, anisotropic_leray_project, baro
                                    parity_defect, parity_project, z_trace)
 from hydrolimit.diagnostics import _weighted_sums, difference_metrics
 from hydrolimit.grid import GridSpec
+from hydrolimit.shmhd import ElsasserState
 from hydrolimit.spectral import SpectralField, band_from_physical, from_band, gather, l2_norm, to_physical
 
 
@@ -96,9 +97,16 @@ def weighted_sums(f: SpectralField) -> tuple[float, float, float]:
     return _weighted_sums(f.grid, gather([f])[0])
 
 
-def state_difference_metrics(s_eps, s_lim, eps: float, alpha: float):
-    """``difference_metrics`` of an SHMHD state against a PEHM state."""
-    return difference_metrics(s_eps.grid, gather(s_eps.fields()), gather(s_lim.fields()), eps, alpha)
+def sample_state(smp) -> ElsasserState:
+    """The SHMHD state whose fields the ``Sample`` smp holds, at its time."""
+    f = smp.state
+    return ElsasserState(VectorState(*f[:3]), VectorState(*f[3:]), smp.t)
+
+
+def state_difference_metrics(f_eps, f_lim, eps: float, alpha: float):
+    """``difference_metrics`` of the six SHMHD fields f_eps against the four
+    PEHM fields f_lim, each in its ``FIELD_NAMES`` order."""
+    return difference_metrics(f_eps[0].grid, gather(f_eps), gather(f_lim), eps, alpha)
 
 
 def random_real_field(grid: GridSpec, seed: int) -> np.ndarray:
@@ -223,14 +231,13 @@ def derivative_dissipation_rate(a, b, eps: float, alpha: float) -> float:
     return rate
 
 
-def derivative_difference_metrics(s_eps, s_lim, eps: float, alpha: float) -> tuple[float, float, float]:
-    """Reference (d_l2, d_diss_rate, d_h1) of an SHMHD state against a
-    hydrostatically lifted PEHM state, from derivative arrays."""
-    grid = s_eps.grid
-    horizontal = [SpectralField(grid, f.half - g.half)
-                  for f, g in zip((s_eps.a.h1, s_eps.a.h2, s_eps.b.h1, s_eps.b.h2), (*s_lim.a_h, *s_lim.b_h))]
+def derivative_difference_metrics(f_eps, f_lim, eps: float, alpha: float) -> tuple[float, float, float]:
+    """Reference (d_l2, d_diss_rate, d_h1) of the six SHMHD fields f_eps
+    against the four hydrostatically lifted PEHM fields f_lim, from derivative arrays."""
+    grid = f_eps[0].grid
+    horizontal = [SpectralField(grid, f.half - g.half) for f, g in zip((*f_eps[0:2], *f_eps[3:5]), f_lim)]
     vertical = [SpectralField(grid, v.half - hydrostatic(h).half)
-                for v, h in ((s_eps.a.v, s_lim.a_h), (s_eps.b.v, s_lim.b_h))]
+                for v, h in ((f_eps[2], f_lim[:2]), (f_eps[5], f_lim[2:]))]
     d_l2 = d_h1 = 0.0
     for f in horizontal:
         n, gh, dz = derivative_norms(f)
@@ -490,14 +497,13 @@ def half_weighted_sums(f: SpectralField) -> tuple[float, float, float]:
     )
 
 
-def half_difference_metrics(s_eps, s_lim, eps: float, alpha: float) -> tuple[float, float, float]:
-    """(d_l2, d_diss_rate, d_h1) of an SHMHD state against a PEHM state with
-    hydrostatic verticals, from the whole half-spectrum."""
-    grid = s_eps.grid
-    horizontal = [SpectralField(grid, f.half - g.half)
-                  for f, g in zip((s_eps.a.h1, s_eps.a.h2, s_eps.b.h1, s_eps.b.h2), (*s_lim.a_h, *s_lim.b_h))]
+def half_difference_metrics(f_eps, f_lim, eps: float, alpha: float) -> tuple[float, float, float]:
+    """(d_l2, d_diss_rate, d_h1) of the six SHMHD fields f_eps against the
+    four PEHM fields f_lim with hydrostatic verticals, from the whole half-spectrum."""
+    grid = f_eps[0].grid
+    horizontal = [SpectralField(grid, f.half - g.half) for f, g in zip((*f_eps[0:2], *f_eps[3:5]), f_lim)]
     vertical = [SpectralField(grid, v.half - half_hydrostatic_reconstruct(h).half)
-                for v, h in ((s_eps.a.v, s_lim.a_h), (s_eps.b.v, s_lim.b_h))]
+                for v, h in ((f_eps[2], f_lim[:2]), (f_eps[5], f_lim[2:]))]
     h = np.sum([half_weighted_sums(f) for f in horizontal], axis=0)
     v = np.sum([half_weighted_sums(f) for f in vertical], axis=0)
     diss = h[1] + eps ** (alpha - 2.0) * h[2] + eps**2 * v[1] + eps**alpha * v[2]

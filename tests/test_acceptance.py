@@ -16,9 +16,8 @@ import pytest
 from hydrolimit.constraints import SpectrumParams, generate_initial_data
 from hydrolimit.diagnostics import energy_ledger, trilinear_check
 from hydrolimit.grid import GridSpec
-from hydrolimit.pehm import PehmState
 from hydrolimit.pehm import run as pehm_run
-from hydrolimit.shmhd import ElsasserState, ShmhdParams
+from hydrolimit.shmhd import ShmhdParams
 from hydrolimit.shmhd import run as shmhd_run
 from hydrolimit.integrator import Sample
 from hydrolimit.spectral import band_from_physical, gather, l2_norm
@@ -102,13 +101,13 @@ def test_criterion_4_temporal_order(capsys):
     exact = math.exp(-4 * np.pi**2 * t_end)
 
     def shmhd_error(dt):
-        s = Sample(ElsasserState, grid, 0.0, [zero, f, zero, zero, f, zero], None)
+        s = Sample(grid, 0.0, [zero, f, zero, zero, f, zero], None)
         params = ShmhdParams(eps=0.1, alpha=3.0, dt=dt, t_end=t_end, advect=False)
         final = shmhd_run(s, params, 10**6)[-1].blocks[1]  # a_h2
         return l2_norm(grid, final - exact * f)
 
     def pehm_error(dt):
-        s = Sample(PehmState, grid, 0.0, [zero, f, zero, f], None)
+        s = Sample(grid, 0.0, [zero, f, zero, f], None)
         final = pehm_run(s, dt, t_end, sample_every=10**6, advect=False)[-1].blocks[1]  # a_h2
         return l2_norm(grid, final - exact * f)
 

@@ -180,7 +180,7 @@ class TestInitialData:
         assert np.array_equal(b1.v.coeffs, b2.v.coeffs)
 
     def test_returns_six_band_blocks(self, grid8_2pi):
-        """One band block per field of ``ElsasserState.FIELD_NAMES``, no
+        """One band block per field of ``shmhd.FIELD_NAMES``, no
         half-spectrum (the oracle test below checks their order and values)."""
         i1, i2, k3 = grid8_2pi.band
         blocks = generate_initial_data(66, SpectrumParams(), grid8_2pi)

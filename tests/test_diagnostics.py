@@ -22,7 +22,7 @@ from hydrolimit.diagnostics import (
     trilinear_check,
 )
 from hydrolimit.grid import GridSpec
-from hydrolimit.pehm import PehmState
+from hydrolimit.integrator import Sample
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.shmhd import ElsasserState, ShmhdParams
 from hydrolimit.shmhd import run as shmhd_run
@@ -88,8 +88,8 @@ class TestWeightedSums:
             want = derivative_dissipation_rate(s_eps.a, s_eps.b, eps, alpha)
             got = shmhd_dissipation_rate(g, gather(s_eps.a.components()), gather(s_eps.b.components()), eps, alpha)
             assert got == pytest.approx(want, rel=self.REL)
-            rec = state_difference_metrics(s_eps, s_lim, eps, alpha)
-            want = derivative_difference_metrics(s_eps, s_lim, eps, alpha)
+            rec = state_difference_metrics(s_eps.fields(), s_lim, eps, alpha)
+            want = derivative_difference_metrics(s_eps.fields(), s_lim, eps, alpha)
             assert (rec.d_l2, rec.d_diss_rate, rec.d_h1) == pytest.approx(want, rel=self.REL)
 
 
@@ -150,10 +150,10 @@ class TestEnergyLedger:
 class TestDifferenceMetrics:
     @staticmethod
     def _states(grid, seed):
+        """The seeded SHMHD and PEHM fields, each list in its ``FIELD_NAMES`` order."""
         a, b = initial_vectors(seed, SpectrumParams(), grid)
-        s_eps = ElsasserState(a, b, 0.0)
-        h = [SpectralField(grid, f.half.copy()) for f in (a.h1, a.h2, b.h1, b.h2)]  # tests write into s_eps
-        s_lim = PehmState((h[0], h[1]), (h[2], h[3]), 0.0)
+        s_eps = [*a.components(), *b.components()]
+        s_lim = [SpectralField(grid, f.half.copy()) for f in (a.h1, a.h2, b.h1, b.h2)]  # tests write into s_eps
         return s_eps, s_lim
 
     def test_identical_states_give_zero(self, grid8_2pi):
@@ -171,7 +171,7 @@ class TestDifferenceMetrics:
         s_eps, s_lim = self._states(g, 81)
         c = 0.3
         bump = field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * y) * np.cos(np.pi * z))
-        s_eps.a.h1.half += c * bump.half
+        s_eps[0].half += c * bump.half  # a_h1
         eps, alpha = 0.2, 3.5
         rec = state_difference_metrics(s_eps, s_lim, eps, alpha)
         n2 = 0.5 * c**2
@@ -203,7 +203,7 @@ class TestDifferenceMetrics:
         states = shmhd_run(s_eps0, ShmhdParams(0.1, 3.0, cfg.dt, 4 * cfg.dt), 2, sample=lambda smp: smp.state)
         # the first pair is the shared initial data, whose difference is zero
         for s, smp in zip(states[1:], limit[1:], strict=True):
-            got = difference_metrics(s.grid, gather(s.fields()), smp.blocks, 0.1, 3.0)
+            got = difference_metrics(cfg.grid, gather(s), smp.blocks, 0.1, 3.0)
             want = half_difference_metrics(s, smp.state, 0.1, 3.0)
             assert (got.d_l2, got.d_diss_rate, got.d_h1) == pytest.approx(want, rel=1e-14)
 
@@ -211,7 +211,7 @@ class TestDifferenceMetrics:
         g = GridSpec(8, 8, 8, 1.0, 1.0)
         s_eps, s_lim = self._states(g, 83)
         bump = field_from_lattice(g, lambda x, y, z: np.sin(np.pi * z))
-        s_eps.a.v.half += bump.half
+        s_eps[2].half += bump.half  # a_v
         rec_1 = state_difference_metrics(s_eps, s_lim, 0.1, 3.0)
         rec_2 = state_difference_metrics(s_eps, s_lim, 0.2, 3.0)
         assert rec_2.d_l2 == pytest.approx(4.0 * rec_1.d_l2, rel=1e-12)
@@ -236,15 +236,15 @@ class TestEnergies:
         compared on stepped states."""
         g = GridSpec(16, 16, 16)
         a, b = initial_vectors(seed, SpectrumParams(amplitude=0.5), g)
-        lim = pehm_run(PehmState((a.h1, a.h2), (b.h1, b.h2), 0.0), 2e-3, 1e-2, 5)[-1].state
-        assert pehm_energy(g, gather(lim.a_h), gather(lim.b_h)) == pytest.approx(
-            sum(weighted_sums(f)[0] for f in lim.fields()), rel=1e-14)
+        lim = pehm_run(Sample(g, 0.0, gather((a.h1, a.h2, b.h1, b.h2)), None), 2e-3, 1e-2, 5)[-1]
+        assert pehm_energy(g, lim.blocks[:2], lim.blocks[2:]) == pytest.approx(
+            sum(weighted_sums(f)[0] for f in lim.state), rel=1e-14)
         for eps in (0.2, 0.025):
-            s = shmhd_run(ElsasserState(a, b, 0.0), ShmhdParams(eps, 4.0, 2e-3, 1e-2), 5)[-1].state
+            s = shmhd_run(ElsasserState(a, b, 0.0), ShmhdParams(eps, 4.0, 2e-3, 1e-2), 5)[-1]
             assert s.t == lim.t == pytest.approx(1e-2)
-            assert shmhd_energy(g, gather(s.a.components()), gather(s.b.components()), eps) == pytest.approx(
-                _weighted_totals(g, gather((s.a.h1, s.a.h2, s.b.h1, s.b.h2)), gather((s.a.v, s.b.v)), eps, 4.0)[0],
-                rel=1e-14)
+            c = s.blocks
+            assert shmhd_energy(g, c[:3], c[3:], eps) == pytest.approx(
+                _weighted_totals(g, [*c[0:2], *c[3:5]], [c[2], c[5]], eps, 4.0)[0], rel=1e-14)
 
 
 class TestTrilinear:

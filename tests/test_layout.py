@@ -22,16 +22,17 @@ from hydrolimit.constraints import (
 )
 from hydrolimit.grid import GridSpec
 from hydrolimit.integrator import elsasser_advection, imex_heun
-from hydrolimit.pehm import PehmState
+from hydrolimit.pehm import FIELD_NAMES as PEHM_FIELDS
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.pehm import _enforce as pehm_enforce
 from hydrolimit.pehm import _tendency as pehm_tendency
-from hydrolimit.shmhd import ElsasserState, ShmhdParams
+from hydrolimit.shmhd import FIELD_NAMES as SHMHD_FIELDS
+from hydrolimit.shmhd import ShmhdParams
 from hydrolimit.shmhd import _enforce as shmhd_enforce
 from hydrolimit.shmhd import _tendency as shmhd_tendency
 from hydrolimit.shmhd import run as shmhd_run
 from hydrolimit.spectral import SpectralField, band_from_physical, from_band, gather, l2_norm, to_physical
-from hydrolimit.sweep import SweepConfig, initial_states
+from hydrolimit.sweep import SweepConfig, initial_samples
 from conftest import (
     band_mask,
     barotropic,
@@ -268,59 +269,61 @@ class TestBandPrecondition:
 
     def test_tendencies(self, shape):
         """The tendencies are band blocks, so they hold no mode outside the band."""
-        s0, p0 = initial_states(SweepConfig(*shape, l1=2.0, l2=3.0))
+        s0, p0 = initial_samples(SweepConfig(*shape, l1=2.0, l2=3.0))
         i1, i2, k3 = s0.grid.band
         for s, tendency in ((s0, shmhd_tendency), (p0, pehm_tendency)):
-            assert [t.shape for t in tendency(s.grid, gather(s.fields()))[0]] == [(i1.size, i2.size, k3)] * len(s.fields())
+            assert [t.shape for t in tendency(s.grid, s.blocks)[0]] == [(i1.size, i2.size, k3)] * len(s.blocks)
 
-    # The stepped states themselves: a default sample rebuilds its state from
-    # band blocks, so it is in band by construction.
+    # The stepped states themselves: a default sample's state embeds its band
+    # blocks, so it is in band by construction.
     def test_shmhd_states(self, shape):
         cfg = SweepConfig(*shape, l1=2.0, l2=3.0)
-        s0, _ = initial_states(cfg)
+        s0, _ = initial_samples(cfg)
         states = shmhd_run(s0, ShmhdParams(eps=0.1, alpha=4.0, dt=cfg.dt, t_end=4 * cfg.dt),
                            sample=lambda smp: smp.state)
         assert len(states) == 5
         for s in states:
-            self.assert_in_band(s.fields())
+            self.assert_in_band(s)
 
     def test_pehm_states_and_their_verticals(self, shape):
         cfg = SweepConfig(*shape, l1=2.0, l2=3.0)
-        _, p0 = initial_states(cfg)
+        _, p0 = initial_samples(cfg)
         states = pehm_run(p0, cfg.dt, 4 * cfg.dt, sample=lambda smp: smp.state)
         assert len(states) == 5
         for s in states:
-            self.assert_in_band([*s.fields(), hydrostatic(s.a_h), hydrostatic(s.b_h)])
+            self.assert_in_band([*s, hydrostatic(s[:2]), hydrostatic(s[2:])])
 
 
-def half_layout_step(s, tendency, enforce, decay, gain, dt):
-    """The IMEX-Heun step on the whole half-spectrum, without the CFL guard:
-    full-half factors, half-spectrum states and enforcement, each tendency
-    block embedded by ``from_band``."""
-    def rebuild(arrays, t):
-        return type(s).from_fields([SpectralField(s.grid, c) for c in arrays], t)
+def half_layout_step(fields, t, tendency, enforce, decay, gain, dt):
+    """The IMEX-Heun step of the fields at time t on the whole half-spectrum,
+    without the CFL guard: full-half factors, half-spectrum fields and
+    enforcement, each tendency block embedded by ``from_band``.  Returns the
+    new fields and t + dt."""
+    grid = fields[0].grid
 
-    def halves(state):
-        return [from_band(state.grid, t).half for t in tendency(state)]
+    def rebuild(arrays):
+        return [SpectralField(grid, c) for c in arrays]
 
-    t_new = s.t + dt
-    c = [f.half for f in s.fields()]
+    def halves(fs):
+        return [from_band(grid, t).half for t in tendency(fs)]
+
+    c = [f.half for f in fields]
     if tendency is None:
-        return enforce(rebuild([decay * x for x in c], t_new))
-    t1 = halves(s)
-    pred = enforce(rebuild([decay * x + gain * (g + g) for x, g in zip(c, t1)], t_new))
+        return enforce(rebuild([decay * x for x in c])), t + dt
+    t1 = halves(fields)
+    pred = enforce(rebuild([decay * x + gain * (g + g) for x, g in zip(c, t1)]))
     t2 = halves(pred)
-    return enforce(rebuild([decay * x + gain * (g1 + g2) for x, g1, g2 in zip(c, t1, t2)], t_new))
+    return enforce(rebuild([decay * x + gain * (g1 + g2) for x, g1, g2 in zip(c, t1, t2)])), t + dt
 
 
-def half_shmhd_tendency(s):
-    return elsasser_advection(s.grid, gather(s.a.components()), gather(s.b.components()), 3)[0]
+def half_shmhd_tendency(f):
+    return elsasser_advection(f[0].grid, gather(f[:3]), gather(f[3:]), 3)[0]
 
 
-def half_pehm_tendency(s):
+def half_pehm_tendency(f):
     """The advection with verticals reconstructed on the whole half-spectrum."""
-    a3, b3 = half_hydrostatic_reconstruct(s.a_h), half_hydrostatic_reconstruct(s.b_h)
-    return elsasser_advection(s.grid, gather((*s.a_h, a3)), gather((*s.b_h, b3)), 2)[0]
+    a3, b3 = half_hydrostatic_reconstruct(f[:2]), half_hydrostatic_reconstruct(f[2:])
+    return elsasser_advection(f[0].grid, gather((*f[:2], a3)), gather((*f[2:], b3)), 2)[0]
 
 
 @pytest.mark.parametrize("advect", [True, False], ids=["advect", "linear"])
@@ -333,21 +336,20 @@ def test_band_step_equals_the_half_layout_step(shape, lengths, system, advect):
     whole half-spectrum, with the half-spectrum Leray, barotropic and
     hydrostatic operators and the factors of the same symbol on the whole half."""
     cfg = SweepConfig(*shape, l1=lengths[0], l2=lengths[1])
-    s0, p0 = initial_states(cfg)
+    s0, p0 = initial_samples(cfg)
     g = s0.grid
     kx, ky, kz = half_wavenumbers(g)
     if system == "shmhd":
         eps, alpha = 0.1, 3.0
-        s, tendency, lam = s0, shmhd_tendency, g.k2h + eps ** (alpha - 2.0) * g.kz**2
+        s, names, tendency, lam = s0, SHMHD_FIELDS, shmhd_tendency, g.k2h + eps ** (alpha - 2.0) * g.kz**2
         enforce = lambda grid, c: shmhd_enforce(grid, c, eps, leray_denominator(grid, eps))
         half_tendency, half_lam = half_shmhd_tendency, kx**2 + ky**2 + eps ** (alpha - 2.0) * kz**2
-        half_enforce = lambda state: ElsasserState(half_leray_project(state.a, eps),
-                                                   half_leray_project(state.b, eps), state.t)
+        half_enforce = lambda f: [*half_leray_project(VectorState(*f[:3]), eps).components(),
+                                  *half_leray_project(VectorState(*f[3:]), eps).components()]
     else:
-        s, tendency, enforce, lam = p0, pehm_tendency, pehm_enforce, g.k2h
+        s, names, tendency, enforce, lam = p0, PEHM_FIELDS, pehm_tendency, pehm_enforce, g.k2h
         half_tendency, half_lam = half_pehm_tendency, kx**2 + ky**2
-        half_enforce = lambda state: PehmState(half_barotropic_project(state.a_h),
-                                               half_barotropic_project(state.b_h), state.t)
+        half_enforce = lambda f: [*half_barotropic_project(f[:2]), *half_barotropic_project(f[2:])]
     if not advect:
         tendency = half_tendency = None
     h = 0.5 * cfg.dt
@@ -355,7 +357,7 @@ def test_band_step_equals_the_half_layout_step(shape, lengths, system, advect):
     def factors(symbol):
         return (1.0 - h * symbol) / (1.0 + h * symbol), h / (1.0 + h * symbol)
 
-    got, t = imex_heun(g, gather(s.fields()), s.t, tendency, enforce, *factors(lam), cfg.dt, s.FIELD_NAMES)
-    want = half_layout_step(s, half_tendency, half_enforce, *factors(half_lam), cfg.dt)
-    assert t == want.t
-    assert all(np.array_equal(from_band(g, c).half, w.half) for c, w in zip(got, want.fields(), strict=True))
+    got, t = imex_heun(g, s.blocks, s.t, tendency, enforce, *factors(lam), cfg.dt, names)
+    want, want_t = half_layout_step(s.state, s.t, half_tendency, half_enforce, *factors(half_lam), cfg.dt)
+    assert t == want_t
+    assert all(np.array_equal(from_band(g, c).half, w.half) for c, w in zip(got, want, strict=True))

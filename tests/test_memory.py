@@ -1,8 +1,9 @@
 """Memory of a run: the working set of a step counted in fields, the
 initial arrays that both systems of a sweep share, the band blocks that
-samples keep of the states they record, the half-spectrum embeds that neither
-a run nor a sweep makes, the heap pages that a run reuses, and the heap that a
-process which only imports the package gives back."""
+samples keep of the states they record, the diffusion symbol that a run frees
+once its IMEX factors exist, the half-spectrum embeds that neither a run nor a
+sweep makes, the heap pages that a run reuses, and the heap that a process
+which only imports the package gives back."""
 
 import ctypes
 import os
@@ -10,13 +11,14 @@ from pathlib import Path
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from hydrolimit import cli
+from hydrolimit import cli, integrator
 from hydrolimit.pehm import run as pehm_run
-from hydrolimit.shmhd import ShmhdParams, run as shmhd_run
+from hydrolimit.shmhd import FIELD_NAMES, ShmhdParams, run as shmhd_run
 from hydrolimit.spectral import from_band
 from hydrolimit.sweep import SweepConfig, initial_samples, initial_states, run_sweep
 
@@ -30,7 +32,7 @@ def _drop(smp):
 def _copy(smp):
     """A sample hook that keeps a copy of each array as it was when sampled:
     the rebuilt state's own arrays."""
-    return [f.half for f in smp.state.fields()]
+    return [f.half for f in smp.state]
 
 
 def _run(system, cfg, s0, p0, steps, **sample):
@@ -111,9 +113,33 @@ def test_samples_keep_band_blocks_of_the_states_they_record(system):
     as_sampled = _run(system, cfg, s0, p0, 3, sample=_copy)
     for smp, arrays in zip(samples, as_sampled, strict=True):
         state = smp.state
-        for f, a in zip(state.fields(), arrays, strict=True):
+        for f, a in zip(state, arrays, strict=True):
             assert np.array_equal(f.half, a)
-        assert _complex_bytes(smp) <= 0.3 * sum(f.half.nbytes for f in state.fields())
+        assert _complex_bytes(smp) <= 0.3 * sum(f.half.nbytes for f in state)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 a caller's stack holds the arguments of a call until it returns")
+def test_a_run_frees_its_diffusion_symbol_once_its_factors_exist():
+    """``integrator.run`` reads ``lam`` only to build ``decay`` and ``gain``:
+    a symbol that only a weakref holds is dead by the second record, so a run
+    keeps no array of the band's size that its steps never read."""
+    cfg = SweepConfig(8, 8, 8)
+    s0, _ = initial_samples(cfg)
+    refs, alive = [], []
+
+    def symbol():
+        lam = cfg.grid.k2h + 0.1 * cfg.grid.kz**2
+        refs.append(weakref.ref(lam))
+        return lam
+
+    def record(grid, c, t, diss):
+        alive.append(refs[0]() is not None)
+
+    integrator.run(s0, 2 * cfg.dt, 1, tendency=None, enforce=lambda grid, c: c, lam=symbol(), dt=cfg.dt,
+                   dissipation_rate=lambda grid, c: 0.0, record=record, names=FIELD_NAMES)
+    assert len(alive) == 3
+    assert not any(alive[1:])
 
 
 def _count_embeds(monkeypatch) -> list:

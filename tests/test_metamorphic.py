@@ -19,13 +19,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hydrolimit.integrator import Sample
+from hydrolimit.pehm import FIELD_NAMES as PEHM_FIELDS
 from hydrolimit.pehm import _tendency as pehm_tendency
 from hydrolimit.pehm import run as pehm_run
-from hydrolimit.shmhd import ElsasserState, ShmhdParams
+from hydrolimit.shmhd import FIELD_NAMES as SHMHD_FIELDS
+from hydrolimit.shmhd import ShmhdParams
 from hydrolimit.shmhd import _tendency as shmhd_tendency
 from hydrolimit.shmhd import run as shmhd_run
 from hydrolimit.spectral import SpectralField, from_band, gather
-from hydrolimit.sweep import SweepConfig, initial_states
+from hydrolimit.sweep import SweepConfig, initial_samples
 from conftest import half_wavenumbers
 
 DT = 2e-3
@@ -43,31 +46,35 @@ drawn = settings(max_examples=10, deadline=None)
 non_cubic = example(grid=(24, 16, 12, 2.0, 3.0), seed=7)
 
 
+def names(s) -> tuple:
+    """The field names of the ``Sample`` s: SHMHD's six or PEHM's four."""
+    return SHMHD_FIELDS if len(s.blocks) == len(SHMHD_FIELDS) else PEHM_FIELDS
+
+
 def step(s, n: int = 1):
-    """The state n steps after s, of either system."""
+    """The ``Sample`` n steps after s, of either system."""
     t_end = s.t + n * DT
-    if isinstance(s, ElsasserState):
-        return shmhd_run(s, ShmhdParams(eps=EPS, alpha=ALPHA, dt=DT, t_end=t_end), sample_every=n)[-1].state
-    return pehm_run(s, DT, t_end, sample_every=n)[-1].state
+    if names(s) == SHMHD_FIELDS:
+        return shmhd_run(s, ShmhdParams(eps=EPS, alpha=ALPHA, dt=DT, t_end=t_end), sample_every=n)[-1]
+    return pehm_run(s, DT, t_end, sample_every=n)[-1]
 
 
 def advanced_state(system: str, grid: tuple, seed: int):
     n1, n2, n3, l1, l2 = grid
-    s_eps, s_lim = initial_states(SweepConfig(n1, n2, n3, l1, l2, seed=seed))
+    s_eps, s_lim = initial_samples(SweepConfig(n1, n2, n3, l1, l2, seed=seed))
     return step(s_eps if system == "shmhd" else s_lim, 2)
 
 
 def remap(s, fn):
-    """The state whose fields are ``fn(name, half)`` of the fields of s."""
-    return s.from_fields([SpectralField(f.grid, fn(name, f.half)) for name, f in zip(s.FIELD_NAMES, s.fields())],
-                         s.t)
+    """The start whose fields are ``fn(name, half)`` of the fields of s."""
+    return Sample(s.grid, s.t, gather([SpectralField(f.grid, fn(name, f.half)) for name, f in zip(names(s), s.state)]),
+                  None)
 
 
 def exchange(s):
     """(A, B) -> (B, A)."""
-    fields = s.fields()
-    half = len(fields) // 2
-    return s.from_fields(fields[half:] + fields[:half], s.t)
+    half = len(s.blocks) // 2
+    return Sample(s.grid, s.t, s.blocks[half:] + s.blocks[:half], None)
 
 
 def translate(s, axis: int):
@@ -88,8 +95,8 @@ def mirror(s):
 
 def assert_same_state(got, want) -> None:
     assert got.t == want.t
-    scale = max(float(np.max(np.abs(f.coeffs))) for f in want.fields())
-    err = max(float(np.max(np.abs(f.coeffs - g.coeffs))) for f, g in zip(got.fields(), want.fields()))
+    scale = max(float(np.max(np.abs(f.coeffs))) for f in want.state)
+    err = max(float(np.max(np.abs(f.coeffs - g.coeffs))) for f, g in zip(got.state, want.state))
     assert err <= REL * scale, f"relative mismatch {err / scale:.3e}"
 
 
@@ -99,9 +106,9 @@ def assert_same_state(got, want) -> None:
 @given(grid=GRIDS, seed=SEEDS)
 def test_advection_is_energy_neutral(system, grid, seed):
     s = advanced_state(system, grid, seed)
-    blocks = (shmhd_tendency if system == "shmhd" else pehm_tendency)(s.grid, gather(s.fields()))[0]
+    blocks = (shmhd_tendency if system == "shmhd" else pehm_tendency)(s.grid, s.blocks)[0]
     tendency = [from_band(s.grid, t) for t in blocks]
-    fields = s.fields()
+    fields = s.state
     half = len(fields) // 2
     for family in (slice(None, half), slice(half, None)):
         pairs = list(zip(fields[family], tendency[family]))

@@ -26,7 +26,6 @@ EDGE = {
     "constraints.py:VectorState": "probe.py",  # reads .components() of a state and of a tendency
     "shmhd.py:ElsasserState": "probe.py",  # times nonlinear_tendency on one
     "shmhd.py:nonlinear_tendency": "probe.py",
-    "pehm.py:PehmState": "ledger_child.py",  # runs from one
     "integrator.py:Sample.state": "ledger_child.py",  # saves a linear run's first and last states
     "integrator.py:run": "ledger_child.py",  # gathers the state it runs from
     "sweep.py:initial_states": "run.py",  # setup_s times it; ledger_child.py and probe.py seed with it

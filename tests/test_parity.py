@@ -8,9 +8,8 @@ import pytest
 
 from hydrolimit.constraints import EVEN_IN_Z, hydrostatic_reconstruct, parity_defect
 from hydrolimit.integrator import Sample
-from hydrolimit.pehm import PehmState
 from hydrolimit.pehm import run as pehm_run
-from hydrolimit.shmhd import ElsasserState, ShmhdParams
+from hydrolimit.shmhd import ShmhdParams
 from hydrolimit.shmhd import run as shmhd_run
 from hydrolimit.sweep import SweepConfig, initial_samples, initial_states
 
@@ -44,8 +43,8 @@ def test_a_wrong_parity_part_shows_in_the_defect_after_a_step(system):
     odd = 0.01 * hydrostatic_reconstruct(cfg.grid, p0.blocks[:2])  # real, band-limited and odd in z
     injected = parity_defect(cfg.grid, odd, EVEN_IN_Z)
     assert injected > 0
-    s0 = Sample(ElsasserState, cfg.grid, 0.0, [s0.blocks[0] + odd, *s0.blocks[1:]], None)
-    p0 = Sample(PehmState, cfg.grid, 0.0, [p0.blocks[0] + odd, *p0.blocks[1:]], None)
+    s0 = Sample(cfg.grid, 0.0, [s0.blocks[0] + odd, *s0.blocks[1:]], None)
+    p0 = Sample(cfg.grid, 0.0, [p0.blocks[0] + odd, *p0.blocks[1:]], None)
     first, last = _run(system, 1, s0, p0, cfg.dt)
     assert first.parity_defect == pytest.approx(injected, rel=1e-12)
     assert last.parity_defect == pytest.approx(injected, rel=0.1)

@@ -11,33 +11,35 @@ from hydrolimit.constraints import (
     EVEN_IN_Z,
     ODD_IN_Z,
     SpectrumParams,
+    generate_initial_data,
 )
 from hydrolimit.diagnostics import energy_ledger
 from hydrolimit.grid import GridSpec
-from hydrolimit.pehm import PehmState, _tendency, run
+from hydrolimit.pehm import _tendency, run
 from hydrolimit.integrator import Sample
-from hydrolimit.spectral import band_from_physical, from_band, gather, l2_norm
+from hydrolimit.spectral import band_from_physical, from_band, l2_norm
 from conftest import (assert_rel_close, barotropic_defect_of, convective_advection, field_from_lattice, hydrostatic,
                       initial_vectors, parity_defect_of)
 
 
-def seeded_state(grid, seed) -> PehmState:
-    a, b = initial_vectors(seed, SpectrumParams(), grid)
-    return PehmState((a.h1, a.h2), (b.h1, b.h2), 0.0)
+def seeded_state(grid, seed) -> Sample:
+    """The PEHM start of the seeded data: the blocks of the horizontal pairs A and B."""
+    c = generate_initial_data(seed, SpectrumParams(), grid)
+    return Sample(grid, 0.0, [*c[:2], *c[3:5]], None)
 
 
 class TestVerticalDiagnosis:
     def test_matches_seeded_verticals(self, grid8_2pi):
         a, b = initial_vectors(140, SpectrumParams(), grid8_2pi)
-        s = PehmState((a.h1, a.h2), (b.h1, b.h2), 0.0)
-        a3, b3 = hydrostatic(s.a_h), hydrostatic(s.b_h)
+        a3, b3 = hydrostatic((a.h1, a.h2)), hydrostatic((b.h1, b.h2))
         assert np.max(np.abs(a3.coeffs - a.v.coeffs)) < 1e-14
         assert np.max(np.abs(b3.coeffs - b.v.coeffs)) < 1e-14
 
     def test_diagnosed_verticals_are_odd(self, grid8_2pi):
         s = seeded_state(grid8_2pi, 141)
-        a3, b3 = hydrostatic(s.a_h), hydrostatic(s.b_h)
-        scale = max(l2_norm(grid8_2pi, c) for c in gather(s.a_h))
+        f = s.state
+        a3, b3 = hydrostatic(f[:2]), hydrostatic(f[2:])
+        scale = max(l2_norm(grid8_2pi, c) for c in s.blocks[:2])
         assert parity_defect_of(a3, ODD_IN_Z) < 1e-13 * scale
         assert parity_defect_of(b3, ODD_IN_Z) < 1e-13 * scale
 
@@ -48,20 +50,22 @@ class TestTendency:
         """The divergence-form products equal the convective advection of the
         horizontal pairs, with the diagnosed verticals in the advecting fields."""
         s = seeded_state(GridSpec(n, n, n), 142)
-        a3, b3 = hydrostatic(s.a_h), hydrostatic(s.b_h)
-        got = [from_band(s.grid, t) for t in _tendency(s.grid, gather(s.fields()))[0]]
-        assert_rel_close(got[:2], convective_advection((*s.b_h, b3), s.a_h), 1e-13)
-        assert_rel_close(got[2:], convective_advection((*s.a_h, a3), s.b_h), 1e-13)
+        f = s.state
+        a3, b3 = hydrostatic(f[:2]), hydrostatic(f[2:])
+        got = [from_band(s.grid, t) for t in _tendency(s.grid, s.blocks)[0]]
+        assert_rel_close(got[:2], convective_advection((*f[2:], b3), f[:2]), 1e-13)
+        assert_rel_close(got[2:], convective_advection((*f[:2], a3), f[2:]), 1e-13)
 
 
 class TestStepping:
     def test_step_preserves_constraints(self, grid8_2pi):
         s = seeded_state(grid8_2pi, 160)
-        s1 = run(s, 1e-3, s.t + 1e-3)[-1].state
-        scale = max(l2_norm(grid8_2pi, c) for c in gather(s1.a_h))
-        assert barotropic_defect_of(s1.a_h) < 1e-12 * scale
-        assert barotropic_defect_of(s1.b_h) < 1e-12 * scale
-        for f in (*s1.a_h, *s1.b_h):
+        s1 = run(s, 1e-3, s.t + 1e-3)[-1]
+        f1 = s1.state
+        scale = max(l2_norm(grid8_2pi, c) for c in s1.blocks[:2])
+        assert barotropic_defect_of(f1[:2]) < 1e-12 * scale
+        assert barotropic_defect_of(f1[2:]) < 1e-12 * scale
+        for f in f1:
             assert parity_defect_of(f, EVEN_IN_Z) < 1e-12 * scale
         assert s1.t == pytest.approx(1e-3)
 
@@ -93,7 +97,7 @@ class TestStepping:
         exact = math.exp(-4 * np.pi**2 * t_end)
 
         def error(dt):
-            s = Sample(PehmState, g, 0.0, [zero, f, zero, f], None)
+            s = Sample(g, 0.0, [zero, f, zero, f], None)
             final = run(s, dt, t_end, sample_every=1000, advect=False)[-1].blocks[1]  # a_h2
             return l2_norm(g, final - exact * f)
 
@@ -115,4 +119,4 @@ class TestStepping:
     def test_run_is_deterministic(self, grid8_2pi):
         t1 = run(seeded_state(grid8_2pi, 165), 1e-3, 5e-3)
         t2 = run(seeded_state(grid8_2pi, 165), 1e-3, 5e-3)
-        assert np.array_equal(t1[-1].state.a_h[0].coeffs, t2[-1].state.a_h[0].coeffs)
+        assert np.array_equal(t1[-1].state[0].coeffs, t2[-1].state[0].coeffs)

@@ -15,9 +15,9 @@ from hydrolimit.constraints import (
 from hydrolimit.diagnostics import energy_ledger
 from hydrolimit.grid import GridSpec
 from hydrolimit.integrator import BlowUpError, Sample, imex_heun
-from hydrolimit.pehm import PehmState
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.shmhd import (
+    FIELD_NAMES,
     ElsasserState,
     ShmhdParams,
     nonlinear_tendency,
@@ -35,6 +35,7 @@ from conftest import (
     partial_derivative,
     physical,
     poisson_potential,
+    sample_state,
 )
 
 
@@ -93,7 +94,7 @@ class TestNonlinearTendency:
         """The divergence-form products equal -(B . grad) A and -(A . grad) B
         on a divergence-free state (one step from the seeded data)."""
         p = ShmhdParams(eps=0.1, alpha=3.0, dt=1e-3, t_end=1e-3)
-        s = run(seeded_state(GridSpec(n, n, n), 111), p)[-1].state
+        s = sample_state(run(seeded_state(GridSpec(n, n, n), 111), p)[-1])
         ta, tb = nonlinear_tendency(s)
         assert_rel_close(ta.components(), convective_advection(s.b.components(), s.a.components()), 1e-13)
         assert_rel_close(tb.components(), convective_advection(s.a.components(), s.b.components()), 1e-13)
@@ -134,7 +135,7 @@ class TestStepping:
     def test_step_preserves_all_constraints(self, grid8_2pi):
         s = seeded_state(grid8_2pi, 130)
         p = ShmhdParams(eps=0.1, alpha=3.0, dt=1e-3, t_end=1e-3)
-        s1 = run(s, p)[-1].state
+        s1 = sample_state(run(s, p)[-1])
         scale = max(l2_norm(grid8_2pi, c) for c in gather(s1.a.components()))
         for v in (s1.a, s1.b):
             assert divergence_defect_of(v) < 1e-12 * scale
@@ -151,7 +152,7 @@ class TestStepping:
         g = GridSpec(8, 8, 8, 1.0, 1.0)
         f = gather([field_from_lattice(g, lambda x, y, z: np.sin(2 * np.pi * x))])[0]
         zero = np.zeros_like(f)
-        s = Sample(ElsasserState, g, 0.0, [zero, f, zero, zero, f, zero], None)
+        s = Sample(g, 0.0, [zero, f, zero, zero, f, zero], None)
         dt = 1e-2
         p = ShmhdParams(eps=0.1, alpha=3.0, dt=dt, t_end=10 * dt, advect=False)
         traj = run(s, p, sample_every=10)
@@ -186,7 +187,7 @@ class TestStepping:
         exact = math.exp(-4 * np.pi**2 * t_end)
 
         def error(dt):
-            s = Sample(ElsasserState, g, 0.0, [zero, f, zero, zero, f, zero], None)
+            s = Sample(g, 0.0, [zero, f, zero, zero, f, zero], None)
             p = ShmhdParams(eps=0.1, alpha=3.0, dt=dt, t_end=t_end, advect=False)
             final = run(s, p, sample_every=1000)[-1].blocks[1]  # a_h2
             return l2_norm(g, final - exact * f)
@@ -219,7 +220,7 @@ class TestStepping:
 
         with pytest.warns(UserWarning, match="CFL"):
             imex_heun(s.grid, gather(s.fields()), s.t, tendency, lambda grid, blocks: blocks, 1.0, 0.0, 1e-3,
-                      s.FIELD_NAMES)
+                      FIELD_NAMES)
 
     def test_invalid_params_raise(self):
         with pytest.raises(ValueError, match="eps"):
@@ -251,7 +252,7 @@ class TestStepping:
         p = ShmhdParams(eps=0.1, alpha=3.0, dt=1e-3, t_end=5e-3)
         t1 = run(seeded_state(grid8_2pi, 135), p)
         t2 = run(seeded_state(grid8_2pi, 135), p)
-        assert np.array_equal(t1[-1].state.a.h1.coeffs, t2[-1].state.a.h1.coeffs)
+        assert np.array_equal(t1[-1].state[0].coeffs, t2[-1].state[0].coeffs)  # a_h1
 
 
 @pytest.mark.parametrize("system", ["shmhd", "pehm"])
@@ -268,4 +269,4 @@ def test_run_rejects_a_bad_sample_every_before_stepping(grid8_2pi, monkeypatch, 
         if system == "shmhd":
             run(s, ShmhdParams(eps=0.1, alpha=3.0, dt=1e-3, t_end=0.003), sample_every)
         else:
-            pehm_run(PehmState((s.a.h1, s.a.h2), (s.b.h1, s.b.h2), 0.0), 1e-3, 0.003, sample_every)
+            pehm_run(Sample(s.grid, 0.0, gather((s.a.h1, s.a.h2, s.b.h1, s.b.h2)), None), 1e-3, 0.003, sample_every)

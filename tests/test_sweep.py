@@ -11,10 +11,8 @@ import numpy as np
 import pytest
 
 import hydrolimit.sweep as sweep_mod
-from hydrolimit.constraints import VectorState
 from hydrolimit.pehm import run as pehm_run
 from hydrolimit.integrator import STEP_TOL, BlowUpError, Sample, step_count
-from hydrolimit.shmhd import ElsasserState
 from hydrolimit.shmhd import run as shmhd_run
 from hydrolimit.spectral import gather
 from hydrolimit.sweep import (
@@ -239,13 +237,9 @@ class TestRunPair:
             _, s_lim0 = initial_samples(cfg)
             out = []
             for smp in pehm_run(s_lim0, params.dt, params.t_end, sample_every):
-                a3, b3 = hydrostatic(smp.state.a_h), hydrostatic(smp.state.b_h)
-                state = ElsasserState(
-                    VectorState(smp.state.a_h[0], smp.state.a_h[1], a3),
-                    VectorState(smp.state.b_h[0], smp.state.b_h[1], b3),
-                    smp.state.t,
-                )
-                out.append(sample(Sample(ElsasserState, state.grid, state.t, gather(state.fields()), smp.record)))
+                f = smp.state
+                a3, b3 = hydrostatic(f[:2]), hydrostatic(f[2:])
+                out.append(sample(Sample(smp.grid, smp.t, gather([*f[:2], a3, *f[2:], b3]), smp.record)))
             return out
 
         monkeypatch.setattr(sweep_mod, "shmhd_run", lifted_run)
@@ -270,11 +264,11 @@ class TestRunPair:
         shared = [run_pair(cfg, eps, limit, s_eps0) for eps in (0.2, 0.1)]
         assert shared == [run_pair(cfg, eps, *shared_inputs(cfg)) for eps in (0.2, 0.1)]
         lim_fresh, fresh = shared_inputs(cfg)
-        for got, want in zip(s_eps0.state.fields(), fresh.state.fields()):
+        for got, want in zip(s_eps0.state, fresh.state):
             assert np.array_equal(got.coeffs, want.coeffs)
         for got, want in zip(limit, lim_fresh):
             assert all(np.array_equal(f.coeffs, g.coeffs)
-                       for f, g in zip(got.state.fields(), want.state.fields()))
+                       for f, g in zip(got.state, want.state))
 
     def test_smaller_eps_gives_smaller_error(self):
         cfg = SweepConfig(alpha=4.0, **TINY)
